@@ -9,21 +9,25 @@ multiplication table by converting each detached loop into a factor of x.
 Repeated gluing is linear: ``states_matrix(v)`` is the 5x5 matrix of the
 right-gluing map ``w -> compose(w, v)``, so its n-th power applied to the
 unit tuple is the tuple of the n-fold power of ``v``.  The closure of a
-tangle weights the five slots by ``(x^3, x^2, x^2, x, x)``, and the closure
-of the n-th power obeys a three-term integer recurrence built from the
-invariants ``p`` and ``q^2``; :func:`closed_form_bracket` evaluates it
-without ever forming the radical ``q``.
+tangle weights each slot by one factor of x per loop its basis diagram
+closes to, and the closures of the powers have a rational generating
+function built from the invariants ``p`` and ``q^2``;
+:func:`closed_form_bracket` runs its recurrence without ever forming the
+radical ``q``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
-from .poly import ONE, X, ZERO, Polynomial, PolynomialLike
-from .tl3 import ELEMENTS, TLElement, multiply
+from .poly import (ONE, X, ZERO, Polynomial, PolynomialLike, power_by_squaring,
+                   series_coefficients)
+from .tl3 import ELEMENTS, TLElement, closure_loops, multiply
 
-_X_SQUARED_MINUS_2 = X * X - 2
+# A generating-function term: numerator and denominator in y, lowest power first.
+YRatio = tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]
 
 
 @dataclass(frozen=True)
@@ -75,11 +79,20 @@ class BracketVector:
                 for name, p in zip("abcde", self.entries())}
 
     @classmethod
-    def from_json(cls, data: dict) -> "BracketVector":
+    def from_json(cls, data: object) -> "BracketVector":
+        """Read the :meth:`to_json` form; raise ValueError for anything else."""
+        if not isinstance(data, dict):
+            raise ValueError("bracket tuple JSON must be an object")
         try:
-            return cls.of(*(data[name] for name in "abcde"))
+            entries = [data[name] for name in "abcde"]
         except KeyError as missing:
             raise ValueError(f"bracket tuple JSON is missing key {missing}") from None
+        for name, coeffs in zip("abcde", entries):
+            # bool is a subclass of int, so test the exact type.
+            if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
+                raise ValueError(
+                    f"bracket tuple JSON key {name!r} must be a list of integers")
+        return cls.of(*entries)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.entries()) + "]"
@@ -149,12 +162,8 @@ class PolyMatrix:
             for i in range(n)))
 
     def power(self, n: int) -> "PolyMatrix":
-        if n < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = PolyMatrix.identity(self.size)
-        for _ in range(n):
-            result = result @ self
-        return result
+        return power_by_squaring(self, n, PolyMatrix.identity(self.size),
+                                 PolyMatrix.__matmul__)
 
     def apply(self, vector: BracketVector) -> BracketVector:
         entries = vector.entries()
@@ -264,10 +273,7 @@ def compose(v: BracketVector, w: BracketVector) -> BracketVector:
             if cw.is_zero:
                 continue
             loops, element = multiply(ev, ew)
-            term = cv * cw
-            for _ in range(loops):
-                term = term * X
-            totals[element] = totals[element] + term
+            totals[element] = totals[element] + X ** loops * cv * cw
     return BracketVector(*(totals[element] for element in ELEMENTS))
 
 
@@ -275,20 +281,19 @@ def power(v: BracketVector, n: int) -> BracketVector:
     """The tuple of the n-fold gluing of ``v`` with itself (unit at n = 0)."""
     if n < 0:
         raise ValueError("power requires n >= 0")
-    result = BracketVector.unit()
-    for _ in range(n):
-        result = compose(result, v)
-    return result
+    return power_by_squaring(v, n, BracketVector.unit(), compose)
 
 
 def closure(v: BracketVector) -> Polynomial:
     """The bracket polynomial of the standard closure of a tangle.
 
-    The five basis diagrams close to 3, 2, 2, 1 and 1 loops respectively, so
-    the closure weights the tuple by (x^3, x^2, x^2, x, x).
+    Each basis diagram closes to ``closure_loops(element)`` loops, so its
+    coefficient is weighted by x to that power.
     """
-    x2 = X * X
-    return x2 * X * v.a + x2 * (v.b + v.c) + X * (v.d + v.e)
+    total = ZERO
+    for element, p in zip(ELEMENTS, v.entries()):
+        total = total + X ** closure_loops(element) * p
+    return total
 
 
 def states_matrix(v: BracketVector) -> PolyMatrix:
@@ -316,29 +321,34 @@ def pq_invariants(v: BracketVector) -> PQInvariants:
     return PQInvariants(p, q_squared)
 
 
-def closed_form_bracket(v: BracketVector, n: int) -> Polynomial:
-    """Closure bracket of the n-th power of ``v``, by recurrence.
+def closure_gf_terms(v: BracketVector) -> tuple[YRatio, YRatio]:
+    """The two terms of the generating function of ``closure(power(v, n))``::
 
-    Evaluates ``x a^n (x^2 - 2) + u_n`` where ``u_n = x(lam_+^n + lam_-^n)``
-    for the eigenvalue pair with sum p and product m = (p^2 - q^2)/4, via
-    ``u_0 = 2x``, ``u_1 = px``, ``u_{n+1} = p u_n - m u_{n-1}``.  Agrees with
-    ``closure(power(v, n))`` for every n, without forming any radical.
+        x(2 - p y) / (1 - p y + m y^2)   +   x(x^2 - 2) / (1 - a y)
+
+    The first sums ``x lam^n`` over the eigenvalue pair with sum p and
+    product m = (p^2 - q^2)/4; the second comes from the identity slot a.
 
     Raises ValueError when p^2 - q^2 is not divisible by 4 (impossible for a
     tuple arising from a diagram; signals corrupted input).
     """
+    pq = pq_invariants(v)
+    return (((2 * X, -(pq.p * X)), (ONE, -pq.p, pq.pair_product())),
+            ((X * (X * X - 2),), (ONE, -v.a)))
+
+
+def closed_form_bracket(v: BracketVector, n: int) -> Polynomial:
+    """Closure bracket of the n-th power of ``v``, by recurrence.
+
+    The n-th series coefficient of :func:`closure_gf_terms`, each term run
+    through its denominator recurrence.  Agrees with ``closure(power(v, n))``
+    for every n, without forming any radical.
+    """
     if n < 0:
         raise ValueError("closed_form_bracket requires n >= 0")
-    pq = pq_invariants(v)
-    m = pq.pair_product()
-    u_prev = 2 * X
-    u = pq.p * X
-    if n == 0:
-        u = u_prev
-    else:
-        for _ in range(n - 1):
-            u_prev, u = u, pq.p * u - m * u_prev
-    return X * (v.a ** n) * _X_SQUARED_MINUS_2 + u
+    pair, geometric = (next(islice(series_coefficients(num, den), n, None))
+                       for num, den in closure_gf_terms(v))
+    return pair + geometric
 
 
 def charpoly(matrix: PolyMatrix) -> LambdaPolynomial:

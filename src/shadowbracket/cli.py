@@ -9,7 +9,8 @@ Subcommands::
     verify     self-check suites (tables, oracle, charpoly, recurrence)
     export     triangle or column data as b-file/CSV, with offline compare
 
-Exactly one input source per invocation: --generator, --word or --pd.
+Exactly one input source per invocation: --generator, --word, --pd or
+--tuple.
 Exit codes: 0 success, 1 verification or comparison failure, 2 usage or
 parse error.
 """
@@ -32,8 +33,6 @@ from .poly import Polynomial
 from .reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
 from .series import (bfile_lines, coefficient_table, column, compare_bfiles,
                      csv_lines, expand, gf_from_tuple, render_gf, triangle_values)
-
-_CHECK = tuple  # (label, ok, detail) rows produced by the verify suites
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -179,8 +178,8 @@ def _cmd_bracket(args) -> int:
             raise ValueError("--n and --closure do not apply to a closed diagram")
         result: Polynomial | BracketVector = value
     else:
-        tangle = power(value, args.n)
-        result = closure(tangle) if args.closure else tangle
+        result = closed_form_bracket(value, args.n) if args.closure \
+            else power(value, args.n)
     if args.format == "json":
         if isinstance(result, Polynomial):
             payload = {"n": args.n, "bracket": list(result.coefficients)}
@@ -243,11 +242,7 @@ def _cmd_export(args) -> int:
         text = "\n".join(csv_lines(table))
     else:
         text = "\n".join(bfile_lines(values, args.offset))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    _emit(args, text)
     if args.compare:
         with open(args.compare, encoding="utf-8") as handle:
             reference = handle.read()
@@ -287,7 +282,8 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _run_suites(suites: dict, names: Iterable[str], args) -> Iterator[_CHECK]:
+def _run_suites(suites: dict, names: Iterable[str], args) -> Iterator[tuple]:
+    """The (label, ok, detail) rows of the selected suites."""
     if suites["tables"]:
         for name in names:
             yield from _verify_tables(name, args.rows)
@@ -305,7 +301,7 @@ def _run_suites(suites: dict, names: Iterable[str], args) -> Iterator[_CHECK]:
     yield from _verify_column_identity()
 
 
-def _verify_tables(name: str, rows: int | None) -> Iterator[_CHECK]:
+def _verify_tables(name: str, rows: int | None) -> Iterator[tuple]:
     reference = TABLE_ROWS[name]
     last = len(reference) - 1 if rows is None else rows
     if last >= len(reference):
@@ -318,7 +314,7 @@ def _verify_tables(name: str, rows: int | None) -> Iterator[_CHECK]:
         yield (f"tables {name} row {n}", ok, detail)
 
 
-def _verify_words(count: int, seed: int, max_crossings: int) -> Iterator[_CHECK]:
+def _verify_words(count: int, seed: int, max_crossings: int) -> Iterator[tuple]:
     rng = random.Random(seed)
     bad = None
     for _ in range(count):
@@ -333,7 +329,7 @@ def _verify_words(count: int, seed: int, max_crossings: int) -> Iterator[_CHECK]
 
 
 def _verify_generator_oracle(name: str, max_n: int,
-                             max_crossings: int) -> Iterator[_CHECK]:
+                             max_crossings: int) -> Iterator[tuple]:
     spec = generator(name)
     diagram = spec.diagram
     for n in range(1, max_n + 1):
@@ -354,14 +350,14 @@ def _verify_generator_oracle(name: str, max_n: int,
         yield (f"oracle {name}^{n}", ok, detail)
 
 
-def _verify_charpoly(name: str) -> Iterator[_CHECK]:
+def _verify_charpoly(name: str) -> Iterator[tuple]:
     v = generator_tuple(name)
     ok = charpoly(states_matrix(v)) == charpoly_factored(v)
     yield (f"charpoly factorisation {name}", ok,
            "" if ok else "determinant route disagrees with factored form")
 
 
-def _verify_charpoly_random(count: int, seed: int) -> Iterator[_CHECK]:
+def _verify_charpoly_random(count: int, seed: int) -> Iterator[tuple]:
     rng = random.Random(seed)
     bad = None
     for _ in range(count):
@@ -372,7 +368,7 @@ def _verify_charpoly_random(count: int, seed: int) -> Iterator[_CHECK]:
     yield (f"charpoly factorisation on {count} random tuples", bad is None, bad or "")
 
 
-def _verify_recurrence(name: str) -> Iterator[_CHECK]:
+def _verify_recurrence(name: str) -> Iterator[tuple]:
     v = generator_tuple(name)
     series = expand(gf_from_tuple(v), 10)
     bad = None
@@ -386,7 +382,7 @@ def _verify_recurrence(name: str) -> Iterator[_CHECK]:
     yield (f"recurrence/series agreement {name} (n <= 10)", bad is None, bad or "")
 
 
-def _verify_column_identity() -> Iterator[_CHECK]:
+def _verify_column_identity() -> Iterator[tuple]:
     table = coefficient_table("T", 10)
     ours = "\n".join(bfile_lines(column(table, 1)))
     reference = "\n".join(bfile_lines(ALTERNATE_LUCAS_MINUS_2))

@@ -24,6 +24,7 @@ fold exactly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import NamedTuple, Sequence
@@ -112,6 +113,39 @@ class ShadowDiagram:
         if bad:
             raise MalformedDiagramError(
                 f"every edge must occur exactly twice; violations: {bad}")
+        self._check_planar()
+
+    def _check_planar(self) -> None:
+        # Each crossing's edges leave it in the listed cyclic order, read in
+        # either direction (smoothing is blind to it, and the generators'
+        # hitch gadget is listed opposite to compile_word's crossings).  An
+        # open tangle adds a vertex for the outside of its disk, carrying the
+        # boundary edges in disk order; free loops drop out.  When the orders
+        # as listed already trace a planar map, that is the drawing.  If not,
+        # a drawing exists exactly when the graph is planar with every vertex
+        # made a wheel: a hub plus a rim through its edge ends in order, which
+        # no drawing can reorder.  Each edge becomes a midpoint between rims.
+        rotations = list(self.crossings)
+        if self.boundary is not None:
+            rotations.append(self.boundary.left + self.boundary.right[::-1])
+        if _listed_order_is_planar(rotations):
+            return
+        graph: dict[object, set] = defaultdict(set)
+        for vertex, rotation in enumerate(rotations):
+            for slot, edge in enumerate(rotation):
+                node, after = (vertex, slot), (vertex, (slot + 1) % len(rotation))
+                for a, b in ((vertex, node), (node, after), (node, edge)):
+                    graph[a].add(b)
+                    graph[b].add(a)
+        drawn: set = set()
+        for vertex, rotation in enumerate(rotations):
+            if vertex not in drawn:
+                rim = [(vertex, slot) for slot in range(len(rotation))]
+                component = _planar_component(graph, rim)
+                if component is None:
+                    raise MalformedDiagramError(
+                        "the crossings and boundary do not form a planar diagram")
+                drawn |= component
 
     def to_json(self) -> dict:
         return {
@@ -128,9 +162,14 @@ class ShadowDiagram:
             raw_boundary = data.get("boundary")
             boundary = None if raw_boundary is None else \
                 Boundary(tuple(raw_boundary["L"]), tuple(raw_boundary["R"]))
-            diagram = cls(crossings, boundary, int(data.get("free_loops", 0)))
+            free_loops = data.get("free_loops", 0)
+            diagram = cls(crossings, boundary, free_loops)
         except (KeyError, TypeError) as exc:
             raise MalformedDiagramError(f"bad diagram JSON: {exc}") from None
+        # bool is a subclass of int, so test the exact type.
+        if type(free_loops) is not int:
+            raise MalformedDiagramError(
+                f"free_loops must be an integer, got {free_loops!r}")
         diagram.validate()
         return diagram
 
@@ -157,6 +196,101 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[rb] = ra
+
+
+def _listed_order_is_planar(rotations: list[tuple[str, ...]]) -> bool:
+    """Whether the faces traced with every vertex read in its listed order
+    give V - E + F = 2 on each connected component."""
+    ends: dict[str, list[tuple[int, int]]] = defaultdict(list)
+    for vertex, rotation in enumerate(rotations):
+        for slot, edge in enumerate(rotation):
+            ends[edge].append((vertex, slot))
+    mate: dict[tuple[int, int], tuple[int, int]] = {}
+    components = _UnionFind()
+    for first, second in ends.values():
+        mate[first], mate[second] = second, first
+        components.union(first[0], second[0])
+    faces, seen = 0, set()
+    for dart in mate:
+        if dart not in seen:
+            faces += 1
+            while dart not in seen:
+                seen.add(dart)
+                vertex, slot = mate[dart]
+                dart = (vertex, (slot + 1) % len(rotations[vertex]))
+    count = len({components.find(vertex) for vertex in range(len(rotations))})
+    return len(rotations) - len(ends) + faces == 2 * count
+
+
+def _planar_component(graph: dict[object, set], cycle: list) -> set | None:
+    """The nodes of the component holding ``cycle`` if it is planar, else None.
+
+    The component must be simple and 2-connected.  This is the test of
+    Demoucron, Malgrange and Pertuiset: starting from ``cycle``, draw a path
+    of some undrawn fragment across a face that holds all the fragment's
+    drawn attachments, taking a fragment with the fewest such faces, until
+    every edge is drawn or some fragment fits no face.
+    """
+    drawn = set(cycle)
+    used = {frozenset(pair) for pair in zip(cycle, cycle[1:] + cycle[:1])}
+    faces = [(cycle, drawn.copy()), (cycle[::-1], drawn.copy())]
+    while True:
+        best = None
+        for attachments, path in _fragments(graph, drawn, used):
+            homes = [face for face in faces if attachments <= face[1]]
+            if best is None or len(homes) < len(best[0]):
+                best = homes, path
+                if len(homes) <= 1:
+                    break
+        if best is None:
+            return drawn
+        homes, path = best
+        if not homes:
+            return None
+        faces = [face for face in faces if face is not homes[0]]
+        boundary = homes[0][0]
+        i = boundary.index(path[0])
+        boundary = boundary[i:] + boundary[:i]
+        j = boundary.index(path[-1])
+        for side in (boundary[:j + 1] + path[-2:0:-1],
+                     boundary[j:] + boundary[:1] + path[1:-1]):
+            faces.append((side, set(side)))
+        drawn.update(path)
+        used.update(frozenset(pair) for pair in zip(path, path[1:]))
+
+
+def _fragments(graph: dict[object, set], drawn: set, used: set):
+    """Each undrawn fragment's drawn attachments and a path through it.
+
+    A fragment is an undrawn edge between drawn nodes, or a component of
+    undrawn nodes with its edges to drawn nodes; the path joins two distinct
+    attachments.
+    """
+    edges: set = set()
+    inner: set = set()
+    for node in drawn:
+        for first in graph[node]:
+            if first in drawn:
+                edge = frozenset((node, first))
+                if edge not in used and edge not in edges:
+                    edges.add(edge)
+                    yield {node, first}, [node, first]
+            elif first not in inner:
+                parent, attachments, end = {first: None}, set(), None
+                queue = [first]
+                for step in queue:
+                    for other in graph[step]:
+                        if other in drawn:
+                            attachments.add(other)
+                            if end is None and other != node:
+                                end = [other, step]
+                        elif other not in parent:
+                            parent[other] = step
+                            queue.append(other)
+                inner.update(parent)
+                while parent[end[-1]] is not None:
+                    end.append(parent[end[-1]])
+                yield attachments, end + [node]
 
 
 def parse_word(text: str) -> tuple[str, ...]:

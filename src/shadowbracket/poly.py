@@ -14,12 +14,15 @@ whose index is the power of x.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Union
+from itertools import count
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 _TERM_RE = re.compile(r"^([0-9]+)?(x(?:\^([0-9]+))?)?$")
 _SPLIT_RE = re.compile(r"[+-][^+-]*|^[^+-]+")
 
 PolynomialLike = Union["Polynomial", int, Iterable[int]]
+
+T = TypeVar("T")
 
 
 class Polynomial:
@@ -127,12 +130,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return power_by_squaring(self, exponent, ONE, Polynomial.__mul__)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -205,3 +203,39 @@ class Polynomial:
 ZERO = Polynomial()
 ONE = Polynomial((1,))
 X = Polynomial((0, 1))
+
+
+def power_by_squaring(base: T, exponent: int, unit: T,
+                      multiply: Callable[[T, T], T]) -> T:
+    """``exponent`` copies of ``base`` multiplied together (``unit`` at 0).
+
+    Square-and-multiply, O(log exponent) products.  ``multiply`` must be
+    associative; powers of one element commute, so grouping does not matter.
+    """
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = unit
+    while exponent:
+        if exponent & 1:
+            result = multiply(result, base)
+        exponent >>= 1
+        if exponent:
+            base = multiply(base, base)
+    return result
+
+
+def series_coefficients(numerator: Sequence[Polynomial],
+                        denominator: Sequence[Polynomial]) -> Iterator[Polynomial]:
+    """Coefficients t_0, t_1, ... of the series numerator / denominator in y.
+
+    Both are coefficient sequences over Z[x], lowest power of y first, and
+    the denominator starts with 1, so ``t_n = num_n - sum_k den_k t_(n-k)``;
+    only the last ``len(denominator) - 1`` coefficients are kept.
+    """
+    feedback = [-c for c in denominator[1:]]
+    recent: list[Polynomial] = []  # newest first
+    for n in count():
+        term = sum((c * t for c, t in zip(feedback, recent)),
+                   numerator[n] if n < len(numerator) else ZERO)
+        yield term
+        recent = [term, *recent][:len(feedback)]

@@ -20,11 +20,12 @@ as OEIS-style b-files ("index value" per line).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
-from .bracket import BracketVector, pq_invariants
+from .bracket import BracketVector, closure_gf_terms
 from .generators import generator_tuple
-from .poly import ONE, X, ZERO, Polynomial
+from .poly import ONE, Polynomial, series_coefficients
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,8 @@ class RationalTerm:
         """First ``count + 1`` series coefficients, by the denominator recurrence."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        num, den = self.numerator, self.denominator
-        out: list[Polynomial] = []
-        for n in range(count + 1):
-            term = num[n] if n < len(num) else ZERO
-            for k in range(1, min(n, len(den) - 1) + 1):
-                term = term - den[k] * out[n - k]
-            out.append(term)
-        return out
+        return list(islice(series_coefficients(self.numerator, self.denominator),
+                           count + 1))
 
 
 @dataclass(frozen=True)
@@ -78,13 +73,8 @@ def gf_from_tuple(v: BracketVector) -> RationalGF:
     Raises ValueError under the same divisibility guard as
     :func:`shadowbracket.bracket.closed_form_bracket`.
     """
-    pq = pq_invariants(v)
-    m = pq.pair_product()
-    pair = RationalTerm(numerator=(2 * X, -(pq.p * X)),
-                        denominator=(ONE, -pq.p, m))
-    geometric = RationalTerm(numerator=(X * (X * X - 2),),
-                             denominator=(ONE, -v.a))
-    return RationalGF(pair, geometric)
+    pair, geometric = closure_gf_terms(v)
+    return RationalGF(RationalTerm(*pair), RationalTerm(*geometric))
 
 
 def expand(gf: RationalGF, count: int) -> list[Polynomial]:
@@ -108,6 +98,8 @@ def row_sums(table: Sequence[Sequence[int]]) -> list[int]:
 
 def column(table: Sequence[Sequence[int]], k: int) -> list[int]:
     """Column k of a triangle, reading missing entries as 0."""
+    if k < 0:
+        raise ValueError(f"column index must be nonnegative, got {k}")
     return [row[k] if k < len(row) else 0 for row in table]
 
 

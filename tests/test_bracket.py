@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -10,7 +11,7 @@ from shadowbracket.bracket import (BracketVector, LambdaPolynomial, PolyMatrix,
 from shadowbracket.generators import generator_tuple
 from shadowbracket.oracle import compile_word, enumerate_states
 from shadowbracket.poly import Polynomial, X
-from shadowbracket.tl3 import TLElement
+from shadowbracket.tl3 import ELEMENTS, TLElement, closure_loops
 
 T = generator_tuple("T")
 C = generator_tuple("C")
@@ -321,3 +322,25 @@ class TestLambdaPolynomial:
     def test_str(self):
         chi = LambdaPolynomial([P("x+1"), P("-2"), 1])
         assert str(chi) == "(1)L^2 + (-2)L + (x+1)"
+
+
+class TestPoweringKernel:
+    def test_power_equals_linear_fold(self):
+        rng = random.Random(81)
+        tuples = [T, C, E] + [rand_tuple(rng) for _ in range(4)]
+        for v in tuples:
+            for n in range(18):
+                assert power(v, n) == reduce(compose, [v] * n, BracketVector.unit())
+
+    def test_matrix_power_equals_repeated_product(self):
+        matrix = states_matrix(C)
+        product = PolyMatrix.identity()
+        for n in range(7):
+            assert matrix.power(n) == product
+            product = product @ matrix
+        with pytest.raises(ValueError):
+            matrix.power(-1)
+
+    def test_closure_weights_come_from_closure_loops(self):
+        for element in ELEMENTS:
+            assert closure(BracketVector.basis(element)) == X ** closure_loops(element)

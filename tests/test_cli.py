@@ -251,3 +251,60 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "x^3+2x^2+x\n"
+
+
+def _refused(code: int, out: str, err: str) -> bool:
+    """Bad input: exit 2, nothing on stdout, one line on stderr."""
+    return code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+class TestClosureRoute:
+    def test_closure_matches_closure_of_power(self, capsys, tmp_path):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"a": [1, -2], "b": [0, 3], "c": [-1],
+                                    "d": [2, 1], "e": []}))
+        sources = [("--generator", name) for name in ("T", "C", "E")]
+        sources.append(("--tuple", str(path)))
+        for source in sources:
+            v = (generator_tuple(source[1]) if source[0] == "--generator"
+                 else BracketVector.from_json(json.loads(path.read_text())))
+            for n in range(13):
+                expected = closure(power(v, n))
+                code, out, _ = run(capsys, "bracket", *source, "--n", str(n),
+                                   "--closure")
+                assert (code, out) == (0, f"{expected}\n")
+                code, out, _ = run(capsys, "bracket", *source, "--n", str(n),
+                                   "--closure", "--format", "json")
+                assert code == 0
+                assert out == json.dumps({"bracket": list(expected.coefficients),
+                                          "n": n}, sort_keys=True) + "\n"
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        "abc",
+        {"a": "abc", "b": [1], "c": [1], "d": [0], "e": [1]},
+        {"a": [1], "b": [1.5], "c": [1], "d": [0], "e": [1]},
+        {"a": [1], "b": [1], "c": [True], "d": [0], "e": [1]},
+        {"a": [1], "b": [1], "c": [1], "d": 7, "e": [1]},
+    ])
+    def test_bad_tuple_json(self, capsys, tmp_path, payload):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps(payload))
+        assert _refused(*run(capsys, "bracket", "--tuple", str(path)))
+
+    def test_negative_export_column(self, capsys):
+        assert _refused(*run(capsys, "export", "--generator", "T", "--rows", "6",
+                             "--column", "-1"))
+
+    @pytest.mark.parametrize("payload", [
+        {"crossings": [["1", "2", "1", "2"]], "boundary": None},
+        {"crossings": [], "boundary": None, "free_loops": True},
+        {"crossings": [], "boundary": None, "free_loops": "3"},
+        {"crossings": [], "boundary": None, "free_loops": 2.7},
+    ])
+    def test_bad_pd_json(self, capsys, tmp_path, payload):
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(payload))
+        assert _refused(*run(capsys, "bracket", "--pd", str(path)))

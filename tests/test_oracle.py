@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import P, rand_word
 from shadowbracket.bracket import BracketVector, closure, power
+from shadowbracket.generators import NAMES, generator
 from shadowbracket.oracle import (Boundary, CrossingLimitError, MalformedDiagramError,
                                   ShadowDiagram, classify_boundary, close_diagram,
                                   compile_word, enumerate_states, glue, letter_tuple,
@@ -261,3 +263,102 @@ class TestWords:
         assert letter_tuple("U2") == BracketVector.of(0, 0, 1, 0, 0)
         with pytest.raises(ValueError):
             letter_tuple("Z9")
+
+
+def _planar_by_reflections(diagram: ShadowDiagram) -> bool:
+    """Reference planarity test: some choice of reading direction per crossing
+    makes the face-traced rotation system satisfy V - E + F = 2 per component."""
+    outer = [] if diagram.boundary is None else \
+        [diagram.boundary.left + diagram.boundary.right[::-1]]
+    for flips in itertools.product((False, True), repeat=diagram.crossing_count):
+        rotations = [quad[::-1] if flip else quad
+                     for quad, flip in zip(diagram.crossings, flips)] + outer
+        ends = {}
+        for vertex, rotation in enumerate(rotations):
+            for slot, edge in enumerate(rotation):
+                ends.setdefault(edge, []).append((vertex, slot))
+        mate, root = {}, list(range(len(rotations)))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for first, second in ends.values():
+            mate[first], mate[second] = second, first
+            root[find(first[0])] = find(second[0])
+        faces, seen = 0, set()
+        for dart in mate:
+            if dart not in seen:
+                faces += 1
+                while dart not in seen:
+                    seen.add(dart)
+                    vertex, slot = mate[dart]
+                    dart = (vertex, (slot + 1) % len(rotations[vertex]))
+        components = len({find(v) for v in range(len(rotations))})
+        if len(rotations) - len(ends) + faces == 2 * components:
+            return True
+    return False
+
+
+def _is_accepted(diagram: ShadowDiagram) -> bool:
+    try:
+        diagram.validate()
+    except MalformedDiagramError:
+        return False
+    return True
+
+
+class TestPlanarity:
+    def test_constructed_diagrams_pass(self):
+        rng = random.Random(91)
+        diagrams = [generator(name).diagram for name in NAMES]
+        for _ in range(100):
+            first = compile_word(rand_word(rng))
+            second = compile_word(rand_word(rng))
+            glued = glue(first, second)
+            diagrams += [first, glued, close_diagram(glued), mirror_diagram(glued),
+                         glue(generator(rng.choice(NAMES)).diagram, first)]
+        for diagram in diagrams:
+            diagram.validate()
+
+    def test_virtual_crossing_rejected(self):
+        with pytest.raises(MalformedDiagramError):
+            ShadowDiagram.from_json({"crossings": [["1", "2", "1", "2"]],
+                                     "boundary": None})
+
+    def test_agrees_with_reflection_search_on_random_diagrams(self):
+        rng = random.Random(92)
+        verdicts = set()
+        for _ in range(400):
+            crossings = rng.randint(1, 4)
+            closed = rng.random() < 0.5
+            slots = 4 * crossings + (0 if closed else 6)
+            order = list(range(slots))
+            rng.shuffle(order)
+            names = [""] * slots
+            for k in range(0, slots, 2):
+                names[order[k]] = names[order[k + 1]] = f"e{k}"
+            quads = tuple(tuple(names[4 * i:4 * i + 4]) for i in range(crossings))
+            rest = names[4 * crossings:]
+            boundary = None if closed else Boundary(tuple(rest[:3]), tuple(rest[3:]))
+            diagram = ShadowDiagram(quads, boundary)
+            verdict = _planar_by_reflections(diagram)
+            assert _is_accepted(diagram) == verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_reading_direction_of_each_crossing_is_free(self):
+        rng = random.Random(93)
+        for _ in range(50):
+            diagram = compile_word(rand_word(rng))
+            flipped = tuple(quad[::-1] if rng.random() < 0.5 else quad
+                            for quad in diagram.crossings)
+            ShadowDiagram(flipped, diagram.boundary).validate()
+
+    @pytest.mark.parametrize("free_loops", [True, "3", 2.7])
+    def test_free_loops_must_be_an_integer(self, free_loops):
+        data = close_diagram(compile_word(("X1",))).to_json()
+        data["free_loops"] = free_loops
+        with pytest.raises(MalformedDiagramError):
+            ShadowDiagram.from_json(data)

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from conftest import P, rand_poly
-from shadowbracket.poly import ONE, Polynomial, X, ZERO
+from shadowbracket.poly import (ONE, Polynomial, X, ZERO, power_by_squaring,
+                                series_coefficients)
 
 
 class TestAddition:
@@ -158,3 +159,37 @@ class TestMisc:
         assert hash(P("x+1")) == hash(Polynomial([1, 1]))
         assert P("x") != "x"
         assert P("5") == 5
+
+
+class TestKernels:
+    def test_power_equals_repeated_multiplication(self):
+        rng = random.Random(71)
+        for _ in range(20):
+            p = rand_poly(rng, 4)
+            product = ONE
+            for n in range(13):
+                assert p ** n == product
+                product = product * p
+
+    def test_power_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            X ** -1
+        with pytest.raises(ValueError):
+            power_by_squaring(2, -1, 1, int.__mul__)
+
+    def test_power_by_squaring_on_integers(self):
+        for n in range(40):
+            assert power_by_squaring(3, n, 1, int.__mul__) == 3 ** n
+
+    def test_series_times_denominator_gives_numerator(self):
+        # Truncated to the first terms, series * denominator = numerator.
+        rng = random.Random(72)
+        for _ in range(20):
+            numerator = [rand_poly(rng, 3) for _ in range(rng.randint(0, 3))]
+            denominator = [ONE] + [rand_poly(rng, 2) for _ in range(rng.randint(0, 3))]
+            terms = list(zip(range(12), series_coefficients(numerator, denominator)))
+            for n, _ in terms:
+                product = sum((denominator[k] * terms[n - k][1]
+                               for k in range(min(n, len(denominator) - 1) + 1)), ZERO)
+                expected = numerator[n] if n < len(numerator) else ZERO
+                assert product == expected

@@ -158,3 +158,8 @@ class TestExportForms:
 def test_coefficient_rows_accepts_any_tuple():
     rows = coefficient_rows(T.mirrored(), 10)
     assert rows == TABLE_ROWS["T"][:11]
+
+
+def test_negative_column_is_rejected():
+    with pytest.raises(ValueError):
+        column([[1, 2], [3, 4]], -1)
