@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .bracket import (BracketVector, charpoly, charpoly_factored, closed_form_bracket,
                       closure, pq_invariants, power, states_matrix)
+from .contraction import contract
 from .generators import NAMES, generator, generator_tuple
 from .oracle import (CrossingLimitError, DEFAULT_MAX_CROSSINGS, MalformedDiagramError,
                      ShadowDiagram, close_diagram, compile_word, enumerate_states,
@@ -45,8 +46,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error on one stderr line."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shadowbracket",
         description="Exact bracket polynomials of 3-tangle shadow diagrams.")
     commands = parser.add_subparsers(required=True, metavar="command")
@@ -129,7 +137,7 @@ def _add_input_flags(cmd: argparse.ArgumentParser) -> None:
     source.add_argument("--tuple", metavar="FILE", dest="tuple_file",
                         help="bracket tuple JSON file")
     cmd.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS,
-                     help="state-sum size limit for --pd inputs")
+                     help="largest crossing count accepted from --pd input")
 
 
 def _add_output_flags(cmd: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
@@ -146,7 +154,11 @@ def _resolve_input(args) -> BracketVector | Polynomial:
     if args.tuple_file is not None:
         return BracketVector.from_json(_load_json(args.tuple_file))
     diagram = ShadowDiagram.from_json(_load_json(args.pd))
-    return enumerate_states(diagram, args.max_crossings)
+    if diagram.crossing_count > args.max_crossings:
+        raise CrossingLimitError(
+            f"{diagram.crossing_count} crossings exceed the limit of "
+            f"{args.max_crossings}; raise --max-crossings to proceed")
+    return contract(diagram)
 
 
 def _load_json(path: str) -> dict:
@@ -257,6 +269,9 @@ def _cmd_export(args) -> int:
 # --- verification suites ----------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    for flag, value in (("--words", args.words), ("--max-n", args.max_n)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     suites = {
         "tables": args.tables,
         "oracle": args.oracle,
@@ -316,16 +331,15 @@ def _verify_tables(name: str, rows: int | None) -> Iterator[tuple]:
 
 def _verify_words(count: int, seed: int, max_crossings: int) -> Iterator[tuple]:
     rng = random.Random(seed)
-    bad = None
+    bad = ""
     for _ in range(count):
         letters = tuple(rng.choice(WORD_LETTERS)
                         for _ in range(rng.randint(0, 8)))
-        found = enumerate_states(compile_word(letters), max_crossings)
-        expected = word_tuple(letters)
-        if found != expected:
-            bad = f"word {' '.join(letters) or '(empty)'}: {found} != {expected}"
+        bad = _disagreement(compile_word(letters), word_tuple(letters), max_crossings)
+        if bad:
+            bad = f"word {' '.join(letters) or '(empty)'}: {bad}"
             break
-    yield (f"oracle {count} random words", bad is None, bad or "")
+    yield (f"oracle {count} random words", not bad, bad)
 
 
 def _verify_generator_oracle(name: str, max_n: int,
@@ -340,14 +354,22 @@ def _verify_generator_oracle(name: str, max_n: int,
         if n > 1:
             diagram = glue(diagram, spec.diagram)
         expected = power(spec.bracket, n)
-        found = enumerate_states(diagram, max_crossings)
-        ok = found == expected
-        detail = "" if ok else f"{found} != {expected}"
-        if ok and n <= 2:
-            closed = enumerate_states(close_diagram(diagram), max_crossings)
-            ok = closed == closure(expected)
-            detail = "" if ok else f"closure {closed} != {closure(expected)}"
-        yield (f"oracle {name}^{n}", ok, detail)
+        detail = _disagreement(diagram, expected, max_crossings)
+        if not detail and n <= 2:
+            detail = _disagreement(close_diagram(diagram), closure(expected),
+                                   max_crossings)
+            detail = detail and f"closure {detail}"
+        yield (f"oracle {name}^{n}", not detail, detail)
+
+
+def _disagreement(diagram: ShadowDiagram, expected: BracketVector | Polynomial,
+                  max_crossings: int) -> str:
+    """Empty if the contraction, the state sum and ``expected`` all agree."""
+    contracted = contract(diagram)
+    summed = enumerate_states(diagram, max_crossings)
+    if contracted == summed == expected:
+        return ""
+    return f"contraction {contracted}, state sum {summed}, expected {expected}"
 
 
 def _verify_charpoly(name: str) -> Iterator[tuple]:

@@ -1,0 +1,124 @@
+"""Frontier contraction: a shadow diagram's bracket without listing its states.
+
+The production route for PD-style diagrams.  It returns exactly what the
+brute-force state sum :func:`shadowbracket.oracle.enumerate_states` returns,
+but never lists the ``2**crossings`` states: the crossings are added one at a
+time, and the partial state sum is kept as a map from the *frontier
+matching* -- how the open arc ends are paired by the strands drawn so far --
+to the loop counts of the states that induce it, as a coefficient list in x.
+
+An arc end is an edge with exactly one of its occurrences among the crossings
+added so far.  An edge that also meets the boundary stays open to the end: it
+is a terminal of the tangle.  Adding a crossing pairs its four slots in each
+of its two smoothings; joining two ends of one arc closes a loop.  When every
+crossing is in, the frontier matching is the pairing of the boundary
+terminals, which names the monoid diagram of each state.
+
+Each crossing is picked greedily as the one with the most open edges, which
+keeps the frontier narrow.  The work grows with the crossings times the
+number of frontier matchings (a Catalan number of the frontier width) times
+the degree.  This is local contraction tangle by tangle (Bar-Natan, *Fast
+Khovanov homology computations*, arXiv:math/0606318), or dynamic programming
+over a path decomposition of the diagram (Burton, arXiv:1712.05776).
+"""
+
+from __future__ import annotations
+
+from .bracket import BracketVector
+from .oracle import BOUNDARY_LABELS, ShadowDiagram, classify_boundary
+from .poly import Polynomial
+from .tl3 import ELEMENTS, TLElement
+
+# The slot pairs each smoothing joins, bit 0 then bit 1, as in oracle.smooth.
+_SMOOTHINGS = (((0, 1), (2, 3)), ((1, 2), (3, 0)))
+
+# Frontier matching -> loop counts: element k counts the states with k loops.
+_States = dict[tuple[int, ...], list[int]]
+
+
+def contract(diagram: ShadowDiagram) -> BracketVector | Polynomial:
+    """The bracket of the diagram, equal to ``enumerate_states(diagram)``.
+
+    For an open 3-tangle the result is a :class:`BracketVector`; for a closed
+    diagram it is the bracket polynomial itself.
+    """
+    diagram.validate()
+    index: dict[str, int] = {}
+    for edge in (e for quad in diagram.crossings for e in quad):
+        index.setdefault(edge, len(index))
+    for edge in diagram.boundary_edges():
+        index.setdefault(edge, len(index))
+    quads = [tuple(index[e] for e in quad) for quad in diagram.crossings]
+
+    # Open edges are ids >= 0, listed in ascending order; a state's key gives
+    # the far end of each.  The slots of the crossing being added are ~0..~3.
+    frontier: tuple[int, ...] = ()
+    states: _States = {(): [1]}
+    remaining = list(range(len(quads)))
+    while remaining:
+        open_edges = set(frontier)
+        pick = max(remaining, key=lambda i: (
+            sum(e in open_edges for e in quads[i]), -i))
+        remaining.remove(pick)
+        quad = quads[pick]
+        # A once-listed edge closes if it was open and opens otherwise; an edge
+        # listed twice runs from the crossing back to itself.
+        after = tuple(sorted(open_edges.symmetric_difference(
+            e for e in quad if quad.count(e) == 1)))
+        states = _add_crossing(states, frontier, quad, after)
+        frontier = after
+
+    shift = diagram.free_loops
+    if diagram.boundary is None:
+        return Polynomial([0] * shift + states[()])
+    labels: dict[int, list[str]] = {}
+    for label, edge in zip(BOUNDARY_LABELS, diagram.boundary_edges()):
+        labels.setdefault(index[edge], []).append(label)
+    # Every open edge left is a terminal; an edge listed twice in the boundary
+    # joins its two terminals without meeting a crossing.
+    straight = [frozenset(pair) for pair in labels.values() if len(pair) == 2]
+    slots: dict[TLElement, list[int]] = {}
+    for key, counts in states.items():
+        pairing = frozenset(straight + [frozenset(labels[a] + labels[b])
+                                        for a, b in zip(frontier, key) if a < b])
+        _add_shifted(slots, classify_boundary(pairing), counts, shift)
+    return BracketVector(*(Polynomial(slots.get(element, ())) for element in ELEMENTS))
+
+
+def _add_crossing(states: _States, frontier: tuple[int, ...],
+                  quad: tuple[int, int, int, int], after: tuple[int, ...]) -> _States:
+    """Add one crossing, in both smoothings, to every frontier matching."""
+    out: _States = {}
+    for key, counts in states.items():
+        ends = dict(zip(frontier, key))
+        for slot, edge in enumerate(quad):
+            # The slot takes over the far end of an open edge; an edge not yet
+            # open becomes an arc from the slot to the edge's other occurrence.
+            far = ends.pop(edge, edge)
+            ends[~slot] = far
+            ends[far] = ~slot
+        for pairs in _SMOOTHINGS:
+            joined = dict(ends)
+            loops = 0
+            for a, b in pairs:
+                end_a = joined.pop(~a)
+                end_b = joined.pop(~b)
+                if end_a == ~b:
+                    loops += 1
+                else:
+                    joined[end_a] = end_b
+                    joined[end_b] = end_a
+            _add_shifted(out, tuple(joined[e] for e in after), counts, loops)
+    return out
+
+
+def _add_shifted(table: dict, key, counts: list[int], shift: int) -> None:
+    """Add ``x**shift`` times the polynomial ``counts`` into ``table[key]``."""
+    total = table.get(key)
+    if total is None:
+        table[key] = [0] * shift + counts
+        return
+    if len(total) < shift + len(counts):
+        total.extend([0] * (shift + len(counts) - len(total)))
+    for power, count in enumerate(counts, shift):
+        total[power] += count

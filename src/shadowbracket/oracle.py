@@ -54,7 +54,7 @@ class MalformedDiagramError(ValueError):
 
 
 class CrossingLimitError(ValueError):
-    """The state count 2**crossings exceeds the configured limit."""
+    """The diagram has more crossings than the configured limit."""
 
 
 class Boundary(NamedTuple):
@@ -71,6 +71,8 @@ class ShadowDiagram:
     crossings: tuple[tuple[str, str, str, str], ...]
     boundary: Boundary | None = None
     free_loops: int = 0
+    # Set once validate() passes; the fields are immutable, so it stays true.
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         crossings = tuple(tuple(str(e) for e in quad) for quad in self.crossings)
@@ -94,7 +96,13 @@ class ShadowDiagram:
         return self.boundary.left + self.boundary.right
 
     def validate(self) -> None:
-        """Check the structural invariants, raising MalformedDiagramError."""
+        """Check the structural invariants, raising MalformedDiagramError.
+
+        Only the first successful call does the work; a diagram that fails
+        raises on every call.
+        """
+        if self._valid:
+            return
         if self.free_loops < 0:
             raise MalformedDiagramError("free_loops must be nonnegative")
         for quad in self.crossings:
@@ -114,6 +122,7 @@ class ShadowDiagram:
             raise MalformedDiagramError(
                 f"every edge must occur exactly twice; violations: {bad}")
         self._check_planar()
+        object.__setattr__(self, "_valid", True)
 
     def _check_planar(self) -> None:
         # Each crossing's edges leave it in the listed cyclic order, read in

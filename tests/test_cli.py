@@ -308,3 +308,59 @@ class TestBadInput:
         path = tmp_path / "diagram.json"
         path.write_text(json.dumps(payload))
         assert _refused(*run(capsys, "bracket", "--pd", str(path)))
+
+
+def run_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("bracket", "--generator", "T", "--n"),
+        ("frobnicate",),
+        ("bracket", "--generator", "T", "--word", "X1"),
+    ])
+    def test_one_line(self, capsys, argv):
+        code, out, err = run_usage_error(capsys, *argv)
+        assert _refused(code, out, err)
+        assert err.startswith("shadowbracket") and ": error: " in err
+
+    def test_help_is_unchanged(self, capsys):
+        code, out, err = run_usage_error(capsys, "bracket", "-h")
+        assert code == 0
+        assert out.startswith("usage: shadowbracket bracket")
+        assert err == ""
+
+
+class TestVerifyCounts:
+    @pytest.mark.parametrize("flags", [
+        ("--words", "-3"),
+        ("--max-n", "-1"),
+        ("--words", "-3", "--max-n", "-1"),
+    ])
+    def test_negative_count_is_refused(self, capsys, flags):
+        assert _refused(*run(capsys, "verify", "--oracle", "--generator", "T",
+                             *flags))
+
+
+class TestContractionRoute:
+    def test_pd_input_does_not_enumerate_states(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("state sum called")
+        monkeypatch.setattr(cli, "enumerate_states", refuse)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(generator_diagram("C").to_json()))
+        code, out, _ = run(capsys, "bracket", "--pd", str(path))
+        assert (code, out) == (0, "[x+2, x+2, 1, 0, 1]\n")
+
+    def test_verify_oracle_checks_the_contraction(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "contract",
+                            lambda diagram: BracketVector.of(0, 0, 0, 0, 1))
+        code, out, _ = run(capsys, "verify", "--oracle", "--generator", "T",
+                           "--words", "5", "--max-n", "1")
+        assert code == 1
+        assert "FAIL  oracle 5 random words: word" in out
+        assert "FAIL  oracle T^1: contraction" in out

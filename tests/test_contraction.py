@@ -1,0 +1,149 @@
+import json
+import random
+import time
+
+import pytest
+
+from conftest import rand_word
+from shadowbracket import cli
+from shadowbracket.bracket import BracketVector, closure, power
+from shadowbracket.contraction import contract
+from shadowbracket.generators import NAMES, generator
+from shadowbracket.oracle import (Boundary, MalformedDiagramError, ShadowDiagram,
+                                  _UnionFind, close_diagram, compile_word,
+                                  enumerate_states, glue, mirror_diagram)
+from shadowbracket.poly import Polynomial
+
+
+def shuffled(diagram: ShadowDiagram, rng: random.Random) -> ShadowDiagram:
+    """The same diagram with its crossings listed in a random order."""
+    order = list(diagram.crossings)
+    rng.shuffle(order)
+    return ShadowDiagram(tuple(order), diagram.boundary, diagram.free_loops)
+
+
+def generator_power(name: str, n: int) -> ShadowDiagram:
+    # By squaring: each glue validates its inputs, and few large ones cost
+    # less than many growing ones.
+    result, square = compile_word(()), generator(name).diagram
+    while n:
+        if n & 1:
+            result = glue(result, square)
+        n >>= 1
+        if n:
+            square = glue(square, square)
+    return result
+
+
+def curve_components(diagram: ShadowDiagram) -> int:
+    """The number of closed curves, going straight through each crossing."""
+    curves = _UnionFind()
+    for e1, e2, e3, e4 in diagram.crossings:
+        curves.union(e1, e3)
+        curves.union(e2, e4)
+    edges = {e for quad in diagram.crossings for e in quad}
+    return len({curves.find(e) for e in edges}) + diagram.free_loops
+
+
+def assert_special_values(diagram: ShadowDiagram, bracket: Polynomial) -> None:
+    c = diagram.crossing_count
+    assert bracket.evaluate(1) == 2 ** c
+    if c:
+        assert bracket.evaluate(-1) == 0
+    assert bracket.evaluate(-2) == (-1) ** c * (-2) ** curve_components(diagram)
+
+
+class TestAgreesWithStateSum:
+    def test_random_words_open_closed_and_mirrored(self):
+        rng = random.Random(301)
+        for _ in range(150):
+            tangle = compile_word(rand_word(rng, 10))
+            for diagram in (tangle, close_diagram(tangle), mirror_diagram(tangle)):
+                diagram = shuffled(diagram, rng)
+                assert contract(diagram) == enumerate_states(diagram)
+
+    def test_reading_direction_of_each_crossing_is_free(self):
+        rng = random.Random(302)
+        for _ in range(50):
+            diagram = compile_word(rand_word(rng, 8))
+            flipped = tuple(quad[::-1] if rng.random() < 0.5 else quad
+                            for quad in diagram.crossings)
+            assert contract(ShadowDiagram(flipped, diagram.boundary,
+                                         diagram.free_loops)) == \
+                enumerate_states(diagram)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_generator_powers_and_closures(self, name):
+        rng = random.Random(303)
+        spec = generator(name)
+        for n in range(4):
+            diagram = generator_power(name, n)
+            expected = power(spec.bracket, n)
+            assert contract(shuffled(diagram, rng)) == \
+                enumerate_states(diagram) == expected
+            closed = close_diagram(diagram)
+            assert contract(shuffled(closed, rng)) == \
+                enumerate_states(closed) == closure(expected)
+
+
+class TestSpecialCases:
+    def test_empty_closed_diagram(self):
+        assert contract(ShadowDiagram((), None)) == Polynomial([1])
+
+    def test_free_loops_only(self):
+        assert contract(ShadowDiagram((), None, free_loops=2)) == Polynomial([0, 0, 1])
+
+    def test_identity_tangle(self):
+        assert contract(compile_word(())) == BracketVector.unit()
+        looped = compile_word(("U1", "U1"))
+        assert contract(looped) == enumerate_states(looped)
+
+    def test_edge_listed_twice_in_one_crossing(self):
+        kink = ShadowDiagram((("a", "a", "b", "b"),), None)
+        assert contract(kink) == enumerate_states(kink) == Polynomial([0, 1, 1])
+
+    def test_component_apart_from_the_rest(self):
+        tangle = compile_word(("X1", "X2", "U2"))
+        for diagram in (tangle, close_diagram(tangle)):
+            apart = ShadowDiagram(
+                (("k", "k", "m", "m"),) + diagram.crossings + (("p", "q", "q", "p"),),
+                diagram.boundary, free_loops=1)
+            assert contract(apart) == enumerate_states(apart)
+
+    def test_straight_boundary_edges_beside_crossings(self):
+        tangle = ShadowDiagram((("a", "b", "c", "d"),),
+                               Boundary(("s", "a", "d"), ("s", "b", "c")))
+        assert contract(tangle) == enumerate_states(tangle) == \
+            BracketVector.of(1, 0, 1, 0, 0)
+
+    def test_malformed_diagram_raises(self):
+        bad = ShadowDiagram((("a", "a", "a", "b"),),
+                            Boundary(("b", "c", "d"), ("c", "d", "e")))
+        with pytest.raises(MalformedDiagramError):
+            contract(bad)
+
+
+class TestBeyondTheStateSum:
+    @pytest.mark.parametrize("name, n", [("T", 50), ("C", 30), ("E", 25)])
+    def test_closed_powers(self, name, n):
+        closed = close_diagram(generator_power(name, n))
+        bracket = contract(shuffled(closed, random.Random(304)))
+        assert bracket == closure(power(generator(name).bracket, n))
+        assert_special_values(closed, bracket)
+
+    def test_special_values_of_random_closed_words(self):
+        rng = random.Random(305)
+        for _ in range(100):
+            closed = close_diagram(compile_word(rand_word(rng, 12)))
+            assert_special_values(closed, contract(closed))
+
+    def test_cli_bracket_of_closed_t50(self, capsys, tmp_path):
+        path = tmp_path / "t50.json"
+        path.write_text(json.dumps(close_diagram(generator_power("T", 50)).to_json()))
+        start = time.perf_counter()
+        code = cli.main(["bracket", "--pd", str(path), "--max-crossings", "100"])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == f"{closure(power(generator('T').bracket, 50))}\n"
+        assert elapsed < 1.0

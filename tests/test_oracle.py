@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -362,3 +363,22 @@ class TestPlanarity:
         data["free_loops"] = free_loops
         with pytest.raises(MalformedDiagramError):
             ShadowDiagram.from_json(data)
+
+
+class TestValidateOnce:
+    def test_malformed_diagram_raises_on_every_call(self):
+        bad = ShadowDiagram((("a", "a", "a", "b"),),
+                            Boundary(("b", "c", "d"), ("c", "d", "e")))
+        for _ in range(2):
+            with pytest.raises(MalformedDiagramError):
+                bad.validate()
+            with pytest.raises(MalformedDiagramError):
+                smooth(bad, [0])
+
+    def test_repeated_smoothing_of_mixed_direction_diagram(self):
+        spec = generator("C")
+        cubed = glue(glue(spec.diagram, spec.diagram), spec.diagram)
+        start = time.perf_counter()
+        for mask in range(200):
+            smooth(cubed, [(mask >> i) & 1 for i in range(9)])
+        assert time.perf_counter() - start < 0.1
