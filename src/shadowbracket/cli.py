@@ -32,8 +32,9 @@ from .oracle import (CrossingLimitError, DEFAULT_MAX_CROSSINGS, MalformedDiagram
                      glue, parse_word, word_tuple, WORD_LETTERS)
 from .poly import Polynomial
 from .reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
-from .series import (bfile_lines, coefficient_table, column, compare_bfiles,
-                     csv_lines, expand, gf_from_tuple, render_gf, triangle_values)
+from .series import (bfile_lines, coefficient_column, coefficient_table, column,
+                     compare_bfiles, csv_lines, expand, gf_from_tuple, render_gf,
+                     triangle_values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -175,6 +176,11 @@ def _require_tangle(value: BracketVector | Polynomial) -> BracketVector:
     return value
 
 
+def _require_nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -204,6 +210,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    _require_nonnegative("--rows", args.rows)
     table = coefficient_table(args.generator, args.rows)
     if args.format == "json":
         _emit(args, json.dumps({"generator": args.generator, "rows": table},
@@ -245,14 +252,18 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    table = coefficient_table(args.generator, args.rows)
-    values = column(table, args.column) if args.column is not None \
-        else triangle_values(table)
+    _require_nonnegative("--rows", args.rows)
     if args.format == "csv":
         if args.compare:
             raise ValueError("--compare works with the bfile format only")
-        text = "\n".join(csv_lines(table))
+        if args.column is not None:
+            raise ValueError("--column works with the bfile format only")
+        text = "\n".join(csv_lines(coefficient_table(args.generator, args.rows)))
     else:
+        if args.column is None:
+            values = triangle_values(coefficient_table(args.generator, args.rows))
+        else:
+            values = coefficient_column(args.generator, args.rows, args.column)
         text = "\n".join(bfile_lines(values, args.offset))
     _emit(args, text)
     if args.compare:
@@ -270,8 +281,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_verify(args) -> int:
     for flag, value in (("--words", args.words), ("--max-n", args.max_n)):
-        if value < 0:
-            raise ValueError(f"{flag} must be nonnegative, got {value}")
+        _require_nonnegative(flag, value)
     suites = {
         "tables": args.tables,
         "oracle": args.oracle,
@@ -313,6 +323,7 @@ def _run_suites(suites: dict, names: Iterable[str], args) -> Iterator[tuple]:
     if suites["recurrence"]:
         for name in names:
             yield from _verify_recurrence(name)
+            yield from _verify_column_route(name)
     yield from _verify_column_identity()
 
 
@@ -402,6 +413,14 @@ def _verify_recurrence(name: str) -> Iterator[tuple]:
                    f"series {series[n]}")
             break
     yield (f"recurrence/series agreement {name} (n <= 10)", bad is None, bad or "")
+
+
+def _verify_column_route(name: str) -> Iterator[tuple]:
+    table = coefficient_table(name, 10)
+    bad = next((k for k in range(4)
+                if coefficient_column(name, 10, k) != column(table, k)), None)
+    yield (f"truncated column route {name} (k <= 3, n <= 10)", bad is None,
+           "" if bad is None else f"column {bad} differs from the coefficient table")
 
 
 def _verify_column_identity() -> Iterator[tuple]:

@@ -38,12 +38,14 @@ def _turn_hitch() -> ShadowDiagram:
     The top strand passes straight through; a bight enters from the right and
     threads the closed turn formed by the two lower strands.  Two of its four
     states resolve to the identity, one to the identity with a detached loop,
-    and one to the lower cup-cap.
+    and one to the lower cup-cap.  Each crossing is listed in the rotational
+    direction of :func:`compile_word`'s crossings, so glued and closed
+    diagrams pass the listed-order planarity check.
     """
     return ShadowDiagram(
         crossings=(
-            ("bight0", "leg1", "bight1", "turn"),
-            ("bight1", "leg2", "bight2", "turn"),
+            ("turn", "bight1", "leg1", "bight0"),
+            ("turn", "bight2", "leg2", "bight1"),
         ),
         boundary=Boundary(("pass", "leg1", "leg2"), ("pass", "bight0", "bight2")),
     )

@@ -126,14 +126,14 @@ class ShadowDiagram:
 
     def _check_planar(self) -> None:
         # Each crossing's edges leave it in the listed cyclic order, read in
-        # either direction (smoothing is blind to it, and the generators'
-        # hitch gadget is listed opposite to compile_word's crossings).  An
-        # open tangle adds a vertex for the outside of its disk, carrying the
-        # boundary edges in disk order; free loops drop out.  When the orders
-        # as listed already trace a planar map, that is the drawing.  If not,
-        # a drawing exists exactly when the graph is planar with every vertex
-        # made a wheel: a hub plus a rim through its edge ends in order, which
-        # no drawing can reorder.  Each edge becomes a midpoint between rims.
+        # either direction (smoothing is blind to it, so input may list each
+        # crossing either way).  An open tangle adds a vertex for the outside
+        # of its disk, carrying the boundary edges in disk order; free loops
+        # drop out.  When the orders as listed already trace a planar map,
+        # that is the drawing.  If not, a drawing exists exactly when the
+        # graph is planar with every vertex made a wheel: a hub plus a rim
+        # through its edge ends in order, which no drawing can reorder.  Each
+        # edge becomes a midpoint between rims.
         rotations = list(self.crossings)
         if self.boundary is not None:
             rotations.append(self.boundary.left + self.boundary.right[::-1])

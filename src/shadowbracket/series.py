@@ -13,8 +13,10 @@ exactly.
 
 The coefficient triangle s(n, k) collects, for each power n, the number of
 Kauffman states of the closure with exactly k loops; row n is just the
-coefficient list of the n-th series coefficient.  Rows export as CSV lines or
-as OEIS-style b-files ("index value" per line).
+coefficient list of the n-th series coefficient.  Column k needs only the
+series modulo x^(k+1), so :func:`coefficient_column` runs the recurrences
+with that truncation instead of building the triangle.  Rows export as CSV
+lines or as OEIS-style b-files ("index value" per line).
 """
 
 from __future__ import annotations
@@ -39,12 +41,15 @@ class RationalTerm:
         if not self.denominator or self.denominator[0] != ONE:
             raise ValueError("denominator must have constant term 1")
 
-    def expand(self, count: int) -> list[Polynomial]:
-        """First ``count + 1`` series coefficients, by the denominator recurrence."""
+    def expand(self, count: int, precision: int | None = None) -> list[Polynomial]:
+        """First ``count + 1`` series coefficients, by the denominator recurrence.
+
+        With ``precision``, each is reduced modulo ``x**precision``.
+        """
         if count < 0:
             raise ValueError("count must be nonnegative")
-        return list(islice(series_coefficients(self.numerator, self.denominator),
-                           count + 1))
+        return list(islice(series_coefficients(self.numerator, self.denominator,
+                                               precision), count + 1))
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,9 @@ class RationalGF:
     pair_part: RationalTerm
     geometric_part: RationalTerm
 
-    def expand(self, count: int) -> list[Polynomial]:
-        first = self.pair_part.expand(count)
-        second = self.geometric_part.expand(count)
+    def expand(self, count: int, precision: int | None = None) -> list[Polynomial]:
+        first = self.pair_part.expand(count, precision)
+        second = self.geometric_part.expand(count, precision)
         return [p + q for p, q in zip(first, second)]
 
     def to_json(self) -> dict:
@@ -92,15 +97,30 @@ def coefficient_table(name: str, rows: int) -> list[list[int]]:
     return coefficient_rows(generator_tuple(name), rows)
 
 
+def coefficient_column(name: str, rows: int, k: int) -> list[int]:
+    """Column k of the coefficient triangle of a built-in generator, rows 0..rows.
+
+    Equal to ``column(coefficient_table(name, rows), k)``, from the series
+    reduced modulo x^(k+1).
+    """
+    _check_column_index(k)
+    series = gf_from_tuple(generator_tuple(name)).expand(rows, precision=k + 1)
+    return [p.coefficient(k) for p in series]
+
+
 def row_sums(table: Sequence[Sequence[int]]) -> list[int]:
     return [sum(row) for row in table]
 
 
 def column(table: Sequence[Sequence[int]], k: int) -> list[int]:
     """Column k of a triangle, reading missing entries as 0."""
+    _check_column_index(k)
+    return [row[k] if k < len(row) else 0 for row in table]
+
+
+def _check_column_index(k: int) -> None:
     if k < 0:
         raise ValueError(f"column index must be nonnegative, got {k}")
-    return [row[k] if k < len(row) else 0 for row in table]
 
 
 def csv_lines(table: Sequence[Sequence[int]]) -> list[str]:

@@ -7,6 +7,7 @@ from shadowbracket import cli
 from shadowbracket.bracket import BracketVector, closure, power
 from shadowbracket.generators import generator_diagram, generator_tuple
 from shadowbracket.oracle import close_diagram, compile_word
+from shadowbracket.series import bfile_lines, coefficient_table, column
 
 
 def run(capsys, *argv):
@@ -184,6 +185,17 @@ class TestVerifyCommand:
         assert code == 2
         assert "reference" in err
 
+    def test_recurrence_checks_the_column_route(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "verify", "--recurrence", "--generator", "E")
+        assert code == 0
+        assert "PASS  truncated column route E" in out
+        monkeypatch.setattr(cli, "coefficient_column",
+                            lambda name, rows, k: [k] * (rows + 1))
+        code, out, _ = run(capsys, "verify", "--recurrence")
+        assert code == 1
+        for name in ("T", "C", "E"):
+            assert f"FAIL  truncated column route {name}" in out
+
     def test_mismatch_reports_location_and_fails(self, capsys, monkeypatch):
         broken = [list(row) for row in cli.TABLE_ROWS["C"]]
         broken[2][1] = 10
@@ -231,6 +243,29 @@ class TestExportCommand:
         code, _, err = run(capsys, "export", "--generator", "T", "--rows", "1",
                            "--format", "csv", "--compare", str(reference))
         assert code == 2
+
+    @pytest.mark.parametrize("k", ["0", "2"])
+    def test_csv_with_column_is_usage_error(self, capsys, k):
+        code, out, err = run(capsys, "export", "--generator", "T", "--rows", "4",
+                             "--format", "csv", "--column", k)
+        assert _refused(code, out, err)
+        assert "--column" in err
+
+    def test_csv_without_column_prints_the_triangle(self, capsys):
+        code, out, _ = run(capsys, "export", "--generator", "T", "--rows", "2",
+                           "--format", "csv")
+        assert (code, out) == (0, "0,0,0,1\n0,1,2,1\n0,5,8,3\n")
+
+    @pytest.mark.parametrize("name", ["T", "C", "E"])
+    def test_column_output_matches_the_table_column(self, capsys, name):
+        # k = 0, k beyond the degree of every row, and rows = 0.
+        for rows, k, offset in ((0, 0, 0), (0, 3, 0), (0, 9, 2), (9, 0, 0),
+                                (9, 4, 1), (9, 60, 0), (30, 5, 0)):
+            code, out, _ = run(capsys, "export", "--generator", name,
+                               "--rows", str(rows), "--column", str(k),
+                               "--offset", str(offset))
+            expected = bfile_lines(column(coefficient_table(name, rows), k), offset)
+            assert (code, out) == (0, "\n".join(expected) + "\n")
 
 
 def test_output_is_deterministic(capsys):
@@ -297,6 +332,20 @@ class TestBadInput:
     def test_negative_export_column(self, capsys):
         assert _refused(*run(capsys, "export", "--generator", "T", "--rows", "6",
                              "--column", "-1"))
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--generator", "T", "--rows", "-1"),
+        ("table", "--generator", "C", "--rows", "-3", "--format", "csv"),
+        ("table", "--generator", "E", "--rows", "-1", "--format", "json"),
+        ("export", "--generator", "T", "--rows", "-1"),
+        ("export", "--generator", "C", "--rows", "-2", "--column", "1"),
+        ("export", "--generator", "E", "--rows", "-1", "--column", "0"),
+        ("export", "--generator", "T", "--rows", "-1", "--format", "csv"),
+    ])
+    def test_negative_rows(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert _refused(code, out, err)
+        assert "--rows" in err
 
     @pytest.mark.parametrize("payload", [
         {"crossings": [["1", "2", "1", "2"]], "boundary": None},

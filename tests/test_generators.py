@@ -45,6 +45,14 @@ class TestDiagrams:
             diagram = generator_diagram(name)
             assert enumerate_states(diagram) == generator_tuple(name)
 
+    def test_self_check_passes(self):
+        generators._check_diagram.cache_clear()
+        try:
+            for name in NAMES:
+                generators._check_diagram(name)
+        finally:
+            generators._check_diagram.cache_clear()
+
     def test_self_check_rejects_a_corrupted_diagram(self, monkeypatch):
         broken = dataclasses.replace(generator("C"),
                                      diagram=compile_word(("X1", "X2", "X1")))

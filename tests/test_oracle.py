@@ -12,6 +12,7 @@ from shadowbracket.oracle import (Boundary, CrossingLimitError, MalformedDiagram
                                   ShadowDiagram, classify_boundary, close_diagram,
                                   compile_word, enumerate_states, glue, letter_tuple,
                                   mirror_diagram, parse_word, smooth, word_tuple)
+from shadowbracket.oracle import _listed_order_is_planar
 from shadowbracket.poly import Polynomial
 from shadowbracket.tl3 import TLElement
 
@@ -322,6 +323,28 @@ class TestPlanarity:
                          glue(generator(rng.choice(NAMES)).diagram, first)]
         for diagram in diagrams:
             diagram.validate()
+
+    def test_generator_powers_and_closures_are_planar_as_listed(self):
+        # The generators list every crossing in compile_word's direction, so
+        # the O(c) face trace accepts them and their glued powers and
+        # closures without the wheel-graph fallback.
+        def listed_order_planar(diagram: ShadowDiagram) -> bool:
+            rotations = list(diagram.crossings)
+            if diagram.boundary is not None:
+                rotations.append(diagram.boundary.left + diagram.boundary.right[::-1])
+            return _listed_order_is_planar(rotations)
+
+        for name in NAMES:
+            base = generator(name).diagram
+            power_diagram = base
+            for n in range(1, 7):
+                assert listed_order_planar(power_diagram), (name, n)
+                assert listed_order_planar(close_diagram(power_diagram)), (name, n)
+                assert listed_order_planar(mirror_diagram(power_diagram)), (name, n)
+                power_diagram = glue(power_diagram, base)
+        mixed = glue(generator("C").diagram, glue(compile_word(("X2", "U1")),
+                                                  generator("E").diagram))
+        assert listed_order_planar(close_diagram(mixed))
 
     def test_virtual_crossing_rejected(self):
         with pytest.raises(MalformedDiagramError):

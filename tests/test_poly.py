@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import P, rand_poly
-from shadowbracket.poly import (ONE, Polynomial, X, ZERO, power_by_squaring,
-                                series_coefficients)
+from shadowbracket.poly import (KRONECKER_MIN_TERMS, ONE, Polynomial, X, ZERO,
+                                power_by_squaring, series_coefficients)
 
 
 class TestAddition:
@@ -16,6 +16,19 @@ class TestAddition:
         p = P("3x^3+8x^2+5x")
         assert p + ZERO == p
         assert ZERO + p == p
+
+    def test_leading_cancellation_trims_the_degree(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            p, q = rand_poly(rng), rand_poly(rng, max_degree=3)
+            shared = [rng.randint(-9, 9) for _ in range(rng.randint(1, 40))]
+            high = Polynomial([0] * 10 + shared)
+            # The high terms cancel, leaving only what p and q contribute.
+            assert (p + high) - (q + high) == p - q
+            assert ((p + high) + (q - high)).coefficients == (p + q).coefficients
+            assert (high - high).coefficients == ()
+        assert (P("x^5+2x+1") - P("x^5+2x")).coefficients == (1,)
+        assert (P("-x^3+x") + P("x^3-x")).degree == -1
 
     def test_sum_of_two_closure_rows(self):
         # [0,1,2,1] + [0,5,8,3] summed coefficient-wise
@@ -40,6 +53,98 @@ class TestMultiplication:
                 assert (p * q).is_zero
             else:
                 assert (p * q).degree == p.degree + q.degree
+
+
+def _schoolbook(a: list[int], b: list[int]) -> list[int]:
+    """Reference product of two coefficient lists, trimmed like Polynomial."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _signed_coefficients(rng: random.Random, length: int, bits: int) -> list[int]:
+    """Signed coefficients of up to ``bits`` bits, about a fifth of them zero,
+    with the extreme values of that width mixed in."""
+    extremes = (1 << bits) - 1, -(1 << bits) + 1, -(1 << bits)
+    out = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.2:
+            out.append(0)
+        elif roll < 0.25:
+            out.append(rng.choice(extremes))
+        else:
+            out.append(rng.choice((-1, 1)) * rng.getrandbits(bits))
+    return out
+
+
+class TestProductRoutes:
+    """Products on both sides of KRONECKER_MIN_TERMS agree with schoolbook."""
+
+    LENGTHS = (0, 1, 2, 5, KRONECKER_MIN_TERMS - 1, KRONECKER_MIN_TERMS,
+               KRONECKER_MIN_TERMS + 1, 70, 200)
+
+    def test_against_schoolbook_on_signed_coefficients(self):
+        rng = random.Random(48)
+        for _ in range(300):
+            la, lb = rng.choice(self.LENGTHS), rng.choice(self.LENGTHS)
+            bits = rng.choice((1, 7, 8, 31, 64, 65, 600, 1000, 1100))
+            a = _signed_coefficients(rng, la, bits)
+            b = _signed_coefficients(rng, lb, rng.choice((1, 8, bits)))
+            expected = _schoolbook(a, b)
+            assert (Polynomial(a) * Polynomial(b)).coefficients == tuple(expected)
+            assert (Polynomial(b) * Polynomial(a)).coefficients == tuple(expected)
+
+    def test_largest_coefficients_fill_the_digit(self):
+        # The middle product coefficient reaches the bound min(len) max|a|
+        # max|b| used for the digit width, with either sign; at length 128
+        # with unit coefficients it is 128, a whole byte without its sign.
+        for length in (KRONECKER_MIN_TERMS, 100, 128):
+            for bits in (1, 8, 63, 64, 1000):
+                top = (1 << bits) - 1
+                for sa in (1, -1):
+                    for sb in (1, -1):
+                        a, b = [sa * top] * length, [sb * top] * length
+                        assert (Polynomial(a) * Polynomial(b)).coefficients == \
+                            tuple(_schoolbook(a, b))
+
+    def test_leading_and_trailing_zero_coefficients(self):
+        n = KRONECKER_MIN_TERMS
+        a = [0] * n + [3] + [0] * n + [-5]
+        b = [0, 0, 1] + [0] * (2 * n) + [-1]
+        assert (Polynomial(a) * Polynomial(b)).coefficients == tuple(_schoolbook(a, b))
+
+    def test_zero_polynomial(self):
+        long = Polynomial(range(1, 3 * KRONECKER_MIN_TERMS))
+        for p in (long, ONE, X, ZERO):
+            assert (p * ZERO).coefficients == ()
+            assert (ZERO * p).coefficients == ()
+            assert (p * 0).coefficients == ()
+            assert (0 * p).coefficients == ()
+
+    def test_int_times_polynomial(self):
+        rng = random.Random(49)
+        for length in (1, KRONECKER_MIN_TERMS, 150):
+            p = Polynomial(_signed_coefficients(rng, length, 1200))
+            for k in (1, -1, 7, -(1 << 1001)):
+                expected = Polynomial([k * c for c in p.coefficients])
+                assert k * p == expected
+                assert p * k == expected
+
+    def test_results_are_canonical_int_tuples(self):
+        rng = random.Random(50)
+        for _ in range(50):
+            a = Polynomial(_signed_coefficients(rng, rng.choice(self.LENGTHS), 300))
+            b = Polynomial(_signed_coefficients(rng, rng.choice(self.LENGTHS), 300))
+            for result in (a * b, a + b, a - b, -a):
+                coeffs = result.coefficients
+                assert type(coeffs) is tuple
+                assert all(type(c) is int for c in coeffs)
+                assert not coeffs or coeffs[-1] != 0
 
 
 class TestEvaluate:
@@ -143,6 +248,17 @@ class TestMisc:
         with pytest.raises(TypeError):
             Polynomial([1.5])
 
+    def test_truncate_is_the_remainder_mod_a_power_of_x(self):
+        p = P("3x^4+2x^2+x+5")
+        assert p.truncate(0) == ZERO
+        assert p.truncate(2) == P("x+5")
+        assert p.truncate(4) == P("2x^2+x+5")
+        assert p.truncate(9) is p
+        # Trailing zeros left by the cut are trimmed.
+        assert P("x^3+7").truncate(3).coefficients == (7,)
+        with pytest.raises(ValueError):
+            p.truncate(-1)
+
     def test_int_coercion_in_arithmetic(self):
         assert X + 1 == P("x+1")
         assert 2 - X == P("-x+2")
@@ -193,3 +309,14 @@ class TestKernels:
                                for k in range(min(n, len(denominator) - 1) + 1)), ZERO)
                 expected = numerator[n] if n < len(numerator) else ZERO
                 assert product == expected
+
+    def test_truncated_series_is_the_series_reduced(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            numerator = [rand_poly(rng, 4) for _ in range(rng.randint(0, 3))]
+            denominator = [ONE] + [rand_poly(rng, 3) for _ in range(rng.randint(0, 3))]
+            full = list(zip(range(15), series_coefficients(numerator, denominator)))
+            for precision in (0, 1, 2, 5, 40):
+                reduced = series_coefficients(numerator, denominator, precision)
+                for (_, term), cut in zip(full, reduced):
+                    assert cut == term.truncate(precision)

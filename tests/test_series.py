@@ -9,7 +9,8 @@ from shadowbracket.generators import generator, generator_tuple
 from shadowbracket.poly import ONE, Polynomial, X
 from shadowbracket.reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
 from shadowbracket.series import (RationalGF, RationalTerm, bfile_lines,
-                                  coefficient_rows, coefficient_table, column,
+                                  coefficient_column, coefficient_rows,
+                                  coefficient_table, column,
                                   compare_bfiles, csv_lines, expand, gf_from_tuple,
                                   parse_bfile, render_gf, row_sums, triangle_values)
 
@@ -95,6 +96,31 @@ class TestCoefficientTable:
     def test_alternate_lucas_column(self):
         table = coefficient_table("T", 10)
         assert column(table, 1) == ALTERNATE_LUCAS_MINUS_2
+
+
+class TestTruncatedColumns:
+    def test_truncated_expansion_is_the_expansion_reduced(self):
+        rng = random.Random(62)
+        for v in (T, C, E, rand_tuple(rng), rand_tuple(rng), rand_tuple(rng, 2)):
+            gf = gf_from_tuple(v)
+            full = gf.expand(25)
+            for precision in (1, 2, 4, 9, 200):
+                assert gf.expand(25, precision) == \
+                    [p.truncate(precision) for p in full]
+
+    def test_column_route_equals_the_table_column(self):
+        for name in ("T", "C", "E"):
+            for rows in (0, 1, 12):
+                table = coefficient_table(name, rows)
+                # k = 0, small k, and k beyond the degree of every row.
+                for k in (0, 1, 2, 3, 7, 4 * rows + 4, 100):
+                    assert coefficient_column(name, rows, k) == column(table, k)
+
+    def test_column_route_rejects_negative_arguments(self):
+        with pytest.raises(ValueError, match="column index"):
+            coefficient_column("T", 5, -1)
+        with pytest.raises(ValueError):
+            coefficient_column("T", -1, 2)
 
 
 class TestFormRegressions:
