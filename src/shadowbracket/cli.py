@@ -190,6 +190,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_bracket(args) -> int:
+    _require_nonnegative("--n", args.n)
     value = _resolve_input(args)
     if isinstance(value, Polynomial):
         if args.n != 1 or args.closure:
@@ -223,6 +224,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_gf(args) -> int:
+    if args.terms is not None:
+        _require_nonnegative("--terms", args.terms)
     v = _require_tangle(_resolve_input(args))
     gf = gf_from_tuple(v)
     if args.format == "json":
@@ -280,8 +283,10 @@ def _cmd_export(args) -> int:
 # --- verification suites ----------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    for flag, value in (("--words", args.words), ("--max-n", args.max_n)):
-        _require_nonnegative(flag, value)
+    for flag, value in (("--words", args.words), ("--max-n", args.max_n),
+                        ("--rows", args.rows)):
+        if value is not None:
+            _require_nonnegative(flag, value)
     suites = {
         "tables": args.tables,
         "oracle": args.oracle,

@@ -25,12 +25,10 @@ over a path decomposition of the diagram (Burton, arXiv:1712.05776).
 from __future__ import annotations
 
 from .bracket import BracketVector
-from .oracle import BOUNDARY_LABELS, ShadowDiagram, classify_boundary
+from .oracle import (BOUNDARY_LABELS, ShadowDiagram, _number_edges, _SMOOTHINGS,
+                     classify_boundary)
 from .poly import Polynomial
 from .tl3 import ELEMENTS, TLElement
-
-# The slot pairs each smoothing joins, bit 0 then bit 1, as in oracle.smooth.
-_SMOOTHINGS = (((0, 1), (2, 3)), ((1, 2), (3, 0)))
 
 # Frontier matching -> loop counts: element k counts the states with k loops.
 _States = dict[tuple[int, ...], list[int]]
@@ -43,11 +41,7 @@ def contract(diagram: ShadowDiagram) -> BracketVector | Polynomial:
     diagram it is the bracket polynomial itself.
     """
     diagram.validate()
-    index: dict[str, int] = {}
-    for edge in (e for quad in diagram.crossings for e in quad):
-        index.setdefault(edge, len(index))
-    for edge in diagram.boundary_edges():
-        index.setdefault(edge, len(index))
+    index = _number_edges(diagram)
     quads = [tuple(index[e] for e in quad) for quad in diagram.crossings]
 
     # Open edges are ids >= 0, listed in ascending order; a state's key gives

@@ -9,10 +9,17 @@ boundary; crossingless circles are carried separately as ``free_loops``.
 Smoothing a crossing ``(e1, e2, e3, e4)`` joins the adjacent pairs
 ``e1-e2, e3-e4`` (bit 0) or ``e2-e3, e4-e1`` (bit 1).  Enumerating all
 ``2**crossings`` bit vectors, counting the closed components of each state
-with a union-find and classifying the residual boundary pairing gives the
-bracket by plain summation, one ``x**loops`` per state.  This is the
-independent ground truth that the tuple algebra in
-:mod:`shadowbracket.bracket` is tested against.
+and classifying the residual boundary pairing gives the bracket by plain
+summation, one ``x**loops`` per state.  This is the independent ground truth
+that the tuple algebra in :mod:`shadowbracket.bracket` and the frontier
+contraction in :mod:`shadowbracket.contraction` are tested against.
+
+One smoothing routine serves :func:`smooth` and :func:`enumerate_states`:
+the edges are numbered once, each crossing's two smoothings become a row of
+a join table, and a smoothed state is read off as its loop count plus the
+monoid element of its boundary pattern.  One union-find (``_find`` and
+``_union``, with path halving) merges the joined edges there, and also
+serves the planarity check and the diagram builder, over edge names.
 
 State enumeration is a pure fold over the binary-counter order of the bit
 vectors.  Because the per-state contributions are combined by addition only,
@@ -26,12 +33,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .bracket import BracketVector, compose
 from .poly import Polynomial
-from .tl3 import TLElement
+from .tl3 import ELEMENTS, TLElement
 
 DEFAULT_MAX_CROSSINGS = 24
 
@@ -183,28 +192,30 @@ class ShadowDiagram:
         return diagram
 
 
-class _UnionFind:
-    """Union-find over edge identifiers, with path halving."""
+# The one union-find of the module, with path halving.  ``parent`` is a list
+# over integers (edge or vertex numbers), or a _Roots dict over edge names.
+def _find(parent, item):
+    """The root of the class of ``item``."""
+    while parent[item] != item:
+        parent[item] = parent[parent[item]]
+        item = parent[item]
+    return item
 
-    __slots__ = ("parent",)
 
-    def __init__(self):
-        self.parent: dict[str, str] = {}
+def _union(parent, a, b) -> int:
+    """Merge the classes of ``a`` and ``b``: 1 if they were apart, else 0."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return 0
+    parent[rb] = ra
+    return 1
 
-    def find(self, item: str) -> str:
-        parent = self.parent
-        if item not in parent:
-            parent[item] = item
-            return item
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
 
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+class _Roots(dict):
+    """Union-find parents over edge names: an unseen name is its own root."""
+
+    def __missing__(self, key):
+        return key
 
 
 def _listed_order_is_planar(rotations: list[tuple[str, ...]]) -> bool:
@@ -215,10 +226,11 @@ def _listed_order_is_planar(rotations: list[tuple[str, ...]]) -> bool:
         for slot, edge in enumerate(rotation):
             ends[edge].append((vertex, slot))
     mate: dict[tuple[int, int], tuple[int, int]] = {}
-    components = _UnionFind()
+    parent = list(range(len(rotations)))
+    components = len(rotations)
     for first, second in ends.values():
         mate[first], mate[second] = second, first
-        components.union(first[0], second[0])
+        components -= _union(parent, first[0], second[0])
     faces, seen = 0, set()
     for dart in mate:
         if dart not in seen:
@@ -227,8 +239,7 @@ def _listed_order_is_planar(rotations: list[tuple[str, ...]]) -> bool:
                 seen.add(dart)
                 vertex, slot = mate[dart]
                 dart = (vertex, (slot + 1) % len(rotations[vertex]))
-    count = len({components.find(vertex) for vertex in range(len(rotations))})
-    return len(rotations) - len(ends) + faces == 2 * count
+    return len(rotations) - len(ends) + faces == 2 * components
 
 
 def _planar_component(graph: dict[object, set], cycle: list) -> set | None:
@@ -356,7 +367,7 @@ class _Builder:
     """Accumulates crossings and crossingless joins while assembling a diagram."""
 
     crossings: list[tuple[str, str, str, str]] = field(default_factory=list)
-    merges: _UnionFind = field(default_factory=_UnionFind)
+    merges: _Roots = field(default_factory=_Roots)
     free_loops: int = 0
     _counter: int = 0
 
@@ -367,13 +378,11 @@ class _Builder:
 
     def join(self, a: str, b: str) -> None:
         # Joining the two ends of one arc closes it into a crossingless circle.
-        if self.merges.find(a) == self.merges.find(b):
+        if not _union(self.merges, a, b):
             self.free_loops += 1
-        else:
-            self.merges.union(a, b)
 
     def finish(self, boundary: Boundary | None, extra_loops: int = 0) -> ShadowDiagram:
-        find = self.merges.find
+        find = partial(_find, self.merges)
         crossings = tuple(tuple(find(e) for e in quad) for quad in self.crossings)
         if boundary is not None:
             boundary = Boundary(tuple(find(e) for e in boundary.left),
@@ -384,18 +393,12 @@ class _Builder:
 
 def _relabel(diagram: ShadowDiagram) -> ShadowDiagram:
     # Rename edges to e0, e1, ... in first-seen order for stable output.
-    names: dict[str, str] = {}
-
-    def rename(edge: str) -> str:
-        if edge not in names:
-            names[edge] = f"e{len(names)}"
-        return names[edge]
-
-    crossings = tuple(tuple(rename(e) for e in quad) for quad in diagram.crossings)
+    names = {edge: f"e{number}" for edge, number in _number_edges(diagram).items()}
+    crossings = tuple(tuple(names[e] for e in quad) for quad in diagram.crossings)
     boundary = diagram.boundary
     if boundary is not None:
-        boundary = Boundary(tuple(rename(e) for e in boundary.left),
-                            tuple(rename(e) for e in boundary.right))
+        boundary = Boundary(tuple(names[e] for e in boundary.left),
+                            tuple(names[e] for e in boundary.right))
     return ShadowDiagram(crossings, boundary, diagram.free_loops)
 
 
@@ -453,6 +456,24 @@ _PAIRING_TO_ELEMENT = {
 }
 
 
+# A state's boundary element back to its label pairing; a closed state has none.
+_ELEMENT_TO_PAIRING = {element: pairing for pairing, element in _PAIRING_TO_ELEMENT.items()}
+_ELEMENT_TO_PAIRING[None] = frozenset()
+
+
+def _boundary_pattern(pairing: frozenset[frozenset[str]]) -> tuple[int, ...]:
+    # Each of the six boundary positions names the first position of its pair.
+    first = {}
+    for pair in pairing:
+        low, high = sorted(BOUNDARY_LABELS.index(label) for label in pair)
+        first[low] = first[high] = low
+    return tuple(first[i] for i in range(6))
+
+
+_BOUNDARY_PATTERNS = {_boundary_pattern(pairing): element
+                      for pairing, element in _PAIRING_TO_ELEMENT.items()}
+
+
 def classify_boundary(pairing: frozenset[frozenset[str]]) -> TLElement:
     """Map a boundary pairing to its crossingless diagram.
 
@@ -466,6 +487,52 @@ def classify_boundary(pairing: frozenset[frozenset[str]]) -> TLElement:
             f"boundary pairing {sorted(map(sorted, pairing))} is not planar") from None
 
 
+# The slot pairs each smoothing of a crossing (e1, e2, e3, e4) joins: bit 0
+# joins e1-e2 and e3-e4, bit 1 joins e2-e3 and e4-e1.
+_SMOOTHINGS = (((0, 1), (2, 3)), ((1, 2), (3, 0)))
+
+# Per smoothing, a getter of the four joined slots of a crossing, pair by pair.
+_JOIN_SLOTS = tuple(itemgetter(*chain(*pairs)) for pairs in _SMOOTHINGS)
+
+
+def _number_edges(diagram: ShadowDiagram) -> dict[str, int]:
+    """Number the edges 0, 1, ... in order of first occurrence, crossings first."""
+    edges = dict.fromkeys(chain(*diagram.crossings, diagram.boundary_edges()))
+    return dict(zip(edges, range(len(edges))))
+
+
+def _join_table(diagram: ShadowDiagram) -> tuple[int, tuple, tuple[int, ...]]:
+    """The edge count, the join table and the boundary edge numbers.
+
+    Per crossing and per bit, the join table holds the edge numbers
+    ``(a, b, c, d)`` that the smoothing joins as ``a-b`` and ``c-d``.
+    """
+    index = _number_edges(diagram)
+    numbers = map(index.__getitem__, chain(*diagram.crossings))
+    quads = list(zip(numbers, numbers, numbers, numbers))
+    joins = tuple(zip(*(map(slots, quads) for slots in _JOIN_SLOTS)))
+    return len(index), joins, tuple(index[e] for e in diagram.boundary_edges())
+
+
+def _read_state(parent: list[int], components: int, boundary: tuple[int, ...],
+                free_loops: int) -> tuple[int, TLElement | None]:
+    """The loop count and boundary element of a smoothed state.
+
+    ``components`` counts the classes of ``parent``; those holding a boundary
+    edge are arcs, the others loops.  A closed diagram has no element (None).
+    """
+    if not boundary:
+        return components + free_loops, None
+    roots = [_find(parent, b) for b in boundary]
+    try:
+        element = _BOUNDARY_PATTERNS[tuple(roots.index(r) for r in roots)]
+    except KeyError:
+        raise MalformedDiagramError(
+            "smoothed state induces a non-planar boundary pairing; "
+            "the diagram encoding is inconsistent") from None
+    return components - len(set(roots)) + free_loops, element
+
+
 def smooth(diagram: ShadowDiagram,
            choices: Sequence[int]) -> tuple[int, frozenset[frozenset[str]]]:
     """Resolve every crossing according to ``choices`` (one bit per crossing).
@@ -477,36 +544,13 @@ def smooth(diagram: ShadowDiagram,
     if len(choices) != diagram.crossing_count:
         raise ValueError(
             f"need {diagram.crossing_count} smoothing bits, got {len(choices)}")
-    return _smooth_unchecked(diagram, choices)
-
-
-def _smooth_unchecked(diagram: ShadowDiagram,
-                      choices: Sequence[int]) -> tuple[int, frozenset[frozenset[str]]]:
-    uf = _UnionFind()
-    for (e1, e2, e3, e4), bit in zip(diagram.crossings, choices):
-        if bit:
-            uf.union(e2, e3)
-            uf.union(e4, e1)
-        else:
-            uf.union(e1, e2)
-            uf.union(e3, e4)
-    edges = {e for quad in diagram.crossings for e in quad}
-    edges.update(diagram.boundary_edges())
-    label_roots: dict[str, list[str]] = {}
-    if diagram.boundary is not None:
-        for label, edge in zip(BOUNDARY_LABELS,
-                               diagram.boundary.left + diagram.boundary.right):
-            label_roots.setdefault(uf.find(edge), []).append(label)
-    open_roots = set(label_roots)
-    components = {uf.find(e) for e in edges}
-    loops = len(components) - len(open_roots) + diagram.free_loops
-    pairs = []
-    for root, labels in label_roots.items():
-        if len(labels) != 2:
-            raise MalformedDiagramError(
-                f"smoothed component pairs {len(labels)} boundary endpoints: {labels}")
-        pairs.append(frozenset(labels))
-    return loops, frozenset(pairs)
+    components, joins, boundary = _join_table(diagram)
+    parent = list(range(components))
+    for options, bit in zip(joins, choices):
+        a, b, c, d = options[1 if bit else 0]
+        components -= _union(parent, a, b) + _union(parent, c, d)
+    loops, element = _read_state(parent, components, boundary, diagram.free_loops)
+    return loops, _ELEMENT_TO_PAIRING[element]
 
 
 def enumerate_states(diagram: ShadowDiagram,
@@ -529,90 +573,28 @@ def enumerate_states(diagram: ShadowDiagram,
         raise CrossingLimitError(
             f"{count} crossings exceed the limit of {max_crossings} "
             f"({2 ** count} states); raise max_crossings to proceed")
-
-    # Intern edge identifiers so each state works on a flat integer
-    # union-find instead of string dictionaries.
-    index: dict[str, int] = {}
-    for quad in diagram.crossings:
-        for edge in quad:
-            index.setdefault(edge, len(index))
-    for edge in diagram.boundary_edges():
-        index.setdefault(edge, len(index))
-    size = len(index)
-    # Per crossing, the two edge pairs to join for bit 0 and for bit 1.
-    joins = tuple(
-        ((index[e1], index[e2], index[e3], index[e4]),
-         (index[e2], index[e3], index[e4], index[e1]))
-        for e1, e2, e3, e4 in diagram.crossings)
-    boundary_ix = tuple(index[e] for e in diagram.boundary_edges())
-    closed = diagram.boundary is None
+    size, joins, boundary = _join_table(diagram)
+    free_loops = diagram.free_loops
     loop_counts: dict[TLElement | None, list[int]] = {}
-
-    def find(parent: list[int], item: int) -> int:
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
-
-    def tally_state(parent: list[int], components: int) -> None:
-        if closed:
-            key = None
-            loops = components + diagram.free_loops
-        else:
-            roots = [find(parent, b) for b in boundary_ix]
-            loops = components - len(set(roots)) + diagram.free_loops
-            try:
-                key = _BOUNDARY_PATTERNS[tuple(roots.index(r) for r in roots)]
-            except KeyError:
-                raise MalformedDiagramError(
-                    "smoothed state induces a non-planar boundary pairing; "
-                    "the diagram encoding is inconsistent") from None
-        tally = loop_counts.setdefault(key, [])
-        if len(tally) <= loops:
-            tally.extend([0] * (loops + 1 - len(tally)))
-        tally[loops] += 1
 
     # Depth-first over the smoothing choices, sharing the union-find of the
     # common prefix; crossing 0 varies fastest, matching binary-counter order.
     def walk(crossing: int, parent: list[int], components: int) -> None:
         if crossing < 0:
-            tally_state(parent, components)
+            loops, key = _read_state(parent, components, boundary, free_loops)
+            tally = loop_counts.setdefault(key, [])
+            if len(tally) <= loops:
+                tally.extend([0] * (loops + 1 - len(tally)))
+            tally[loops] += 1
             return
-        for option in joins[crossing]:
+        for a, b, c, d in joins[crossing]:
             branch = parent.copy()
-            count_here = components
-            for k in (0, 2):
-                ra = find(branch, option[k])
-                rb = find(branch, option[k + 1])
-                if ra != rb:
-                    branch[rb] = ra
-                    count_here -= 1
-            walk(crossing - 1, branch, count_here)
+            walk(crossing - 1, branch,
+                 components - _union(branch, a, b) - _union(branch, c, d))
 
     walk(count - 1, list(range(size)), size)
 
-    if closed:
+    if diagram.boundary is None:
         return Polynomial(loop_counts.get(None, [0]))
-    entries = [Polynomial(loop_counts.get(element, []))
-               for element in (TLElement.ID3, TLElement.U1, TLElement.U2,
-                               TLElement.R, TLElement.S)]
-    return BracketVector(*entries)
-
-
-def _boundary_patterns() -> dict[tuple[int, ...], TLElement]:
-    # First-occurrence patterns of the six boundary positions for each planar
-    # matching, derived from the label table above.
-    position = {label: i for i, label in enumerate(BOUNDARY_LABELS)}
-    patterns = {}
-    for pairing, element in _PAIRING_TO_ELEMENT.items():
-        mate = {}
-        for pair in pairing:
-            first, second = sorted(position[label] for label in pair)
-            mate[first] = first
-            mate[second] = first
-        pattern = tuple(mate[i] for i in range(6))
-        patterns[pattern] = element
-    return patterns
-
-
-_BOUNDARY_PATTERNS = _boundary_patterns()
+    return BracketVector(*(Polynomial(loop_counts.get(element, []))
+                           for element in ELEMENTS))

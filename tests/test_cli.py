@@ -341,11 +341,27 @@ class TestBadInput:
         ("export", "--generator", "C", "--rows", "-2", "--column", "1"),
         ("export", "--generator", "E", "--rows", "-1", "--column", "0"),
         ("export", "--generator", "T", "--rows", "-1", "--format", "csv"),
+        ("verify", "--oracle", "--rows", "-1"),
+        ("verify", "--recurrence", "--rows", "-5"),
+        ("verify", "--tables", "--rows", "-1"),
+        ("verify", "--tables", "--generator", "E", "--rows", "-2"),
     ])
     def test_negative_rows(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert _refused(code, out, err)
         assert "--rows" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("gf", "--generator", "T", "--terms", "-1"), "--terms"),
+        (("gf", "--word", "X1 X2", "--terms", "-3", "--format", "json"), "--terms"),
+        (("bracket", "--generator", "T", "--n", "-1"), "--n"),
+        (("bracket", "--generator", "E", "--n", "-2", "--closure"), "--n"),
+        (("bracket", "--word", "X1", "--n", "-1", "--format", "json"), "--n"),
+    ])
+    def test_negative_count_names_its_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert _refused(code, out, err)
+        assert flag in err
 
     @pytest.mark.parametrize("payload", [
         {"crossings": [["1", "2", "1", "2"]], "boundary": None},
@@ -389,10 +405,13 @@ class TestVerifyCounts:
         ("--words", "-3"),
         ("--max-n", "-1"),
         ("--words", "-3", "--max-n", "-1"),
+        ("--rows", "-1"),
+        ("--rows", "-4", "--words", "5"),
     ])
     def test_negative_count_is_refused(self, capsys, flags):
-        assert _refused(*run(capsys, "verify", "--oracle", "--generator", "T",
-                             *flags))
+        code, out, err = run(capsys, "verify", "--oracle", "--generator", "T", *flags)
+        assert _refused(code, out, err)
+        assert flags[0] in err
 
 
 class TestContractionRoute:

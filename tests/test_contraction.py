@@ -10,7 +10,7 @@ from shadowbracket.bracket import BracketVector, closure, power
 from shadowbracket.contraction import contract
 from shadowbracket.generators import NAMES, generator
 from shadowbracket.oracle import (Boundary, MalformedDiagramError, ShadowDiagram,
-                                  _UnionFind, close_diagram, compile_word,
+                                  close_diagram, compile_word,
                                   enumerate_states, glue, mirror_diagram)
 from shadowbracket.poly import Polynomial
 
@@ -37,12 +37,18 @@ def generator_power(name: str, n: int) -> ShadowDiagram:
 
 def curve_components(diagram: ShadowDiagram) -> int:
     """The number of closed curves, going straight through each crossing."""
-    curves = _UnionFind()
+    # A union-find of its own, so the expected value shares no code with oracle.
+    parent = {e: e for quad in diagram.crossings for e in quad}
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
     for e1, e2, e3, e4 in diagram.crossings:
-        curves.union(e1, e3)
-        curves.union(e2, e4)
-    edges = {e for quad in diagram.crossings for e in quad}
-    return len({curves.find(e) for e in edges}) + diagram.free_loops
+        parent[find(e1)] = find(e3)
+        parent[find(e2)] = find(e4)
+    return len({find(e) for e in parent}) + diagram.free_loops
 
 
 def assert_special_values(diagram: ShadowDiagram, bracket: Polynomial) -> None:

@@ -155,6 +155,17 @@ class TestEnumerateStates:
                     (TLElement.ID3, TLElement.U1, TLElement.U2,
                      TLElement.R, TLElement.S), result.entries()):
                 assert value == expected.get(element, Polynomial())
+            # The closure: every state has an empty pairing, and the fold of
+            # the loop counts is the bracket polynomial.
+            closed = close_diagram(diagram)
+            coeffs = [0]
+            for mask in range(1 << closed.crossing_count):
+                choices = [(mask >> i) & 1 for i in range(closed.crossing_count)]
+                loops, boundary_pairing = smooth(closed, choices)
+                assert boundary_pairing == frozenset()
+                coeffs.extend([0] * (loops + 1 - len(coeffs)))
+                coeffs[loops] += 1
+            assert enumerate_states(closed) == Polynomial(coeffs)
 
     def test_order_independence(self):
         rng = random.Random(103)
