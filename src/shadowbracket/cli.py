@@ -27,9 +27,8 @@ from .bracket import (BracketVector, charpoly, charpoly_factored, closed_form_br
                       closure, pq_invariants, power, states_matrix)
 from .contraction import contract
 from .generators import NAMES, generator, generator_tuple
-from .oracle import (CrossingLimitError, DEFAULT_MAX_CROSSINGS, MalformedDiagramError,
-                     ShadowDiagram, close_diagram, compile_word, enumerate_states,
-                     glue, parse_word, word_tuple, WORD_LETTERS)
+from .oracle import (DEFAULT_MAX_CROSSINGS, ShadowDiagram, close_diagram, compile_word,
+                     enumerate_states, glue, parse_word, word_tuple, WORD_LETTERS)
 from .poly import Polynomial
 from .reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
 from .series import (bfile_lines, coefficient_column, coefficient_table, column,
@@ -42,7 +41,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, MalformedDiagramError, CrossingLimitError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -106,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="largest tangle power for the oracle suite")
     verify_cmd.add_argument("--words", type=int, default=200,
                             help="random words for the oracle suite")
-    verify_cmd.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
     verify_cmd.add_argument("--seed", type=int, default=7)
     verify_cmd.set_defaults(handler=_cmd_verify)
 
@@ -137,8 +135,6 @@ def _add_input_flags(cmd: argparse.ArgumentParser) -> None:
                         help="shadow diagram JSON file")
     source.add_argument("--tuple", metavar="FILE", dest="tuple_file",
                         help="bracket tuple JSON file")
-    cmd.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS,
-                     help="largest crossing count accepted from --pd input")
 
 
 def _add_output_flags(cmd: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
@@ -154,12 +150,7 @@ def _resolve_input(args) -> BracketVector | Polynomial:
         return word_tuple(parse_word(args.word))
     if args.tuple_file is not None:
         return BracketVector.from_json(_load_json(args.tuple_file))
-    diagram = ShadowDiagram.from_json(_load_json(args.pd))
-    if diagram.crossing_count > args.max_crossings:
-        raise CrossingLimitError(
-            f"{diagram.crossing_count} crossings exceed the limit of "
-            f"{args.max_crossings}; raise --max-crossings to proceed")
-    return contract(diagram)
+    return contract(ShadowDiagram.from_json(_load_json(args.pd)))
 
 
 def _load_json(path: str) -> dict:
@@ -256,6 +247,8 @@ def _cmd_charpoly(args) -> int:
 
 def _cmd_export(args) -> int:
     _require_nonnegative("--rows", args.rows)
+    if args.column is not None:
+        _require_nonnegative("--column", args.column)
     if args.format == "csv":
         if args.compare:
             raise ValueError("--compare works with the bfile format only")
@@ -318,9 +311,9 @@ def _run_suites(suites: dict, names: Iterable[str], args) -> Iterator[tuple]:
         for name in names:
             yield from _verify_tables(name, args.rows)
     if suites["oracle"]:
-        yield from _verify_words(args.words, args.seed, args.max_crossings)
+        yield from _verify_words(args.words, args.seed)
         for name in names:
-            yield from _verify_generator_oracle(name, args.max_n, args.max_crossings)
+            yield from _verify_generator_oracle(name, args.max_n)
     if suites["charpoly"]:
         for name in names:
             yield from _verify_charpoly(name)
@@ -345,44 +338,41 @@ def _verify_tables(name: str, rows: int | None) -> Iterator[tuple]:
         yield (f"tables {name} row {n}", ok, detail)
 
 
-def _verify_words(count: int, seed: int, max_crossings: int) -> Iterator[tuple]:
+def _verify_words(count: int, seed: int) -> Iterator[tuple]:
     rng = random.Random(seed)
     bad = ""
     for _ in range(count):
         letters = tuple(rng.choice(WORD_LETTERS)
                         for _ in range(rng.randint(0, 8)))
-        bad = _disagreement(compile_word(letters), word_tuple(letters), max_crossings)
+        bad = _disagreement(compile_word(letters), word_tuple(letters))
         if bad:
             bad = f"word {' '.join(letters) or '(empty)'}: {bad}"
             break
     yield (f"oracle {count} random words", not bad, bad)
 
 
-def _verify_generator_oracle(name: str, max_n: int,
-                             max_crossings: int) -> Iterator[tuple]:
+def _verify_generator_oracle(name: str, max_n: int) -> Iterator[tuple]:
     spec = generator(name)
     diagram = spec.diagram
     for n in range(1, max_n + 1):
-        if spec.crossings * n > max_crossings:
-            yield (f"oracle {name}^{n}..{name}^{max_n}", True,
-                   "skipped: crossing limit")
+        if spec.crossings * n > DEFAULT_MAX_CROSSINGS:
+            yield (f"oracle {name}^{n}..{name}^{max_n} skipped: crossing limit",
+                   True, "")
             return
         if n > 1:
             diagram = glue(diagram, spec.diagram)
         expected = power(spec.bracket, n)
-        detail = _disagreement(diagram, expected, max_crossings)
+        detail = _disagreement(diagram, expected)
         if not detail and n <= 2:
-            detail = _disagreement(close_diagram(diagram), closure(expected),
-                                   max_crossings)
+            detail = _disagreement(close_diagram(diagram), closure(expected))
             detail = detail and f"closure {detail}"
         yield (f"oracle {name}^{n}", not detail, detail)
 
 
-def _disagreement(diagram: ShadowDiagram, expected: BracketVector | Polynomial,
-                  max_crossings: int) -> str:
+def _disagreement(diagram: ShadowDiagram, expected: BracketVector | Polynomial) -> str:
     """Empty if the contraction, the state sum and ``expected`` all agree."""
     contracted = contract(diagram)
-    summed = enumerate_states(diagram, max_crossings)
+    summed = enumerate_states(diagram)
     if contracted == summed == expected:
         return ""
     return f"contraction {contracted}, state sum {summed}, expected {expected}"

@@ -20,6 +20,13 @@ number of frontier matchings (a Catalan number of the frontier width) times
 the degree.  This is local contraction tangle by tangle (Bar-Natan, *Fast
 Khovanov homology computations*, arXiv:math/0606318), or dynamic programming
 over a path decomposition of the diagram (Burton, arXiv:1712.05776).
+
+The one guard is on the number of frontier matchings, the only cost that
+grows exponentially: past ``MAX_MATCHINGS`` the contraction raises
+ValueError.  A crossing at most doubles it, so memory stays within twice the
+limit.  It lies above the 1,430 matchings at which the closed 8-strand torus
+shadow and the 14 x 14 grid shadow peak (196 crossings, about 4 s) and below
+the 4,862 of the 16 x 16 grid.  The crossing count itself is not limited.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from .tl3 import ELEMENTS, TLElement
 
 # Frontier matching -> loop counts: element k counts the states with k loops.
 _States = dict[tuple[int, ...], list[int]]
+
+MAX_MATCHINGS = 2000
 
 
 def contract(diagram: ShadowDiagram) -> BracketVector | Polynomial:
@@ -61,6 +70,9 @@ def contract(diagram: ShadowDiagram) -> BracketVector | Polynomial:
             e for e in quad if quad.count(e) == 1)))
         states = _add_crossing(states, frontier, quad, after)
         frontier = after
+        if len(states) > MAX_MATCHINGS:
+            raise ValueError(f"{len(states)} frontier matchings exceed the frontier limit "
+                             f"of {MAX_MATCHINGS} after {len(quads) - len(remaining)} crossings")
 
     shift = diagram.free_loops
     if diagram.boundary is None:

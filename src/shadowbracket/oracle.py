@@ -44,6 +44,10 @@ from .tl3 import ELEMENTS, TLElement
 
 DEFAULT_MAX_CROSSINGS = 24
 
+# Each free loop multiplies the bracket by x, so one number in diagram JSON
+# could ask for a polynomial of any size; JSON input is refused above this.
+MAX_FREE_LOOPS = 1_000_000
+
 BOUNDARY_LABELS = ("L1", "L2", "L3", "R1", "R2", "R3")
 
 WORD_LETTERS = ("X1", "X2", "U1", "U2")
@@ -63,7 +67,7 @@ class MalformedDiagramError(ValueError):
 
 
 class CrossingLimitError(ValueError):
-    """The diagram has more crossings than the configured limit."""
+    """The diagram has more crossings than the state sum accepts."""
 
 
 class Boundary(NamedTuple):
@@ -188,6 +192,9 @@ class ShadowDiagram:
         if type(free_loops) is not int:
             raise MalformedDiagramError(
                 f"free_loops must be an integer, got {free_loops!r}")
+        if free_loops > MAX_FREE_LOOPS:
+            raise MalformedDiagramError(
+                f"free_loops must be at most {MAX_FREE_LOOPS}, got {free_loops}")
         diagram.validate()
         return diagram
 
@@ -553,9 +560,7 @@ def smooth(diagram: ShadowDiagram,
     return loops, _ELEMENT_TO_PAIRING[element]
 
 
-def enumerate_states(diagram: ShadowDiagram,
-                     max_crossings: int = DEFAULT_MAX_CROSSINGS,
-                     ) -> BracketVector | Polynomial:
+def enumerate_states(diagram: ShadowDiagram) -> BracketVector | Polynomial:
     """Sum ``x**loops`` over all Kauffman states of the diagram.
 
     For an open 3-tangle the result is a :class:`BracketVector`, each state
@@ -565,14 +570,14 @@ def enumerate_states(diagram: ShadowDiagram,
     exactly what :func:`smooth` reports for its bit vector.
 
     Raises CrossingLimitError instead of attempting more than
-    ``2**max_crossings`` states.
+    ``2**DEFAULT_MAX_CROSSINGS`` states.
     """
     diagram.validate()
     count = diagram.crossing_count
-    if count > max_crossings:
+    if count > DEFAULT_MAX_CROSSINGS:
         raise CrossingLimitError(
-            f"{count} crossings exceed the limit of {max_crossings} "
-            f"({2 ** count} states); raise max_crossings to proceed")
+            f"{count} crossings exceed the state-sum limit of "
+            f"{DEFAULT_MAX_CROSSINGS} ({2 ** count} states)")
     size, joins, boundary = _join_table(diagram)
     free_loops = diagram.free_loops
     loop_counts: dict[TLElement | None, list[int]] = {}

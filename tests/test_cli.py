@@ -88,12 +88,13 @@ class TestBracketCommand:
         assert excinfo.value.code == 2
 
     def test_crossing_limit_refusal(self, capsys, tmp_path):
+        # No crossing cap on --pd: 30 crossings, beyond the state sum's 24.
+        word = ("X1", "X2") * 15
         path = tmp_path / "big.json"
-        path.write_text(json.dumps(compile_word(("X1",) * 6).to_json()))
-        code, _, err = run(capsys, "bracket", "--pd", str(path),
-                           "--max-crossings", "4")
-        assert code == 2
-        assert "limit" in err
+        path.write_text(json.dumps(compile_word(word).to_json()))
+        code, out, err = run(capsys, "bracket", "--pd", str(path))
+        assert (code, err) == (0, "")
+        assert run(capsys, "bracket", "--word", " ".join(word)) == (0, out, "")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bracket", "--pd", "/nonexistent.json")
@@ -174,6 +175,14 @@ class TestVerifyCommand:
                            "--max-n", "3", "--words", "25")
         assert code == 0
         assert "oracle T^3" in out
+
+    def test_oracle_says_which_powers_it_skips(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_MAX_CROSSINGS", 4)
+        code, out, _ = run(capsys, "verify", "--oracle", "--generator", "T",
+                           "--max-n", "5", "--words", "0")
+        assert code == 0
+        assert "PASS  oracle T^2\n" in out
+        assert "PASS  oracle T^3..T^5 skipped: crossing limit\n" in out
 
     def test_charpoly_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--charpoly", "--generator", "E")
@@ -357,6 +366,7 @@ class TestBadInput:
         (("bracket", "--generator", "T", "--n", "-1"), "--n"),
         (("bracket", "--generator", "E", "--n", "-2", "--closure"), "--n"),
         (("bracket", "--word", "X1", "--n", "-1", "--format", "json"), "--n"),
+        (("export", "--generator", "T", "--rows", "6", "--column", "-1"), "--column"),
     ])
     def test_negative_count_names_its_flag(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
@@ -373,6 +383,24 @@ class TestBadInput:
         path = tmp_path / "diagram.json"
         path.write_text(json.dumps(payload))
         assert _refused(*run(capsys, "bracket", "--pd", str(path)))
+
+    def test_huge_free_loops(self, capsys, tmp_path):
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(
+            {"crossings": [], "boundary": None, "free_loops": 10 ** 12}))
+        code, out, err = run(capsys, "bracket", "--pd", str(path))
+        assert _refused(code, out, err)
+        assert "free_loops" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bracket", "--word", "X1", "--max-crossings", "4"),
+        ("verify", "--charpoly", "--max-crossings", "-1"),
+    ])
+    def test_max_crossings_flag_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert _refused(excinfo.value.code, captured.out, captured.err)
 
 
 def run_usage_error(capsys, *argv):

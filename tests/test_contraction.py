@@ -5,9 +5,9 @@ import time
 import pytest
 
 from conftest import rand_word
-from shadowbracket import cli
+from shadowbracket import cli, contraction
 from shadowbracket.bracket import BracketVector, closure, power
-from shadowbracket.contraction import contract
+from shadowbracket.contraction import MAX_MATCHINGS, contract
 from shadowbracket.generators import NAMES, generator
 from shadowbracket.oracle import (Boundary, MalformedDiagramError, ShadowDiagram,
                                   close_diagram, compile_word,
@@ -51,6 +51,32 @@ def curve_components(diagram: ShadowDiagram) -> int:
     return len({find(e) for e in parent}) + diagram.free_loops
 
 
+def grid_shadow(k: int) -> ShadowDiagram:
+    """The closed k x k grid shadow, k even, each side's ends capped in pairs."""
+    def vertical(i, j):  # the edge entering crossing (i, j) from above
+        return f"top{j // 2}" if i == 0 else f"bottom{j // 2}" if i == k else f"v{i},{j}"
+
+    def horizontal(i, j):  # the edge entering crossing (i, j) from the left
+        return f"left{i // 2}" if j == 0 else f"right{i // 2}" if j == k else f"h{i},{j}"
+
+    return ShadowDiagram(tuple(
+        (vertical(i, j), horizontal(i, j + 1), vertical(i + 1, j), horizontal(i, j))
+        for i in range(k) for j in range(k)))
+
+
+def torus_shadow(strands: int, n: int) -> ShadowDiagram:
+    """The closed braid (s_1 s_2 ... s_(strands-1))^n, n >= 1: a torus-link shadow."""
+    ends = [f"s{j}" for j in range(strands)]
+    quads = []
+    for _ in range(n):
+        for i in range(strands - 1):
+            top, bottom = f"c{len(quads)}t", f"c{len(quads)}b"
+            quads.append((ends[i], top, bottom, ends[i + 1]))
+            ends[i], ends[i + 1] = top, bottom
+    close = dict(zip(ends, (f"s{j}" for j in range(strands))))
+    return ShadowDiagram(tuple(tuple(close.get(e, e) for e in quad) for quad in quads))
+
+
 def assert_special_values(diagram: ShadowDiagram, bracket: Polynomial) -> None:
     c = diagram.crossing_count
     assert bracket.evaluate(1) == 2 ** c
@@ -90,6 +116,13 @@ class TestAgreesWithStateSum:
             closed = close_diagram(diagram)
             assert contract(shuffled(closed, rng)) == \
                 enumerate_states(closed) == closure(expected)
+
+    @pytest.mark.parametrize("diagram", [grid_shadow(2), grid_shadow(4),
+                                         torus_shadow(4, 3), torus_shadow(5, 3)],
+                             ids=["grid2", "grid4", "torus4x3", "torus5x3"])
+    def test_shadows_whose_frontier_grows(self, diagram):
+        assert contract(shuffled(diagram, random.Random(306))) == \
+            enumerate_states(diagram)
 
 
 class TestSpecialCases:
@@ -147,9 +180,37 @@ class TestBeyondTheStateSum:
         path = tmp_path / "t50.json"
         path.write_text(json.dumps(close_diagram(generator_power("T", 50)).to_json()))
         start = time.perf_counter()
-        code = cli.main(["bracket", "--pd", str(path), "--max-crossings", "100"])
+        code = cli.main(["bracket", "--pd", str(path)])
         elapsed = time.perf_counter() - start
         out = capsys.readouterr().out
         assert code == 0
         assert out == f"{closure(power(generator('T').bracket, 50))}\n"
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("diagram", [grid_shadow(10), torus_shadow(5, 25)],
+                             ids=["grid10", "torus5x25"])
+    def test_special_values_of_wide_shadows(self, diagram):
+        assert diagram.crossing_count == 100
+        assert_special_values(diagram, contract(diagram))
+
+
+class TestFrontierLimit:
+    def test_cli_refuses_a_wide_grid(self, capsys, tmp_path):
+        path = tmp_path / "grid20.json"
+        path.write_text(json.dumps(grid_shadow(20).to_json()))
+        start = time.perf_counter()
+        code = cli.main(["bracket", "--pd", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert len(captured.err.splitlines()) == 1
+        assert f"frontier limit of {MAX_MATCHINGS}" in captured.err
+        assert elapsed < 2.0
+
+    def test_refuses_only_above_the_limit(self, monkeypatch):
+        diagram = grid_shadow(4)
+        monkeypatch.setattr(contraction, "MAX_MATCHINGS", 4)
+        with pytest.raises(ValueError, match="frontier limit of 4"):
+            contract(diagram)
+        monkeypatch.setattr(contraction, "MAX_MATCHINGS", 5)
+        assert contract(diagram).evaluate(1) == 2 ** 16

@@ -8,8 +8,9 @@ import pytest
 from conftest import P, rand_word
 from shadowbracket.bracket import BracketVector, closure, power
 from shadowbracket.generators import NAMES, generator
-from shadowbracket.oracle import (Boundary, CrossingLimitError, MalformedDiagramError,
-                                  ShadowDiagram, classify_boundary, close_diagram,
+from shadowbracket.oracle import (MAX_FREE_LOOPS, Boundary, CrossingLimitError,
+                                  MalformedDiagramError, ShadowDiagram,
+                                  classify_boundary, close_diagram,
                                   compile_word, enumerate_states, glue, letter_tuple,
                                   mirror_diagram, parse_word, smooth, word_tuple)
 from shadowbracket.oracle import _listed_order_is_planar
@@ -182,10 +183,6 @@ class TestEnumerateStates:
         diagram = compile_word(("X1",) * 25)
         with pytest.raises(CrossingLimitError):
             enumerate_states(diagram)
-        small = compile_word(("X1", "X2", "X1"))
-        with pytest.raises(CrossingLimitError):
-            enumerate_states(small, max_crossings=2)
-        assert enumerate_states(small, max_crossings=3) == word_tuple(("X1", "X2", "X1"))
 
 
 class TestValidation:
@@ -397,6 +394,14 @@ class TestPlanarity:
         data["free_loops"] = free_loops
         with pytest.raises(MalformedDiagramError):
             ShadowDiagram.from_json(data)
+
+    def test_free_loops_are_bounded(self):
+        data = {"crossings": [], "boundary": None, "free_loops": MAX_FREE_LOOPS}
+        assert ShadowDiagram.from_json(data).free_loops == MAX_FREE_LOOPS
+        for free_loops in (MAX_FREE_LOOPS + 1, 10 ** 12):
+            data["free_loops"] = free_loops
+            with pytest.raises(MalformedDiagramError, match="free_loops"):
+                ShadowDiagram.from_json(data)
 
 
 class TestValidateOnce:
