@@ -159,6 +159,8 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _require_tangle(value: BracketVector | Polynomial) -> BracketVector:

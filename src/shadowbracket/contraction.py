@@ -49,7 +49,6 @@ def contract(diagram: ShadowDiagram) -> BracketVector | Polynomial:
     For an open 3-tangle the result is a :class:`BracketVector`; for a closed
     diagram it is the bracket polynomial itself.
     """
-    diagram.validate()
     index = _number_edges(diagram)
     quads = [tuple(index[e] for e in quad) for quad in diagram.crossings]
 

@@ -57,9 +57,12 @@ class GeneratorSpec:
 
     name: str
     bracket: BracketVector
-    crossings: int
     word: tuple[str, ...] | None
     diagram: ShadowDiagram
+
+    @property
+    def crossings(self) -> int:
+        return self.diagram.crossing_count
 
 
 def _build_generators() -> dict[str, GeneratorSpec]:
@@ -68,21 +71,18 @@ def _build_generators() -> dict[str, GeneratorSpec]:
         "T": GeneratorSpec(
             name="T",
             bracket=BracketVector.of(1, 1, 1, 0, 1),
-            crossings=2,
             word=_T_WORD,
             diagram=compile_word(_T_WORD),
         ),
         "C": GeneratorSpec(
             name="C",
             bracket=BracketVector.of([2, 1], [2, 1], 1, 0, 1),
-            crossings=3,
             word=None,
             diagram=glue(compile_word(("X1",)), hitch),
         ),
         "E": GeneratorSpec(
             name="E",
             bracket=BracketVector.of([4, 4, 1], [2, 1], [2, 1], 0, 1),
-            crossings=4,
             word=None,
             diagram=glue(mirror_diagram(hitch), hitch),
         ),
@@ -118,10 +118,6 @@ def generator_diagram(name: str) -> ShadowDiagram:
 @lru_cache(maxsize=None)
 def _check_diagram(name: str) -> None:
     spec = generator(name)
-    if spec.diagram.crossing_count != spec.crossings:
-        raise RuntimeError(
-            f"generator {name}: diagram has {spec.diagram.crossing_count} crossings, "
-            f"expected {spec.crossings}")
     found = enumerate_states(spec.diagram)
     if found != spec.bracket:
         raise RuntimeError(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -42,10 +42,10 @@ from .bracket import BracketVector, compose
 from .poly import Polynomial
 from .tl3 import ELEMENTS, TLElement
 
-DEFAULT_MAX_CROSSINGS = 24
+DEFAULT_MAX_CROSSINGS = 20
 
 # Each free loop multiplies the bracket by x, so one number in diagram JSON
-# could ask for a polynomial of any size; JSON input is refused above this.
+# could ask for a polynomial of any size; a diagram is refused above this.
 MAX_FREE_LOOPS = 1_000_000
 
 BOUNDARY_LABELS = ("L1", "L2", "L3", "R1", "R2", "R3")
@@ -79,13 +79,11 @@ class Boundary(NamedTuple):
 
 @dataclass(frozen=True)
 class ShadowDiagram:
-    """A planar shadow diagram in PD-code style."""
+    """A planar shadow diagram in PD-code style, validated on construction."""
 
     crossings: tuple[tuple[str, str, str, str], ...]
     boundary: Boundary | None = None
     free_loops: int = 0
-    # Set once validate() passes; the fields are immutable, so it stays true.
-    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         crossings = tuple(tuple(str(e) for e in quad) for quad in self.crossings)
@@ -94,14 +92,11 @@ class ShadowDiagram:
             left, right = self.boundary
             boundary = Boundary(tuple(str(e) for e in left), tuple(str(e) for e in right))
             object.__setattr__(self, "boundary", boundary)
+        self.validate()
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-    @property
-    def is_closed(self) -> bool:
-        return self.boundary is None
 
     def boundary_edges(self) -> tuple[str, ...]:
         if self.boundary is None:
@@ -111,13 +106,20 @@ class ShadowDiagram:
     def validate(self) -> None:
         """Check the structural invariants, raising MalformedDiagramError.
 
-        Only the first successful call does the work; a diagram that fails
-        raises on every call.
+        The constructor calls this, so every existing diagram has passed it:
+        ``free_loops`` is an exact int in ``0..MAX_FREE_LOOPS``, every
+        crossing has 4 edges, an open tangle has 3 endpoints per side, every
+        edge occurs exactly twice and the diagram is planar.
         """
-        if self._valid:
-            return
+        # bool is a subclass of int, so test the exact type.
+        if type(self.free_loops) is not int:
+            raise MalformedDiagramError(
+                f"free_loops must be an integer, got {self.free_loops!r}")
         if self.free_loops < 0:
             raise MalformedDiagramError("free_loops must be nonnegative")
+        if self.free_loops > MAX_FREE_LOOPS:
+            raise MalformedDiagramError(
+                f"free_loops must be at most {MAX_FREE_LOOPS}, got {self.free_loops}")
         for quad in self.crossings:
             if len(quad) != 4:
                 raise MalformedDiagramError(f"crossing {quad!r} does not have 4 edges")
@@ -135,7 +137,6 @@ class ShadowDiagram:
             raise MalformedDiagramError(
                 f"every edge must occur exactly twice; violations: {bad}")
         self._check_planar()
-        object.__setattr__(self, "_valid", True)
 
     def _check_planar(self) -> None:
         # Each crossing's edges leave it in the listed cyclic order, read in
@@ -184,19 +185,9 @@ class ShadowDiagram:
             raw_boundary = data.get("boundary")
             boundary = None if raw_boundary is None else \
                 Boundary(tuple(raw_boundary["L"]), tuple(raw_boundary["R"]))
-            free_loops = data.get("free_loops", 0)
-            diagram = cls(crossings, boundary, free_loops)
+            return cls(crossings, boundary, data.get("free_loops", 0))
         except (KeyError, TypeError) as exc:
             raise MalformedDiagramError(f"bad diagram JSON: {exc}") from None
-        # bool is a subclass of int, so test the exact type.
-        if type(free_loops) is not int:
-            raise MalformedDiagramError(
-                f"free_loops must be an integer, got {free_loops!r}")
-        if free_loops > MAX_FREE_LOOPS:
-            raise MalformedDiagramError(
-                f"free_loops must be at most {MAX_FREE_LOOPS}, got {free_loops}")
-        diagram.validate()
-        return diagram
 
 
 # The one union-find of the module, with path halving.  ``parent`` is a list
@@ -389,31 +380,27 @@ class _Builder:
             self.free_loops += 1
 
     def finish(self, boundary: Boundary | None, extra_loops: int = 0) -> ShadowDiagram:
-        find = partial(_find, self.merges)
-        crossings = tuple(tuple(find(e) for e in quad) for quad in self.crossings)
+        # Name each merged edge e0, e1, ... in first-seen order, crossings
+        # first, for stable output.
+        names: dict[str, str] = {}
+
+        def name(edge: str) -> str:
+            root = _find(self.merges, edge)
+            if root not in names:
+                names[root] = f"e{len(names)}"
+            return names[root]
+
+        crossings = tuple(tuple(map(name, quad)) for quad in self.crossings)
         if boundary is not None:
-            boundary = Boundary(tuple(find(e) for e in boundary.left),
-                                tuple(find(e) for e in boundary.right))
-        diagram = ShadowDiagram(crossings, boundary, self.free_loops + extra_loops)
-        return _relabel(diagram)
-
-
-def _relabel(diagram: ShadowDiagram) -> ShadowDiagram:
-    # Rename edges to e0, e1, ... in first-seen order for stable output.
-    names = {edge: f"e{number}" for edge, number in _number_edges(diagram).items()}
-    crossings = tuple(tuple(names[e] for e in quad) for quad in diagram.crossings)
-    boundary = diagram.boundary
-    if boundary is not None:
-        boundary = Boundary(tuple(names[e] for e in boundary.left),
-                            tuple(names[e] for e in boundary.right))
-    return ShadowDiagram(crossings, boundary, diagram.free_loops)
+            boundary = Boundary(tuple(map(name, boundary.left)),
+                                tuple(map(name, boundary.right)))
+        return ShadowDiagram(crossings, boundary, self.free_loops + extra_loops)
 
 
 def close_diagram(diagram: ShadowDiagram) -> ShadowDiagram:
     """Join each left endpoint to the matching right endpoint, closing the tangle."""
     if diagram.boundary is None:
         raise MalformedDiagramError("diagram is already closed")
-    diagram.validate()
     builder = _Builder()
     builder.crossings = list(diagram.crossings)
     for a, b in zip(diagram.boundary.left, diagram.boundary.right):
@@ -425,8 +412,6 @@ def glue(first: ShadowDiagram, second: ShadowDiagram) -> ShadowDiagram:
     """The tangle product: glue the right boundary of ``first`` to the left of ``second``."""
     if first.boundary is None or second.boundary is None:
         raise MalformedDiagramError("tangle product requires two open tangles")
-    first.validate()
-    second.validate()
     # Namespace the two edge sets before joining the shared boundary.
     builder = _Builder()
     builder.crossings = [tuple(f"a.{e}" for e in quad) for quad in first.crossings]
@@ -440,12 +425,12 @@ def glue(first: ShadowDiagram, second: ShadowDiagram) -> ShadowDiagram:
 
 def mirror_diagram(diagram: ShadowDiagram) -> ShadowDiagram:
     """Flip the diagram top to bottom; cyclic orders reverse, sides keep their role."""
-    crossings = tuple(tuple(reversed(quad)) for quad in diagram.crossings)
+    builder = _Builder()
+    builder.crossings = [quad[::-1] for quad in diagram.crossings]
     boundary = diagram.boundary
     if boundary is not None:
-        boundary = Boundary(tuple(reversed(boundary.left)),
-                            tuple(reversed(boundary.right)))
-    return _relabel(ShadowDiagram(crossings, boundary, diagram.free_loops))
+        boundary = Boundary(boundary.left[::-1], boundary.right[::-1])
+    return builder.finish(boundary, extra_loops=diagram.free_loops)
 
 
 # The five non-crossing perfect matchings of the boundary circle, keyed by
@@ -547,7 +532,6 @@ def smooth(diagram: ShadowDiagram,
     Returns the number of closed loops (including free loops) and the induced
     pairing of the boundary labels (empty for a closed diagram).
     """
-    diagram.validate()
     if len(choices) != diagram.crossing_count:
         raise ValueError(
             f"need {diagram.crossing_count} smoothing bits, got {len(choices)}")
@@ -572,7 +556,6 @@ def enumerate_states(diagram: ShadowDiagram) -> BracketVector | Polynomial:
     Raises CrossingLimitError instead of attempting more than
     ``2**DEFAULT_MAX_CROSSINGS`` states.
     """
-    diagram.validate()
     count = diagram.crossing_count
     if count > DEFAULT_MAX_CROSSINGS:
         raise CrossingLimitError(

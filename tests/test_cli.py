@@ -1,12 +1,14 @@
 import json
+import random
 
 import pytest
 
-from conftest import P
+from conftest import P, rand_word
 from shadowbracket import cli
 from shadowbracket.bracket import BracketVector, closure, power
 from shadowbracket.generators import generator_diagram, generator_tuple
-from shadowbracket.oracle import close_diagram, compile_word
+from shadowbracket.oracle import (ShadowDiagram, close_diagram, compile_word,
+                                  enumerate_states)
 from shadowbracket.series import bfile_lines, coefficient_table, column
 
 
@@ -88,7 +90,7 @@ class TestBracketCommand:
         assert excinfo.value.code == 2
 
     def test_crossing_limit_refusal(self, capsys, tmp_path):
-        # No crossing cap on --pd: 30 crossings, beyond the state sum's 24.
+        # No crossing cap on --pd: 30 crossings, beyond the state sum's 20.
         word = ("X1", "X2") * 15
         path = tmp_path / "big.json"
         path.write_text(json.dumps(compile_word(word).to_json()))
@@ -384,6 +386,14 @@ class TestBadInput:
         path.write_text(json.dumps(payload))
         assert _refused(*run(capsys, "bracket", "--pd", str(path)))
 
+    @pytest.mark.parametrize("flag", ["--pd", "--tuple"])
+    def test_deeply_nested_json(self, capsys, tmp_path, flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "bracket", flag, str(path))
+        assert _refused(code, out, err)
+        assert err.startswith(f"error: {path}: ")
+
     def test_huge_free_loops(self, capsys, tmp_path):
         path = tmp_path / "diagram.json"
         path.write_text(json.dumps(
@@ -401,6 +411,69 @@ class TestBadInput:
             cli.main(list(argv))
         captured = capsys.readouterr()
         assert _refused(excinfo.value.code, captured.out, captured.err)
+
+
+# Values of the wrong type for a field of diagram JSON; a number may be right.
+_WRONG_VALUES = (None, 7, "e0", True, 2.5, 3.0, [["e0", ["e1"]]])
+
+
+def _mutated_pd(rng: random.Random) -> str:
+    """The JSON text of a seeded compiled word, mostly broken in one place."""
+    diagram = compile_word(rand_word(rng))
+    if rng.random() < 0.5:
+        diagram = close_diagram(diagram)
+    data = diagram.to_json()
+    crossings, boundary = data["crossings"], data["boundary"]
+    sides = [] if boundary is None else list(boundary.values())
+    slots = [(seq, i) for seq in crossings + sides for i in range(len(seq))]
+    kind = rng.choice(("rename", "swap", "drop", "duplicate", "type", "delete",
+                       "shorten", "nest"))
+    if kind == "rename" and slots:
+        seq, i = rng.choice(slots)
+        seq[i] = rng.choice(("fresh", seq[i - 1]))
+    elif kind == "swap" and slots:
+        (first, i), (second, j) = rng.choice(slots), rng.choice(slots)
+        first[i], second[j] = second[j], first[i]
+    elif kind == "drop" and crossings:
+        del crossings[rng.randrange(len(crossings))]
+    elif kind == "duplicate" and crossings:
+        crossings.append(list(rng.choice(crossings)))
+    elif kind == "type":
+        fields = [(data, "crossings"), (data, "boundary"), (data, "free_loops")]
+        fields += [(crossings, i) for i in range(len(crossings))] + slots
+        if boundary is not None:
+            fields += [(boundary, "L"), (boundary, "R")]
+        container, key = rng.choice(fields)
+        container[key] = rng.choice(_WRONG_VALUES)
+    elif kind == "delete":
+        container = rng.choice([data] if boundary is None else [data, boundary])
+        del container[rng.choice(list(container))]
+    elif kind == "shorten" and sides:
+        rng.choice(sides).pop()
+    elif kind == "nest":
+        depth = rng.choice((50, 100000))
+        return "[" * depth + json.dumps(data) + "]" * depth
+    return json.dumps(data)
+
+
+def test_malformed_pd_input_is_refused_or_summed(capsys, tmp_path):
+    # Every mutation either still describes a diagram, whose contraction must
+    # equal its state sum, or is refused on one line.
+    rng = random.Random(17)
+    path = tmp_path / "diagram.json"
+    codes = []
+    for _ in range(200):
+        text = _mutated_pd(rng)
+        path.write_text(text)
+        code, out, err = run(capsys, "bracket", "--pd", str(path))
+        if code == 0:
+            expected = enumerate_states(ShadowDiagram.from_json(json.loads(text)))
+            assert (out, err) == (f"{expected}\n", ""), text
+        else:
+            assert _refused(code, out, err), text
+            assert err.startswith("error: ") and "Traceback" not in err, text
+        codes.append(code)
+    assert set(codes) == {0, 2}
 
 
 def run_usage_error(capsys, *argv):

@@ -156,10 +156,9 @@ class TestSpecialCases:
             BracketVector.of(1, 0, 1, 0, 0)
 
     def test_malformed_diagram_raises(self):
-        bad = ShadowDiagram((("a", "a", "a", "b"),),
-                            Boundary(("b", "c", "d"), ("c", "d", "e")))
         with pytest.raises(MalformedDiagramError):
-            contract(bad)
+            contract(ShadowDiagram((("a", "a", "a", "b"),),
+                                   Boundary(("b", "c", "d"), ("c", "d", "e"))))
 
 
 class TestBeyondTheStateSum:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import P, rand_word
 from shadowbracket.bracket import BracketVector, closure, power
+from shadowbracket.contraction import contract
 from shadowbracket.generators import NAMES, generator
 from shadowbracket.oracle import (MAX_FREE_LOOPS, Boundary, CrossingLimitError,
                                   MalformedDiagramError, ShadowDiagram,
@@ -184,18 +185,21 @@ class TestEnumerateStates:
         with pytest.raises(CrossingLimitError):
             enumerate_states(diagram)
 
+    def test_crossing_limit_is_twenty(self):
+        # 2**21 states would take seconds; the cap refuses them at once.
+        with pytest.raises(CrossingLimitError, match="limit of 20"):
+            enumerate_states(compile_word(("X1",) * 21))
+
 
 class TestValidation:
     def test_edge_must_occur_twice(self):
-        bad = ShadowDiagram((("a", "a", "a", "b"),),
-                            Boundary(("b", "c", "d"), ("c", "d", "e")))
         with pytest.raises(MalformedDiagramError):
-            bad.validate()
+            ShadowDiagram((("a", "a", "a", "b"),),
+                          Boundary(("b", "c", "d"), ("c", "d", "e")))
 
     def test_boundary_size(self):
-        bad = ShadowDiagram((), Boundary(("a", "b"), ("a", "b")))  # type: ignore[arg-type]
         with pytest.raises(MalformedDiagramError):
-            bad.validate()
+            ShadowDiagram((), Boundary(("a", "b"), ("a", "b")))  # type: ignore[arg-type]
 
     def test_negative_free_loops(self):
         with pytest.raises(MalformedDiagramError):
@@ -275,14 +279,13 @@ class TestWords:
             letter_tuple("Z9")
 
 
-def _planar_by_reflections(diagram: ShadowDiagram) -> bool:
+def _planar_by_reflections(crossings, boundary: Boundary | None) -> bool:
     """Reference planarity test: some choice of reading direction per crossing
     makes the face-traced rotation system satisfy V - E + F = 2 per component."""
-    outer = [] if diagram.boundary is None else \
-        [diagram.boundary.left + diagram.boundary.right[::-1]]
-    for flips in itertools.product((False, True), repeat=diagram.crossing_count):
+    outer = [] if boundary is None else [boundary.left + boundary.right[::-1]]
+    for flips in itertools.product((False, True), repeat=len(crossings)):
         rotations = [quad[::-1] if flip else quad
-                     for quad, flip in zip(diagram.crossings, flips)] + outer
+                     for quad, flip in zip(crossings, flips)] + outer
         ends = {}
         for vertex, rotation in enumerate(rotations):
             for slot, edge in enumerate(rotation):
@@ -311,9 +314,9 @@ def _planar_by_reflections(diagram: ShadowDiagram) -> bool:
     return False
 
 
-def _is_accepted(diagram: ShadowDiagram) -> bool:
+def _is_accepted(crossings, boundary: Boundary | None) -> bool:
     try:
-        diagram.validate()
+        ShadowDiagram(crossings, boundary)
     except MalformedDiagramError:
         return False
     return True
@@ -374,9 +377,8 @@ class TestPlanarity:
             quads = tuple(tuple(names[4 * i:4 * i + 4]) for i in range(crossings))
             rest = names[4 * crossings:]
             boundary = None if closed else Boundary(tuple(rest[:3]), tuple(rest[3:]))
-            diagram = ShadowDiagram(quads, boundary)
-            verdict = _planar_by_reflections(diagram)
-            assert _is_accepted(diagram) == verdict
+            verdict = _planar_by_reflections(quads, boundary)
+            assert _is_accepted(quads, boundary) == verdict
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -406,13 +408,13 @@ class TestPlanarity:
 
 class TestValidateOnce:
     def test_malformed_diagram_raises_on_every_call(self):
-        bad = ShadowDiagram((("a", "a", "a", "b"),),
-                            Boundary(("b", "c", "d"), ("c", "d", "e")))
+        crossings = (("a", "a", "a", "b"),)
+        boundary = Boundary(("b", "c", "d"), ("c", "d", "e"))
         for _ in range(2):
             with pytest.raises(MalformedDiagramError):
-                bad.validate()
+                ShadowDiagram(crossings, boundary)
             with pytest.raises(MalformedDiagramError):
-                smooth(bad, [0])
+                smooth(ShadowDiagram(crossings, boundary), [0])
 
     def test_repeated_smoothing_of_mixed_direction_diagram(self):
         spec = generator("C")
@@ -421,3 +423,52 @@ class TestValidateOnce:
         for mask in range(200):
             smooth(cubed, [(mask >> i) & 1 for i in range(9)])
         assert time.perf_counter() - start < 0.1
+
+
+def count_validations(monkeypatch) -> list:
+    """The diagrams passed to ShadowDiagram.validate from now on."""
+    calls = []
+    validate = ShadowDiagram.validate
+
+    def counting(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ShadowDiagram, "validate", counting)
+    return calls
+
+
+class TestValidatedOnConstruction:
+    @pytest.mark.parametrize("free_loops", [True, 2.5, -1, MAX_FREE_LOOPS + 1])
+    def test_bad_free_loops_cannot_be_constructed(self, free_loops):
+        with pytest.raises(MalformedDiagramError, match="free_loops"):
+            ShadowDiagram((), None, free_loops=free_loops)
+
+    def test_each_route_validates_its_result_once(self, monkeypatch):
+        first, second = compile_word(("X1", "U2")), compile_word(("X2",))
+        data = first.to_json()
+        calls = count_validations(monkeypatch)
+        routes = {
+            "from_json": lambda: ShadowDiagram.from_json(data),
+            "compile_word": lambda: compile_word(("X1", "X2", "U1")),
+            "glue": lambda: glue(first, second),
+            "close_diagram": lambda: close_diagram(first),
+            "mirror_diagram": lambda: mirror_diagram(first),
+        }
+        counts = {}
+        for name, route in routes.items():
+            calls.clear()
+            result = route()
+            counts[name] = len(calls)
+            assert all(call is result for call in calls), name
+        assert counts == dict.fromkeys(routes, 1)
+
+    def test_routes_on_an_existing_diagram_do_not_validate(self, monkeypatch):
+        tangle = compile_word(("X1", "X2", "U1"))
+        closed = close_diagram(tangle)
+        calls = count_validations(monkeypatch)
+        for diagram in (tangle, closed):
+            contract(diagram)
+            enumerate_states(diagram)
+            smooth(diagram, [0, 1])
+        assert calls == []
