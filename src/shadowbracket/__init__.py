@@ -13,35 +13,53 @@ See Kauffman, "State models and the Jones polynomial", Topology 26 (1987)
 for the bracket itself.
 """
 
-from .bracket import (BracketVector, LambdaPolynomial, PolyMatrix, PQInvariants,
-                      charpoly, charpoly_factored, closed_form_bracket, closure,
-                      compose, power, pq_invariants, states_matrix)
-from .contraction import contract
-from .generators import (GeneratorSpec, NAMES, generator, generator_diagram,
-                         generator_tuple)
-from .oracle import (Boundary, CrossingLimitError, DEFAULT_MAX_CROSSINGS,
-                     MalformedDiagramError, ShadowDiagram, classify_boundary,
-                     close_diagram, compile_word, enumerate_states, glue,
-                     letter_tuple, mirror_diagram, parse_word, smooth, word_tuple)
-from .poly import ONE, Polynomial, X, ZERO
-from .series import (RationalGF, RationalTerm, bfile_lines, coefficient_rows,
-                     coefficient_table, column, compare_bfiles, csv_lines, expand,
-                     gf_from_tuple, parse_bfile, render_gf, row_sums, triangle_values)
-from .tl3 import ELEMENTS, ScaledTL, TLElement, closure_loops, mirror, multiply
+from importlib import import_module
+
+# The public names, in ``__all__`` order, and the submodule of each.  Importing
+# the package imports no submodule; the first use of a name imports its
+# module (PEP 562), so a command pays only for the modules it runs.
+_MODULE_OF = {
+    "BracketVector": "bracket", "Boundary": "oracle", "CrossingLimitError": "oracle",
+    "DEFAULT_MAX_CROSSINGS": "oracle", "ELEMENTS": "tl3", "GeneratorSpec": "generators",
+    "LambdaPolynomial": "bracket", "MalformedDiagramError": "oracle",
+    "NAMES": "generators", "ONE": "poly", "PQInvariants": "bracket",
+    "PolyMatrix": "bracket", "Polynomial": "poly", "RationalGF": "series",
+    "RationalTerm": "series", "ScaledTL": "tl3", "ShadowDiagram": "oracle",
+    "TLElement": "tl3", "X": "poly", "ZERO": "poly", "bfile_lines": "series",
+    "charpoly": "bracket", "charpoly_factored": "bracket",
+    "classify_boundary": "oracle", "close_diagram": "oracle",
+    "closed_form_bracket": "bracket", "closure": "bracket", "closure_loops": "tl3",
+    "coefficient_rows": "series", "coefficient_table": "series", "column": "series",
+    "compare_bfiles": "series", "compile_word": "oracle", "compose": "bracket",
+    "contract": "contraction", "csv_lines": "series", "enumerate_states": "oracle",
+    "expand": "series", "generator": "generators", "generator_diagram": "generators",
+    "generator_tuple": "generators", "gf_from_tuple": "series", "glue": "oracle",
+    "letter_tuple": "bracket", "mirror": "tl3", "mirror_diagram": "oracle",
+    "multiply": "tl3", "parse_bfile": "series", "parse_word": "bracket",
+    "power": "bracket", "pq_invariants": "bracket", "render_gf": "series",
+    "row_sums": "series", "smooth": "oracle", "states_matrix": "bracket",
+    "triangle_values": "series", "word_tuple": "bracket",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketVector", "Boundary", "CrossingLimitError", "DEFAULT_MAX_CROSSINGS",
-    "ELEMENTS", "GeneratorSpec", "LambdaPolynomial", "MalformedDiagramError",
-    "NAMES", "ONE", "PQInvariants", "PolyMatrix", "Polynomial", "RationalGF",
-    "RationalTerm", "ScaledTL", "ShadowDiagram", "TLElement", "X", "ZERO",
-    "bfile_lines", "charpoly", "charpoly_factored", "classify_boundary",
-    "close_diagram", "closed_form_bracket", "closure", "closure_loops",
-    "coefficient_rows", "coefficient_table", "column", "compare_bfiles",
-    "compile_word", "compose", "contract", "csv_lines", "enumerate_states", "expand",
-    "generator", "generator_diagram", "generator_tuple", "gf_from_tuple", "glue",
-    "letter_tuple", "mirror", "mirror_diagram", "multiply", "parse_bfile",
-    "parse_word", "power", "pq_invariants", "render_gf", "row_sums", "smooth",
-    "states_matrix", "triangle_values", "word_tuple",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # A submodule not imported yet, e.g. ``shadowbracket.oracle``.
+        try:
+            return import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,8 @@ The shadow bracket of a 3-tangle is a formal combination
 here with the tuple ``[a, b, c, d, e]``.  Gluing tangles corresponds to a
 bilinear product on tuples (:func:`compose`), extended from the monoid
 multiplication table by converting each detached loop into a factor of x.
+A tangle word over ``X1 X2 U1 U2`` is the product of its letters' tuples
+(:func:`word_tuple`).
 
 Repeated gluing is linear: ``states_matrix(v)`` is the 5x5 matrix of the
 right-gluing map ``w -> compose(w, v)``, so its n-th power applied to the
@@ -18,31 +20,32 @@ radical ``q``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from typing import Iterable, Sequence
 
 from .poly import (ONE, X, ZERO, Polynomial, PolynomialLike, power_by_squaring,
                    series_coefficients)
+from .record import Record
 from .tl3 import ELEMENTS, TLElement, closure_loops, multiply
 
 # A generating-function term: numerator and denominator in y, lowest power first.
 YRatio = tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]
 
 
-@dataclass(frozen=True)
-class BracketVector:
+class BracketVector(Record):
     """Coefficients of a tangle bracket on the five-diagram basis."""
 
-    a: Polynomial
-    b: Polynomial
-    c: Polynomial
-    d: Polynomial
-    e: Polynomial
+    __slots__ = ("a", "b", "c", "d", "e")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d", "e"):
-            object.__setattr__(self, name, Polynomial.coerce(getattr(self, name)))
+    def __init__(self, a: PolynomialLike, b: PolynomialLike, c: PolynomialLike,
+                 d: PolynomialLike, e: PolynomialLike):
+        coerce, set_field = Polynomial.coerce, object.__setattr__
+        set_field(self, "a", coerce(a))
+        set_field(self, "b", coerce(b))
+        set_field(self, "c", coerce(c))
+        set_field(self, "d", coerce(d))
+        set_field(self, "e", coerce(e))
 
     @classmethod
     def of(cls, a: PolynomialLike, b: PolynomialLike, c: PolynomialLike,
@@ -87,6 +90,9 @@ class BracketVector:
             entries = [data[name] for name in "abcde"]
         except KeyError as missing:
             raise ValueError(f"bracket tuple JSON is missing key {missing}") from None
+        extra = sorted(set(data) - set("abcde"))
+        if extra:
+            raise ValueError(f"bracket tuple JSON has unknown key {extra[0]!r}")
         for name, coeffs in zip("abcde", entries):
             # bool is a subclass of int, so test the exact type.
             if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
@@ -98,8 +104,7 @@ class BracketVector:
         return "[" + ", ".join(str(p) for p in self.entries()) + "]"
 
 
-@dataclass(frozen=True)
-class PQInvariants:
+class PQInvariants(Record):
     """The linear invariant p and the squared radicand q^2 of a tuple.
 
     The pair determines the two non-trivial eigenvalues (p +- q) / 2 of the
@@ -107,8 +112,11 @@ class PQInvariants:
     Z[x].
     """
 
-    p: Polynomial
-    q_squared: Polynomial
+    __slots__ = ("p", "q_squared")
+
+    def __init__(self, p: Polynomial, q_squared: Polynomial):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q_squared", q_squared)
 
     def pair_product(self) -> Polynomial:
         """The eigenvalue product (p^2 - q^2) / 4, an exact integer polynomial.
@@ -282,6 +290,41 @@ def power(v: BracketVector, n: int) -> BracketVector:
     if n < 0:
         raise ValueError("power requires n >= 0")
     return power_by_squaring(v, n, BracketVector.unit(), compose)
+
+
+WORD_LETTERS = ("X1", "X2", "U1", "U2")
+
+# Single-letter tangles: a crossing splits into the identity and a cup-cap,
+# while the cup-cap letters are monoid basis elements outright.
+_LETTER_TUPLES = {
+    "X1": BracketVector.of(1, 1, 0, 0, 0),
+    "X2": BracketVector.of(1, 0, 1, 0, 0),
+    "U1": BracketVector.of(0, 1, 0, 0, 0),
+    "U2": BracketVector.of(0, 0, 1, 0, 0),
+}
+
+
+def parse_word(text: str) -> tuple[str, ...]:
+    """Parse the whitespace-separated tangle word form, e.g. ``"X1 X2 U1"``."""
+    letters = tuple(text.split())
+    for letter in letters:
+        if letter not in WORD_LETTERS:
+            valid = ", ".join(WORD_LETTERS)
+            raise ValueError(f"unknown tangle letter {letter!r} (expected one of: {valid})")
+    return letters
+
+
+def letter_tuple(letter: str) -> BracketVector:
+    """The bracket tuple of a single tangle letter."""
+    try:
+        return _LETTER_TUPLES[letter]
+    except KeyError:
+        raise ValueError(f"unknown tangle letter {letter!r}") from None
+
+
+def word_tuple(letters: Sequence[str]) -> BracketVector:
+    """The bracket tuple of a word, by composing the letter tuples."""
+    return reduce(compose, (letter_tuple(l) for l in letters), BracketVector.unit())
 
 
 def closure(v: BracketVector) -> Polynomial:

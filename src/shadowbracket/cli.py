@@ -18,22 +18,15 @@ parse error.
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
-from .bracket import (BracketVector, charpoly, charpoly_factored, closed_form_bracket,
-                      closure, pq_invariants, power, states_matrix)
-from .contraction import contract
-from .generators import NAMES, generator, generator_tuple
-from .oracle import (DEFAULT_MAX_CROSSINGS, ShadowDiagram, close_diagram, compile_word,
-                     enumerate_states, glue, parse_word, word_tuple, WORD_LETTERS)
-from .poly import Polynomial
-from .reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
-from .series import (bfile_lines, coefficient_column, coefficient_table, column,
-                     compare_bfiles, csv_lines, expand, gf_from_tuple, render_gf,
-                     triangle_values)
+# Only what every command needs is imported here; each handler imports the
+# rest, so a command loads no module it does not run.
+from .bracket import (BracketVector, WORD_LETTERS, charpoly, closed_form_bracket,
+                      parse_word, pq_invariants, power, states_matrix, word_tuple)
+from .generators import NAMES, generator_tuple
+from .poly import Polynomial, parse_int, render_ints
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -150,17 +143,30 @@ def _resolve_input(args) -> BracketVector | Polynomial:
         return word_tuple(parse_word(args.word))
     if args.tuple_file is not None:
         return BracketVector.from_json(_load_json(args.tuple_file))
+    from .contraction import contract
+    from .oracle import ShadowDiagram
     return contract(ShadowDiagram.from_json(_load_json(args.pd)))
 
 
 def _load_json(path: str) -> dict:
+    import json
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, parse_int=parse_int)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _json_text(payload: dict) -> str:
+    import json
+    try:
+        return json.dumps(payload, sort_keys=True)
+    except ValueError:
+        # json writes ints through str, which stops at sys.int_max_str_digits.
+        raise ValueError("the result has an integer too long for JSON output; "
+                         "use --format text") from None
 
 
 def _require_tangle(value: BracketVector | Polynomial) -> BracketVector:
@@ -197,26 +203,28 @@ def _cmd_bracket(args) -> int:
             payload = {"n": args.n, "bracket": list(result.coefficients)}
         else:
             payload = {"n": args.n, "tuple": result.to_json()}
-        _emit(args, json.dumps(payload, sort_keys=True))
+        _emit(args, _json_text(payload))
     else:
         _emit(args, str(result))
     return 0
 
 
 def _cmd_table(args) -> int:
+    from .series import coefficient_table, csv_lines
     _require_nonnegative("--rows", args.rows)
     table = coefficient_table(args.generator, args.rows)
     if args.format == "json":
-        _emit(args, json.dumps({"generator": args.generator, "rows": table},
-                               sort_keys=True))
+        _emit(args, _json_text({"generator": args.generator, "rows": table}))
     elif args.format == "csv":
         _emit(args, "\n".join(csv_lines(table)))
     else:
-        _emit(args, "\n".join(" ".join(str(v) for v in row) for row in table))
+        _emit(args, render_ints(lambda text: "\n".join(" ".join(map(text, row))
+                                                       for row in table)))
     return 0
 
 
 def _cmd_gf(args) -> int:
+    from .series import expand, gf_from_tuple, render_gf
     if args.terms is not None:
         _require_nonnegative("--terms", args.terms)
     v = _require_tangle(_resolve_input(args))
@@ -225,7 +233,7 @@ def _cmd_gf(args) -> int:
         payload = gf.to_json()
         if args.terms is not None:
             payload["terms"] = [list(p.coefficients) for p in expand(gf, args.terms)]
-        _emit(args, json.dumps(payload, sort_keys=True))
+        _emit(args, _json_text(payload))
     else:
         lines = [render_gf(gf)]
         if args.terms is not None:
@@ -239,7 +247,7 @@ def _cmd_charpoly(args) -> int:
     chi = charpoly(states_matrix(v))
     if args.format == "json":
         payload = {"coefficients": [list(c.coefficients) for c in chi.coefficients]}
-        _emit(args, json.dumps(payload, sort_keys=True))
+        _emit(args, _json_text(payload))
     else:
         pq = pq_invariants(v)
         factored = (f"-(L - ({v.a})) * (L^2 - ({pq.p})L + ({pq.pair_product()}))^2")
@@ -248,6 +256,8 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .series import (bfile_lines, coefficient_column, coefficient_table,
+                         compare_bfiles, csv_lines, triangle_values)
     _require_nonnegative("--rows", args.rows)
     if args.column is not None:
         _require_nonnegative("--column", args.column)
@@ -275,9 +285,8 @@ def _cmd_export(args) -> int:
     return 0
 
 
-# --- verification suites ----------------------------------------------------
-
 def _cmd_verify(args) -> int:
+    from .verify import run_suites
     for flag, value in (("--words", args.words), ("--max-n", args.max_n),
                         ("--rows", args.rows)):
         if value is not None:
@@ -293,7 +302,7 @@ def _cmd_verify(args) -> int:
     names = (args.generator,) if args.generator else NAMES
     failures = 0
     total = 0
-    for label, ok, detail in _run_suites(suites, names, args):
+    for label, ok, detail in run_suites(suites, names, args):
         total += 1
         if ok:
             print(f"PASS  {label}")
@@ -305,134 +314,6 @@ def _cmd_verify(args) -> int:
         return 1
     print(f"all {total} checks passed")
     return 0
-
-
-def _run_suites(suites: dict, names: Iterable[str], args) -> Iterator[tuple]:
-    """The (label, ok, detail) rows of the selected suites."""
-    if suites["tables"]:
-        for name in names:
-            yield from _verify_tables(name, args.rows)
-    if suites["oracle"]:
-        yield from _verify_words(args.words, args.seed)
-        for name in names:
-            yield from _verify_generator_oracle(name, args.max_n)
-    if suites["charpoly"]:
-        for name in names:
-            yield from _verify_charpoly(name)
-        yield from _verify_charpoly_random(20, args.seed)
-    if suites["recurrence"]:
-        for name in names:
-            yield from _verify_recurrence(name)
-            yield from _verify_column_route(name)
-    yield from _verify_column_identity()
-
-
-def _verify_tables(name: str, rows: int | None) -> Iterator[tuple]:
-    reference = TABLE_ROWS[name]
-    last = len(reference) - 1 if rows is None else rows
-    if last >= len(reference):
-        raise ValueError(
-            f"no reference rows beyond n = {len(reference) - 1} for generator {name}")
-    computed = coefficient_table(name, last)
-    for n in range(last + 1):
-        ok = computed[n] == reference[n]
-        detail = "" if ok else f"computed {computed[n]}, reference {reference[n]}"
-        yield (f"tables {name} row {n}", ok, detail)
-
-
-def _verify_words(count: int, seed: int) -> Iterator[tuple]:
-    rng = random.Random(seed)
-    bad = ""
-    for _ in range(count):
-        letters = tuple(rng.choice(WORD_LETTERS)
-                        for _ in range(rng.randint(0, 8)))
-        bad = _disagreement(compile_word(letters), word_tuple(letters))
-        if bad:
-            bad = f"word {' '.join(letters) or '(empty)'}: {bad}"
-            break
-    yield (f"oracle {count} random words", not bad, bad)
-
-
-def _verify_generator_oracle(name: str, max_n: int) -> Iterator[tuple]:
-    spec = generator(name)
-    diagram = spec.diagram
-    for n in range(1, max_n + 1):
-        if spec.crossings * n > DEFAULT_MAX_CROSSINGS:
-            yield (f"oracle {name}^{n}..{name}^{max_n} skipped: crossing limit",
-                   True, "")
-            return
-        if n > 1:
-            diagram = glue(diagram, spec.diagram)
-        expected = power(spec.bracket, n)
-        detail = _disagreement(diagram, expected)
-        if not detail and n <= 2:
-            detail = _disagreement(close_diagram(diagram), closure(expected))
-            detail = detail and f"closure {detail}"
-        yield (f"oracle {name}^{n}", not detail, detail)
-
-
-def _disagreement(diagram: ShadowDiagram, expected: BracketVector | Polynomial) -> str:
-    """Empty if the contraction, the state sum and ``expected`` all agree."""
-    contracted = contract(diagram)
-    summed = enumerate_states(diagram)
-    if contracted == summed == expected:
-        return ""
-    return f"contraction {contracted}, state sum {summed}, expected {expected}"
-
-
-def _verify_charpoly(name: str) -> Iterator[tuple]:
-    v = generator_tuple(name)
-    ok = charpoly(states_matrix(v)) == charpoly_factored(v)
-    yield (f"charpoly factorisation {name}", ok,
-           "" if ok else "determinant route disagrees with factored form")
-
-
-def _verify_charpoly_random(count: int, seed: int) -> Iterator[tuple]:
-    rng = random.Random(seed)
-    bad = None
-    for _ in range(count):
-        v = _random_tuple(rng)
-        if charpoly(states_matrix(v)) != charpoly_factored(v):
-            bad = f"tuple {v}"
-            break
-    yield (f"charpoly factorisation on {count} random tuples", bad is None, bad or "")
-
-
-def _verify_recurrence(name: str) -> Iterator[tuple]:
-    v = generator_tuple(name)
-    series = expand(gf_from_tuple(v), 10)
-    bad = None
-    for n in range(11):
-        direct = closure(power(v, n))
-        recurrent = closed_form_bracket(v, n)
-        if not (direct == recurrent == series[n]):
-            bad = (f"n = {n}: closure {direct}, recurrence {recurrent}, "
-                   f"series {series[n]}")
-            break
-    yield (f"recurrence/series agreement {name} (n <= 10)", bad is None, bad or "")
-
-
-def _verify_column_route(name: str) -> Iterator[tuple]:
-    table = coefficient_table(name, 10)
-    bad = next((k for k in range(4)
-                if coefficient_column(name, 10, k) != column(table, k)), None)
-    yield (f"truncated column route {name} (k <= 3, n <= 10)", bad is None,
-           "" if bad is None else f"column {bad} differs from the coefficient table")
-
-
-def _verify_column_identity() -> Iterator[tuple]:
-    table = coefficient_table("T", 10)
-    ours = "\n".join(bfile_lines(column(table, 1)))
-    reference = "\n".join(bfile_lines(ALTERNATE_LUCAS_MINUS_2))
-    problem = compare_bfiles(ours, reference)
-    yield ("T column k=1 equals alternate Lucas numbers minus 2",
-           problem is None, problem or "")
-
-
-def _random_tuple(rng: random.Random) -> BracketVector:
-    def entry() -> Polynomial:
-        return Polynomial([rng.randint(-3, 3), rng.randint(-3, 3)])
-    return BracketVector(*(entry() for _ in range(5)))
 
 
 if __name__ == "__main__":

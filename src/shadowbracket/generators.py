@@ -20,16 +20,23 @@ one yields E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bracket import BracketVector
-from .oracle import (Boundary, ShadowDiagram, compile_word, enumerate_states,
-                     glue, mirror_diagram)
+from .record import Record
 
 NAMES = ("T", "C", "E")
 
 _T_WORD = ("X1", "X2")
+
+# The normative tuples.  The diagrams are built from the oracle only when a
+# generator's full spec is first asked for, so reading a tuple imports no
+# diagram code.
+_TUPLES = {
+    "T": BracketVector.of(1, 1, 1, 0, 1),
+    "C": BracketVector.of([2, 1], [2, 1], 1, 0, 1),
+    "E": BracketVector.of([4, 4, 1], [2, 1], [2, 1], 0, 1),
+}
 
 
 def _turn_hitch() -> ShadowDiagram:
@@ -42,6 +49,7 @@ def _turn_hitch() -> ShadowDiagram:
     direction of :func:`compile_word`'s crossings, so glued and closed
     diagrams pass the listed-order planarity check.
     """
+    from .oracle import Boundary, ShadowDiagram
     return ShadowDiagram(
         crossings=(
             ("turn", "bight1", "leg1", "bight0"),
@@ -51,14 +59,18 @@ def _turn_hitch() -> ShadowDiagram:
     )
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """A named generator: its bracket tuple, crossing count and diagram."""
 
-    name: str
-    bracket: BracketVector
-    word: tuple[str, ...] | None
-    diagram: ShadowDiagram
+    __slots__ = ("name", "bracket", "word", "diagram")
+
+    def __init__(self, name: str, bracket: BracketVector, word: tuple[str, ...] | None,
+                 diagram: ShadowDiagram):
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "bracket", bracket)
+        set_field(self, "word", word)
+        set_field(self, "diagram", diagram)
 
     @property
     def crossings(self) -> int:
@@ -66,43 +78,39 @@ class GeneratorSpec:
 
 
 def _build_generators() -> dict[str, GeneratorSpec]:
+    from .oracle import compile_word, glue, mirror_diagram
     hitch = _turn_hitch()
     return {
-        "T": GeneratorSpec(
-            name="T",
-            bracket=BracketVector.of(1, 1, 1, 0, 1),
-            word=_T_WORD,
-            diagram=compile_word(_T_WORD),
-        ),
-        "C": GeneratorSpec(
-            name="C",
-            bracket=BracketVector.of([2, 1], [2, 1], 1, 0, 1),
-            word=None,
-            diagram=glue(compile_word(("X1",)), hitch),
-        ),
-        "E": GeneratorSpec(
-            name="E",
-            bracket=BracketVector.of([4, 4, 1], [2, 1], [2, 1], 0, 1),
-            word=None,
-            diagram=glue(mirror_diagram(hitch), hitch),
-        ),
+        "T": GeneratorSpec("T", _TUPLES["T"], _T_WORD, compile_word(_T_WORD)),
+        "C": GeneratorSpec("C", _TUPLES["C"], None, glue(compile_word(("X1",)), hitch)),
+        "E": GeneratorSpec("E", _TUPLES["E"], None, glue(mirror_diagram(hitch), hitch)),
     }
 
 
-_GENERATORS = _build_generators()
+# Filled on the first call of generator().
+_GENERATORS: dict[str, GeneratorSpec] = {}
 
 
 def generator(name: str) -> GeneratorSpec:
+    if not _GENERATORS:
+        _GENERATORS.update(_build_generators())
     try:
         return _GENERATORS[name]
     except KeyError:
-        valid = ", ".join(NAMES)
-        raise ValueError(f"unknown generator {name!r} (expected one of: {valid})") from None
+        raise _unknown(name) from None
 
 
 def generator_tuple(name: str) -> BracketVector:
     """The bracket tuple of a built-in generator."""
-    return generator(name).bracket
+    try:
+        return _TUPLES[name]
+    except KeyError:
+        raise _unknown(name) from None
+
+
+def _unknown(name: str) -> ValueError:
+    valid = ", ".join(NAMES)
+    return ValueError(f"unknown generator {name!r} (expected one of: {valid})")
 
 
 def generator_diagram(name: str) -> ShadowDiagram:
@@ -117,6 +125,7 @@ def generator_diagram(name: str) -> ShadowDiagram:
 
 @lru_cache(maxsize=None)
 def _check_diagram(name: str) -> None:
+    from .oracle import enumerate_states
     spec = generator(name)
     found = enumerate_states(spec.diagram)
     if found != spec.bracket:

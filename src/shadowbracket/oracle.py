@@ -32,14 +32,15 @@ fold exactly.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .bracket import BracketVector, compose
+# The word algebra lives with the tuple algebra; it is re-exported here.
+from .bracket import (WORD_LETTERS, BracketVector, letter_tuple,  # noqa: F401
+                      parse_word, word_tuple)
 from .poly import Polynomial
+from .record import Record
 from .tl3 import ELEMENTS, TLElement
 
 DEFAULT_MAX_CROSSINGS = 20
@@ -49,17 +50,6 @@ DEFAULT_MAX_CROSSINGS = 20
 MAX_FREE_LOOPS = 1_000_000
 
 BOUNDARY_LABELS = ("L1", "L2", "L3", "R1", "R2", "R3")
-
-WORD_LETTERS = ("X1", "X2", "U1", "U2")
-
-# Single-letter tangles: a crossing splits into the identity and a cup-cap,
-# while the cup-cap letters are monoid basis elements outright.
-_LETTER_TUPLES = {
-    "X1": BracketVector.of(1, 1, 0, 0, 0),
-    "X2": BracketVector.of(1, 0, 1, 0, 0),
-    "U1": BracketVector.of(0, 1, 0, 0, 0),
-    "U2": BracketVector.of(0, 0, 1, 0, 0),
-}
 
 
 class MalformedDiagramError(ValueError):
@@ -77,21 +67,21 @@ class Boundary(NamedTuple):
     right: tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class ShadowDiagram:
+class ShadowDiagram(Record):
     """A planar shadow diagram in PD-code style, validated on construction."""
 
-    crossings: tuple[tuple[str, str, str, str], ...]
-    boundary: Boundary | None = None
-    free_loops: int = 0
+    __slots__ = ("crossings", "boundary", "free_loops")
 
-    def __post_init__(self):
-        crossings = tuple(tuple(str(e) for e in quad) for quad in self.crossings)
-        object.__setattr__(self, "crossings", crossings)
-        if self.boundary is not None:
-            left, right = self.boundary
+    def __init__(self, crossings: Sequence[Sequence[str]],
+                 boundary: Boundary | None = None, free_loops: int = 0):
+        set_field = object.__setattr__
+        set_field(self, "crossings",
+                  tuple(tuple(str(e) for e in quad) for quad in crossings))
+        if boundary is not None:
+            left, right = boundary
             boundary = Boundary(tuple(str(e) for e in left), tuple(str(e) for e in right))
-            object.__setattr__(self, "boundary", boundary)
+        set_field(self, "boundary", boundary)
+        set_field(self, "free_loops", free_loops)
         self.validate()
 
     @property
@@ -311,29 +301,6 @@ def _fragments(graph: dict[object, set], drawn: set, used: set):
                 yield attachments, end + [node]
 
 
-def parse_word(text: str) -> tuple[str, ...]:
-    """Parse the whitespace-separated tangle word form, e.g. ``"X1 X2 U1"``."""
-    letters = tuple(text.split())
-    for letter in letters:
-        if letter not in WORD_LETTERS:
-            valid = ", ".join(WORD_LETTERS)
-            raise ValueError(f"unknown tangle letter {letter!r} (expected one of: {valid})")
-    return letters
-
-
-def letter_tuple(letter: str) -> BracketVector:
-    """The bracket tuple of a single tangle letter."""
-    try:
-        return _LETTER_TUPLES[letter]
-    except KeyError:
-        raise ValueError(f"unknown tangle letter {letter!r}") from None
-
-
-def word_tuple(letters: Sequence[str]) -> BracketVector:
-    """The bracket tuple of a word, by composing the letter tuples."""
-    return reduce(compose, (letter_tuple(l) for l in letters), BracketVector.unit())
-
-
 def compile_word(letters: Sequence[str]) -> ShadowDiagram:
     """Compile a tangle word into a shadow diagram, gluing left to right.
 
@@ -360,14 +327,16 @@ def compile_word(letters: Sequence[str]) -> ShadowDiagram:
     return state.finish(Boundary(left, tuple(strands)))
 
 
-@dataclass
 class _Builder:
     """Accumulates crossings and crossingless joins while assembling a diagram."""
 
-    crossings: list[tuple[str, str, str, str]] = field(default_factory=list)
-    merges: _Roots = field(default_factory=_Roots)
-    free_loops: int = 0
-    _counter: int = 0
+    __slots__ = ("crossings", "merges", "free_loops", "_counter")
+
+    def __init__(self):
+        self.crossings: list[tuple[str, str, str, str]] = []
+        self.merges = _Roots()
+        self.free_loops = 0
+        self._counter = 0
 
     def fresh(self) -> str:
         name = f"e{self._counter}"

@@ -8,7 +8,9 @@ exact at any size; there is deliberately no float path and no division.
 Two interchange forms round-trip with each other: a text form like
 ``3x^3+8x^2+5x`` (descending powers, zero terms omitted, unit coefficients
 omitted except for constants) and a JSON array form like ``[0, 5, 8, 3]``
-whose index is the power of x.
+whose index is the power of x.  Text is exact at any size: an int too long
+for ``str`` (``sys.int_max_str_digits``) converts through ``Decimal``
+(:func:`int_text`, :func:`parse_int`).
 
 Products take one of two exact routes, chosen by the shorter operand's
 length.  Products with a short operand are formed term by term.  Products
@@ -28,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 _TERM_RE = re.compile(r"^([0-9]+)?(x(?:\^([0-9]+))?)?$")
 _SPLIT_RE = re.compile(r"[+-][^+-]*|^[^+-]+")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 PolynomialLike = Union["Polynomial", int, Iterable[int]]
 
@@ -191,6 +194,9 @@ class Polynomial:
         return f"Polynomial({list(self._coeffs)!r})"
 
     def __str__(self) -> str:
+        return render_ints(self._text)
+
+    def _text(self, digits: Callable[[int], str]) -> str:
         if not self._coeffs:
             return "0"
         parts = []
@@ -201,10 +207,10 @@ class Polynomial:
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
             if power == 0:
-                body = str(mag)
+                body = digits(mag)
             else:
                 var = "x" if power == 1 else f"x^{power}"
-                body = var if mag == 1 else f"{mag}{var}"
+                body = var if mag == 1 else digits(mag) + var
             parts.append(sign + body)
         return "".join(parts)
 
@@ -227,7 +233,7 @@ class Polynomial:
             match = _TERM_RE.match(body)
             if not match or (match.group(1) is None and match.group(2) is None):
                 raise ValueError(f"cannot parse polynomial term: {term!r}")
-            coeff = int(match.group(1)) if match.group(1) is not None else 1
+            coeff = parse_int(match.group(1)) if match.group(1) is not None else 1
             if match.group(2) is None:
                 power = 0
             elif match.group(3) is None:
@@ -278,6 +284,41 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
         borrows = b"".join([one if c < 0 else zero for c in coeffs])
         packed -= int.from_bytes(borrows, "little") << (8 * width)
     return packed
+
+
+def int_text(value: int) -> str:
+    """The decimal digits of ``value``, however many there are.
+
+    ``str`` refuses an int of more than ``sys.int_max_str_digits`` digits
+    (4,300 by default), and a library must not raise that process-wide
+    limit; ``Decimal`` converts any int exactly.
+    """
+    from decimal import Decimal
+    return str(Decimal(value))
+
+
+def render_ints(render: Callable[[Callable[[int], str]], T]) -> T:
+    """``render(str)``, or ``render(int_text)`` if an int is too long for ``str``.
+
+    ``render`` turns every int it prints into text with the function it is
+    given.  Only a render that meets an over-long int runs a second time,
+    so the common case costs what plain ``str`` costs.
+    """
+    try:
+        return render(str)
+    except ValueError:
+        return render(int_text)
+
+
+def parse_int(text: str) -> int:
+    """``int(text)``, exact also past ``sys.int_max_str_digits`` digits."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _INT_RE.fullmatch(text):
+            raise
+        from decimal import Decimal
+        return int(Decimal(text))
 
 
 def power_by_squaring(base: T, exponent: int, unit: T,

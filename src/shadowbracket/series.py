@@ -21,25 +21,26 @@ lines or as OEIS-style b-files ("index value" per line).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
 from .bracket import BracketVector, closure_gf_terms
 from .generators import generator_tuple
-from .poly import ONE, Polynomial, series_coefficients
+from .poly import ONE, Polynomial, int_text, parse_int, render_ints, series_coefficients
+from .record import Record
 
 
-@dataclass(frozen=True)
-class RationalTerm:
+class RationalTerm(Record):
     """A ratio of polynomials in y whose coefficients are polynomials in x."""
 
-    numerator: tuple[Polynomial, ...]
-    denominator: tuple[Polynomial, ...]
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if not self.denominator or self.denominator[0] != ONE:
+    def __init__(self, numerator: tuple[Polynomial, ...],
+                 denominator: tuple[Polynomial, ...]):
+        if not denominator or denominator[0] != ONE:
             raise ValueError("denominator must have constant term 1")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     def expand(self, count: int, precision: int | None = None) -> list[Polynomial]:
         """First ``count + 1`` series coefficients, by the denominator recurrence.
@@ -52,12 +53,14 @@ class RationalTerm:
                                                precision), count + 1))
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Record):
     """Generating function of the closure brackets of a tangle's powers."""
 
-    pair_part: RationalTerm
-    geometric_part: RationalTerm
+    __slots__ = ("pair_part", "geometric_part")
+
+    def __init__(self, pair_part: RationalTerm, geometric_part: RationalTerm):
+        object.__setattr__(self, "pair_part", pair_part)
+        object.__setattr__(self, "geometric_part", geometric_part)
 
     def expand(self, count: int, precision: int | None = None) -> list[Polynomial]:
         first = self.pair_part.expand(count, precision)
@@ -124,12 +127,13 @@ def _check_column_index(k: int) -> None:
 
 
 def csv_lines(table: Sequence[Sequence[int]]) -> list[str]:
-    return [",".join(str(v) for v in row) for row in table]
+    return render_ints(lambda text: [",".join(map(text, row)) for row in table])
 
 
 def bfile_lines(values: Sequence[int], offset: int = 0) -> list[str]:
     """OEIS b-file form: one "index value" pair per line."""
-    return [f"{offset + i} {value}" for i, value in enumerate(values)]
+    return render_ints(lambda text: [f"{offset + i} {text(value)}"
+                                     for i, value in enumerate(values)])
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -142,7 +146,7 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
         parts = body.split()
         if len(parts) != 2:
             raise ValueError(f"bad b-file line {lineno}: {line!r}")
-        entries.append((int(parts[0]), int(parts[1])))
+        entries.append((parse_int(parts[0]), parse_int(parts[1])))
     return entries
 
 
@@ -151,8 +155,9 @@ def compare_bfiles(ours: str, reference: str) -> str | None:
     a, b = parse_bfile(ours), parse_bfile(reference)
     for i, (left, right) in enumerate(zip(a, b)):
         if left != right:
-            return (f"mismatch at line {i + 1}: "
-                    f"{left[0]} {left[1]} != {right[0]} {right[1]}")
+            ours_line, reference_line = (" ".join(map(int_text, entry))
+                                         for entry in (left, right))
+            return f"mismatch at line {i + 1}: {ours_line} != {reference_line}"
     if len(a) != len(b):
         return f"length mismatch: {len(a)} lines versus {len(b)}"
     return None

@@ -1,0 +1,159 @@
+"""The self-check suites behind ``shadowbracket verify``.
+
+Each suite yields ``(label, ok, detail)`` rows:
+
+- tables: the coefficient triangles against the frozen reference rows;
+- oracle: random words and generator powers, where the frontier
+  contraction, the brute-force state sum and the tuple algebra must agree;
+- charpoly: the determinant route against the factored characteristic
+  polynomial;
+- recurrence: closure of the power, the closed-form recurrence and the
+  series expansion, plus the truncated column route.
+
+Every run ends with the T column identity (alternate Lucas numbers minus 2).
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Iterable, Iterator
+
+from .bracket import (WORD_LETTERS, BracketVector, charpoly, charpoly_factored,
+                      closed_form_bracket, closure, power, states_matrix, word_tuple)
+from .contraction import contract
+from .generators import generator, generator_tuple
+from .oracle import (DEFAULT_MAX_CROSSINGS, ShadowDiagram, close_diagram, compile_word,
+                     enumerate_states, glue)
+from .poly import Polynomial
+from .reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
+from .series import (bfile_lines, coefficient_column, coefficient_table, column,
+                     compare_bfiles, expand, gf_from_tuple)
+
+
+def run_suites(suites: dict, names: Iterable[str], args) -> Iterator[tuple]:
+    """The (label, ok, detail) rows of the selected suites."""
+    if suites["tables"]:
+        for name in names:
+            yield from _verify_tables(name, args.rows)
+    if suites["oracle"]:
+        yield from _verify_words(args.words, args.seed)
+        for name in names:
+            yield from _verify_generator_oracle(name, args.max_n)
+    if suites["charpoly"]:
+        for name in names:
+            yield from _verify_charpoly(name)
+        yield from _verify_charpoly_random(20, args.seed)
+    if suites["recurrence"]:
+        for name in names:
+            yield from _verify_recurrence(name)
+            yield from _verify_column_route(name)
+    yield from _verify_column_identity()
+
+
+def _verify_tables(name: str, rows: int | None) -> Iterator[tuple]:
+    reference = TABLE_ROWS[name]
+    last = len(reference) - 1 if rows is None else rows
+    if last >= len(reference):
+        raise ValueError(
+            f"no reference rows beyond n = {len(reference) - 1} for generator {name}")
+    computed = coefficient_table(name, last)
+    for n in range(last + 1):
+        ok = computed[n] == reference[n]
+        detail = "" if ok else f"computed {computed[n]}, reference {reference[n]}"
+        yield (f"tables {name} row {n}", ok, detail)
+
+
+def _verify_words(count: int, seed: int) -> Iterator[tuple]:
+    rng = random.Random(seed)
+    bad = ""
+    for _ in range(count):
+        letters = tuple(rng.choice(WORD_LETTERS)
+                        for _ in range(rng.randint(0, 8)))
+        bad = _disagreement(compile_word(letters), word_tuple(letters))
+        if bad:
+            bad = f"word {' '.join(letters) or '(empty)'}: {bad}"
+            break
+    yield (f"oracle {count} random words", not bad, bad)
+
+
+def _verify_generator_oracle(name: str, max_n: int) -> Iterator[tuple]:
+    spec = generator(name)
+    diagram = spec.diagram
+    for n in range(1, max_n + 1):
+        if spec.crossings * n > DEFAULT_MAX_CROSSINGS:
+            yield (f"oracle {name}^{n}..{name}^{max_n} skipped: crossing limit",
+                   True, "")
+            return
+        if n > 1:
+            diagram = glue(diagram, spec.diagram)
+        expected = power(spec.bracket, n)
+        detail = _disagreement(diagram, expected)
+        if not detail and n <= 2:
+            detail = _disagreement(close_diagram(diagram), closure(expected))
+            detail = detail and f"closure {detail}"
+        yield (f"oracle {name}^{n}", not detail, detail)
+
+
+def _disagreement(diagram: ShadowDiagram, expected: BracketVector | Polynomial) -> str:
+    """Empty if the contraction, the state sum and ``expected`` all agree."""
+    contracted = contract(diagram)
+    summed = enumerate_states(diagram)
+    if contracted == summed == expected:
+        return ""
+    return f"contraction {contracted}, state sum {summed}, expected {expected}"
+
+
+def _verify_charpoly(name: str) -> Iterator[tuple]:
+    v = generator_tuple(name)
+    ok = charpoly(states_matrix(v)) == charpoly_factored(v)
+    yield (f"charpoly factorisation {name}", ok,
+           "" if ok else "determinant route disagrees with factored form")
+
+
+def _verify_charpoly_random(count: int, seed: int) -> Iterator[tuple]:
+    rng = random.Random(seed)
+    bad = None
+    for _ in range(count):
+        v = _random_tuple(rng)
+        if charpoly(states_matrix(v)) != charpoly_factored(v):
+            bad = f"tuple {v}"
+            break
+    yield (f"charpoly factorisation on {count} random tuples", bad is None, bad or "")
+
+
+def _verify_recurrence(name: str) -> Iterator[tuple]:
+    v = generator_tuple(name)
+    series = expand(gf_from_tuple(v), 10)
+    bad = None
+    for n in range(11):
+        direct = closure(power(v, n))
+        recurrent = closed_form_bracket(v, n)
+        if not (direct == recurrent == series[n]):
+            bad = (f"n = {n}: closure {direct}, recurrence {recurrent}, "
+                   f"series {series[n]}")
+            break
+    yield (f"recurrence/series agreement {name} (n <= 10)", bad is None, bad or "")
+
+
+def _verify_column_route(name: str) -> Iterator[tuple]:
+    table = coefficient_table(name, 10)
+    bad = next((k for k in range(4)
+                if coefficient_column(name, 10, k) != column(table, k)), None)
+    yield (f"truncated column route {name} (k <= 3, n <= 10)", bad is None,
+           "" if bad is None else f"column {bad} differs from the coefficient table")
+
+
+def _verify_column_identity() -> Iterator[tuple]:
+    table = coefficient_table("T", 10)
+    ours = "\n".join(bfile_lines(column(table, 1)))
+    reference = "\n".join(bfile_lines(ALTERNATE_LUCAS_MINUS_2))
+    problem = compare_bfiles(ours, reference)
+    yield ("T column k=1 equals alternate Lucas numbers minus 2",
+           problem is None, problem or "")
+
+
+def _random_tuple(rng: random.Random) -> BracketVector:
+    def entry() -> Polynomial:
+        return Polynomial([rng.randint(-3, 3), rng.randint(-3, 3)])
+    return BracketVector(*(entry() for _ in range(5)))
+

@@ -4,12 +4,14 @@ import random
 import pytest
 
 from conftest import P, rand_word
-from shadowbracket import cli
-from shadowbracket.bracket import BracketVector, closure, power
+from shadowbracket import cli, oracle, verify
+from shadowbracket.bracket import BracketVector, closure, parse_word, power, word_tuple
 from shadowbracket.generators import generator_diagram, generator_tuple
 from shadowbracket.oracle import (ShadowDiagram, close_diagram, compile_word,
                                   enumerate_states)
-from shadowbracket.series import bfile_lines, coefficient_table, column
+from shadowbracket.poly import Polynomial, int_text
+from shadowbracket.series import (bfile_lines, coefficient_column, coefficient_table,
+                                  column, expand, gf_from_tuple, render_gf)
 
 
 def run(capsys, *argv):
@@ -179,7 +181,7 @@ class TestVerifyCommand:
         assert "oracle T^3" in out
 
     def test_oracle_says_which_powers_it_skips(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "DEFAULT_MAX_CROSSINGS", 4)
+        monkeypatch.setattr(verify, "DEFAULT_MAX_CROSSINGS", 4)
         code, out, _ = run(capsys, "verify", "--oracle", "--generator", "T",
                            "--max-n", "5", "--words", "0")
         assert code == 0
@@ -200,7 +202,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--recurrence", "--generator", "E")
         assert code == 0
         assert "PASS  truncated column route E" in out
-        monkeypatch.setattr(cli, "coefficient_column",
+        monkeypatch.setattr(verify, "coefficient_column",
                             lambda name, rows, k: [k] * (rows + 1))
         code, out, _ = run(capsys, "verify", "--recurrence")
         assert code == 1
@@ -208,9 +210,9 @@ class TestVerifyCommand:
             assert f"FAIL  truncated column route {name}" in out
 
     def test_mismatch_reports_location_and_fails(self, capsys, monkeypatch):
-        broken = [list(row) for row in cli.TABLE_ROWS["C"]]
+        broken = [list(row) for row in verify.TABLE_ROWS["C"]]
         broken[2][1] = 10
-        monkeypatch.setitem(cli.TABLE_ROWS, "C", broken)
+        monkeypatch.setitem(verify.TABLE_ROWS, "C", broken)
         code, out, _ = run(capsys, "verify", "--tables", "--generator", "C")
         assert code == 1
         assert "FAIL  tables C row 2" in out
@@ -339,6 +341,14 @@ class TestBadInput:
         path = tmp_path / "tuple.json"
         path.write_text(json.dumps(payload))
         assert _refused(*run(capsys, "bracket", "--tuple", str(path)))
+
+    def test_extra_tuple_key_is_named(self, capsys, tmp_path):
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"a": [1], "b": [1], "c": [1], "d": [0], "e": [1],
+                                    "f": [2]}))
+        code, out, err = run(capsys, "bracket", "--tuple", str(path))
+        assert _refused(code, out, err)
+        assert "'f'" in err
 
     def test_negative_export_column(self, capsys):
         assert _refused(*run(capsys, "export", "--generator", "T", "--rows", "6",
@@ -519,17 +529,209 @@ class TestContractionRoute:
     def test_pd_input_does_not_enumerate_states(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("state sum called")
-        monkeypatch.setattr(cli, "enumerate_states", refuse)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(generator_diagram("C").to_json()))
+        monkeypatch.setattr(oracle, "enumerate_states", refuse)
         code, out, _ = run(capsys, "bracket", "--pd", str(path))
         assert (code, out) == (0, "[x+2, x+2, 1, 0, 1]\n")
 
     def test_verify_oracle_checks_the_contraction(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "contract",
+        monkeypatch.setattr(verify, "contract",
                             lambda diagram: BracketVector.of(0, 0, 0, 0, 1))
         code, out, _ = run(capsys, "verify", "--oracle", "--generator", "T",
                            "--words", "5", "--max-n", "1")
         assert code == 1
         assert "FAIL  oracle 5 random words: word" in out
         assert "FAIL  oracle T^1: contraction" in out
+
+
+class TestLongIntegers:
+    """Integers past ``sys.int_max_str_digits`` (4,300 digits), read and written exactly."""
+
+    def test_export_column_past_the_digit_limit(self, capsys):
+        # Row 5264 is the first whose column-1 value has more than 4,300 digits.
+        code, out, err = run(capsys, "export", "--generator", "E", "--rows", "5264",
+                             "--column", "1")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        index, digits = lines[-1].split()
+        assert (len(lines), index, len(digits)) == (5265, "5264", 4301)
+        from decimal import Decimal
+        assert int(Decimal(digits)) == coefficient_column("E", 5264, 1)[-1]
+
+    def write_tuple(self, tmp_path, a_text: str):
+        path = tmp_path / "tuple.json"
+        path.write_text('{"a": [' + a_text + '], "b": [], "c": [], "d": [], "e": []}')
+        return path
+
+    def test_tuple_power_past_the_digit_limit(self, capsys, tmp_path):
+        path = self.write_tuple(tmp_path, str(10 ** 1000 + 7))
+        code, out, err = run(capsys, "bracket", "--tuple", str(path), "--n", "5")
+        assert (code, err) == (0, "")
+        assert out == f"[{int_text((10 ** 1000 + 7) ** 5)}, 0, 0, 0, 0]\n"
+
+    def test_json_output_past_the_digit_limit_names_the_text_format(self, capsys,
+                                                                   tmp_path):
+        path = self.write_tuple(tmp_path, str(10 ** 1000 + 7))
+        code, out, err = run(capsys, "bracket", "--tuple", str(path), "--n", "5",
+                             "--format", "json")
+        assert _refused(code, out, err)
+        assert "--format text" in err
+
+    def test_json_input_past_the_digit_limit_is_read_exactly(self, capsys, tmp_path):
+        path = self.write_tuple(tmp_path, "-" + "9" * 5000)
+        code, out, err = run(capsys, "bracket", "--tuple", str(path))
+        assert (code, out, err) == (0, "[-" + "9" * 5000 + ", 0, 0, 0, 0]\n", "")
+
+    def test_compare_reads_long_reference_values(self, capsys, tmp_path):
+        reference = tmp_path / "reference.txt"
+        reference.write_text("0 0\n1 " + "1" * 5000 + "\n")
+        code, out, err = run(capsys, "export", "--generator", "T", "--rows", "1",
+                             "--column", "1", "--compare", str(reference))
+        assert (code, err) == (1, "")
+        assert out.endswith("MISMATCH against " + str(reference)
+                            + ": mismatch at line 2: 1 1 != 1 " + "1" * 5000 + "\n")
+
+
+# --- seeded fuzz of tuple, word and flag inputs ------------------------------
+
+def outcome(capsys, *argv):
+    """Exit code, stdout and stderr of one run; usage errors exit through argparse."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_value_or_refused(result, expected, case) -> int:
+    """Exit 0 printing ``expected()``, or exit 2 on one error line."""
+    code, out, err = result
+    if code == 0:
+        assert (out, err) == (f"{expected()}\n", ""), case
+    else:
+        assert _refused(code, out, err), case
+        assert "error: " in err and "Traceback" not in err, case
+    return code
+
+
+# JSON values of the wrong kind for a tuple slot or a coefficient; [] is right.
+_TUPLE_JUNK = (None, True, False, 2.5, 3.0, float("nan"), float("inf"), "1", "x", {},
+               [], [[1]], [True], [1.0], [None], {"a": [1]})
+
+
+def _mutated_tuple(rng: random.Random) -> str:
+    data = {key: [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))] for key in "abcde"}
+    kind = rng.choice(("slot", "coefficient", "drop", "extra", "top", "nest", "keep"))
+    key = rng.choice("abcde")
+    if kind == "slot":
+        data[key] = rng.choice(_TUPLE_JUNK)
+    elif kind == "coefficient":
+        data[key].insert(rng.randint(0, len(data[key])), rng.choice(_TUPLE_JUNK))
+    elif kind == "drop":
+        del data[key]
+    elif kind == "extra":
+        data[rng.choice(("f", "A", "", "aa", "0"))] = [2]
+    elif kind == "top":
+        return json.dumps(rng.choice(_TUPLE_JUNK + ([data], "abcde")))
+    elif kind == "nest":
+        depth = rng.choice((50, 100000))
+        return "[" * depth + json.dumps(data) + "]" * depth
+    return json.dumps(data)
+
+
+def _well_formed_tuple(text: str) -> BracketVector:
+    """The tuple of JSON text checked here, apart from the library: an object
+    with exactly the keys a-e, each a list of exact ints."""
+    data = json.loads(text)
+    assert isinstance(data, dict) and sorted(data) == list("abcde"), text
+    assert all(isinstance(coeffs, list) and all(type(c) is int for c in coeffs)
+               for coeffs in data.values()), text
+    return BracketVector(*(Polynomial(data[key]) for key in "abcde"))
+
+
+def test_fuzzed_tuple_input_is_refused_or_read(capsys, tmp_path):
+    rng = random.Random(29)
+    path = tmp_path / "tuple.json"
+    codes = set()
+    for _ in range(120):
+        text = _mutated_tuple(rng)
+        path.write_text(text)
+        result = outcome(capsys, "bracket", "--tuple", str(path))
+        codes.add(assert_value_or_refused(result, lambda: _well_formed_tuple(text), text))
+    assert codes == {0, 2}
+
+
+_WORD_NOISE = ("X3", "x1", "U", "X", "1", "XX1", "X1X2", "é", "-X1", "\x00", "\x1b[0m",
+               "\x7f", "X1\x00", "U1,")
+_SEPARATORS = (",", ", ", ";", "+", "\t", "\n", "  ", " ", " ", "\x1c", "")
+
+
+def _mutated_word(rng: random.Random) -> str:
+    letters = list(rand_word(rng, 6))
+    kind = rng.choice(("noise", "separator", "empty", "keep"))
+    if kind == "noise":
+        letters.insert(rng.randint(0, len(letters)), rng.choice(_WORD_NOISE))
+    elif kind == "separator":
+        return rng.choice(_SEPARATORS).join(letters)
+    elif kind == "empty":
+        return rng.choice(("", " ", "\t\n"))
+    return " ".join(letters)
+
+
+def test_fuzzed_word_input_is_refused_or_composed(capsys):
+    rng = random.Random(31)
+    codes = set()
+    for _ in range(150):
+        word = _mutated_word(rng)
+        result = outcome(capsys, "bracket", "--word", word)
+        codes.add(assert_value_or_refused(
+            result, lambda: word_tuple(parse_word(word)), repr(word)))
+    assert codes == {0, 2}
+
+
+def _gf_text(k: int) -> str:
+    gf = gf_from_tuple(word_tuple(("X1", "U2")))
+    return "\n".join([render_gf(gf)] + [f"y^{n}: {p}" for n, p in enumerate(expand(gf, k))])
+
+
+# Each count flag: a command that takes it last, and what the command prints.
+_COUNT_FLAGS = {
+    "--n": (("bracket", "--generator", "C", "--n"),
+            lambda k: str(power(generator_tuple("C"), k))),
+    "--rows": (("table", "--generator", "E", "--rows"),
+               lambda k: "\n".join(" ".join(map(str, row))
+                                   for row in coefficient_table("E", k))),
+    "--terms": (("gf", "--word", "X1 U2", "--terms"), _gf_text),
+    "--column": (("export", "--generator", "T", "--rows", "3", "--column"),
+                 lambda k: "\n".join(bfile_lines(coefficient_column("T", 3, k)))),
+    "--max-n": (("verify", "--oracle", "--generator", "T", "--words", "2", "--max-n"),
+                None),
+    "--words": (("verify", "--oracle", "--generator", "C", "--max-n", "1", "--words"),
+                None),
+}
+
+# Invalid or small values; int() reads "+2", " 3" and "٣" (Arabic-Indic 3).
+_COUNT_VALUES = ("-1", "-12", "", " ", "x", "1.5", "0x2", "2e1", "+2", " 3", "٣",
+                 "0", "1")
+
+
+@pytest.mark.parametrize("flag", list(_COUNT_FLAGS))
+def test_count_flags_are_refused_or_run(capsys, flag):
+    command, expected = _COUNT_FLAGS[flag]
+    for value in _COUNT_VALUES:
+        code, out, err = result = outcome(capsys, *command, value)
+        try:
+            count = int(value)
+        except ValueError:
+            count = None
+        if count is None or count < 0:
+            assert _refused(code, out, err) and "Traceback" not in err, value
+            assert flag in err, value
+        elif expected is None:
+            assert code == 0 and "FAIL" not in out, value
+            assert out.endswith(" checks passed\n"), value
+        else:
+            assert_value_or_refused(result, lambda: expected(count), value)
+            assert code == 0, value

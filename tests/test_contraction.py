@@ -213,3 +213,52 @@ class TestFrontierLimit:
             contract(diagram)
         monkeypatch.setattr(contraction, "MAX_MATCHINGS", 5)
         assert contract(diagram).evaluate(1) == 2 ** 16
+
+
+def max_greedy_order(diagram: ShadowDiagram) -> list[tuple[int, ...]]:
+    """The crossings in the order of the plain greedy pick, as numbered quads.
+
+    Each step scans every crossing left for the most slots on open edges,
+    ties to the lowest index; an edge listed once in the added crossing
+    toggles between open and closed.
+    """
+    index = {}
+    for edge in [e for quad in diagram.crossings for e in quad] + list(
+            diagram.boundary_edges()):
+        index.setdefault(edge, len(index))
+    quads = [tuple(index[e] for e in quad) for quad in diagram.crossings]
+    open_edges: set[int] = set()
+    remaining, order = list(range(len(quads))), []
+    while remaining:
+        pick = max(remaining, key=lambda i: (sum(e in open_edges for e in quads[i]), -i))
+        remaining.remove(pick)
+        order.append(quads[pick])
+        open_edges ^= {e for e in quads[pick] if quads[pick].count(e) == 1}
+    return order
+
+
+class TestCrossingOrder:
+    def diagrams(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            diagram = shuffled(compile_word(rand_word(rng, 14)), rng)
+            yield diagram
+            yield close_diagram(diagram)
+        for name in NAMES:
+            for n in (1, 2, 5, 9):
+                yield generator_power(name, n)
+                yield close_diagram(generator_power(name, n))
+
+    def test_heap_pick_matches_the_plain_greedy_pick(self, monkeypatch):
+        added = []
+        add_crossing = contraction._add_crossing
+
+        def recording(states, frontier, quad, after):
+            added.append(quad)
+            return add_crossing(states, frontier, quad, after)
+
+        monkeypatch.setattr(contraction, "_add_crossing", recording)
+        for diagram in self.diagrams():
+            added.clear()
+            contract(diagram)
+            assert added == max_greedy_order(diagram), diagram

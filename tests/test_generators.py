@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -54,8 +53,9 @@ class TestDiagrams:
             generators._check_diagram.cache_clear()
 
     def test_self_check_rejects_a_corrupted_diagram(self, monkeypatch):
-        broken = dataclasses.replace(generator("C"),
-                                     diagram=compile_word(("X1", "X2", "X1")))
+        spec = generator("C")
+        broken = generators.GeneratorSpec(spec.name, spec.bracket, spec.word,
+                                          compile_word(("X1", "X2", "X1")))
         monkeypatch.setitem(generators._GENERATORS, "C", broken)
         generators._check_diagram.cache_clear()
         try:

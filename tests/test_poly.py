@@ -1,11 +1,12 @@
 import json
 import random
+import sys
 
 import pytest
 
 from conftest import P, rand_poly
-from shadowbracket.poly import (KRONECKER_MIN_TERMS, ONE, Polynomial, X, ZERO,
-                                power_by_squaring, series_coefficients)
+from shadowbracket.poly import (KRONECKER_MIN_TERMS, ONE, Polynomial, X, ZERO, int_text,
+                                parse_int, power_by_squaring, series_coefficients)
 
 
 class TestAddition:
@@ -320,3 +321,30 @@ class TestKernels:
                 reduced = series_coefficients(numerator, denominator, precision)
                 for (_, term), cut in zip(full, reduced):
                     assert cut == term.truncate(precision)
+
+
+class TestLongIntegerText:
+    """Ints past ``sys.int_max_str_digits`` convert exactly, limit untouched."""
+
+    LONG = 7 * 10 ** 5000 + 3
+
+    def test_text_round_trips_past_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        for value in (self.LONG, -self.LONG, 0, -12, 10 ** 4299):
+            text = int_text(value)
+            assert parse_int(text) == value
+            assert text == ("-" if value < 0 else "") + (
+                "7" + "0" * 4999 + "3" if abs(value) == self.LONG else str(abs(value)))
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("text", ["1" * 5000 + ".5", "1" * 5000 + "e3", "x" + "1" * 5000,
+                                      "1.5", "", "1" * 5000 + " 2"])
+    def test_parse_refuses_what_int_refuses(self, text):
+        with pytest.raises(ValueError):
+            parse_int(text)
+
+    def test_polynomial_text_round_trips_past_the_limit(self):
+        p = Polynomial([self.LONG, 0, -self.LONG, 1, -1])
+        text = str(p)
+        assert text == f"-x^4+x^3-{int_text(self.LONG)}x^2+{int_text(self.LONG)}"
+        assert Polynomial.parse(text) == p

@@ -189,3 +189,13 @@ def test_coefficient_rows_accepts_any_tuple():
 def test_negative_column_is_rejected():
     with pytest.raises(ValueError):
         column([[1, 2], [3, 4]], -1)
+
+
+class TestLongIntegerExport:
+    def test_lines_past_the_digit_limit_round_trip(self):
+        long = -(10 ** 6000) - 1
+        digits = "-1" + "0" * 5999 + "1"
+        assert csv_lines([[1, long], [2]]) == [f"1,{digits}", "2"]
+        assert bfile_lines([5, long], 3) == ["3 5", f"4 {digits}"]
+        assert parse_bfile("\n".join(bfile_lines([5, long], 3))) == [(3, 5), (4, long)]
+        assert compare_bfiles(f"0 {digits}", "0 1") == f"mismatch at line 1: 0 {digits} != 0 1"
