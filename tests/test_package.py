@@ -3,6 +3,7 @@
 import copy
 import importlib
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -35,7 +36,8 @@ PUBLIC_NAMES = [
 
 def python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          cwd=SRC.parent, env={"PYTHONPATH": str(SRC)}, timeout=60)
+                          cwd=SRC.parent, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=60)
 
 
 class TestLazyPackage:
