@@ -34,8 +34,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .bracket import BracketVector
-from .oracle import (BOUNDARY_LABELS, ShadowDiagram, _number_edges, _SMOOTHINGS,
-                     classify_boundary)
+from .oracle import ShadowDiagram, _boundary_element, _number_edges, _SMOOTHINGS
 from .poly import Polynomial
 from .tl3 import ELEMENTS, TLElement
 
@@ -98,17 +97,15 @@ def contract(diagram: ShadowDiagram) -> BracketVector | Polynomial:
     shift = diagram.free_loops
     if diagram.boundary is None:
         return Polynomial([0] * shift + states[()])
-    labels: dict[int, list[str]] = {}
-    for label, edge in zip(BOUNDARY_LABELS, diagram.boundary_edges()):
-        labels.setdefault(index[edge], []).append(label)
-    # Every open edge left is a terminal; an edge listed twice in the boundary
-    # joins its two terminals without meeting a crossing.
-    straight = [frozenset(pair) for pair in labels.values() if len(pair) == 2]
+    terminals = [index[edge] for edge in diagram.boundary_edges()]
     slots: dict[TLElement, list[int]] = {}
     for key, counts in states.items():
-        pairing = frozenset(straight + [frozenset(labels[a] + labels[b])
-                                        for a, b in zip(frontier, key) if a < b])
-        _add_shifted(slots, classify_boundary(pairing), counts, shift)
+        # Every open edge left is a terminal, and an arc's two terminals share
+        # the lower edge number as root; an edge listed twice in the boundary
+        # joins its two terminals without meeting a crossing.
+        far = dict(zip(frontier, key))
+        roots = [min(t, far.get(t, t)) for t in terminals]
+        _add_shifted(slots, _boundary_element(roots), counts, shift)
     return BracketVector(*(Polynomial(slots.get(element, ())) for element in ELEMENTS))
 
 

@@ -41,7 +41,7 @@ from .bracket import (WORD_LETTERS, BracketVector, letter_tuple,  # noqa: F401
                       parse_word, word_tuple)
 from .poly import Polynomial
 from .record import Record
-from .tl3 import ELEMENTS, TLElement
+from .tl3 import ELEMENTS, MATCHINGS, TLElement
 
 DEFAULT_MAX_CROSSINGS = 20
 
@@ -402,37 +402,17 @@ def mirror_diagram(diagram: ShadowDiagram) -> ShadowDiagram:
     return builder.finish(boundary, extra_loops=diagram.free_loops)
 
 
-# The five non-crossing perfect matchings of the boundary circle, keyed by
-# the induced pairing of labels.
-def _pairing(*pairs: tuple[str, str]) -> frozenset[frozenset[str]]:
-    return frozenset(frozenset(pair) for pair in pairs)
-
-
-_PAIRING_TO_ELEMENT = {
-    _pairing(("L1", "R1"), ("L2", "R2"), ("L3", "R3")): TLElement.ID3,
-    _pairing(("L1", "L2"), ("R1", "R2"), ("L3", "R3")): TLElement.U1,
-    _pairing(("L2", "L3"), ("R2", "R3"), ("L1", "R1")): TLElement.U2,
-    _pairing(("L2", "L3"), ("L1", "R3"), ("R1", "R2")): TLElement.R,
-    _pairing(("L1", "L2"), ("L3", "R1"), ("R2", "R3")): TLElement.S,
-}
-
-
-# A state's boundary element back to its label pairing; a closed state has none.
-_ELEMENT_TO_PAIRING = {element: pairing for pairing, element in _PAIRING_TO_ELEMENT.items()}
+# The five non-crossing perfect matchings of the boundary, as label pairings
+# and as position patterns (each position names the first of its pair); a
+# closed state has no element and no pairing.
+_ELEMENT_TO_PAIRING = {
+    element: frozenset(frozenset((BOUNDARY_LABELS[i], BOUNDARY_LABELS[j]))
+                       for i, j in enumerate(matching) if i < j)
+    for element, matching in MATCHINGS.items()}
+_PAIRING_TO_ELEMENT = {pairing: element for element, pairing in _ELEMENT_TO_PAIRING.items()}
 _ELEMENT_TO_PAIRING[None] = frozenset()
-
-
-def _boundary_pattern(pairing: frozenset[frozenset[str]]) -> tuple[int, ...]:
-    # Each of the six boundary positions names the first position of its pair.
-    first = {}
-    for pair in pairing:
-        low, high = sorted(BOUNDARY_LABELS.index(label) for label in pair)
-        first[low] = first[high] = low
-    return tuple(first[i] for i in range(6))
-
-
-_BOUNDARY_PATTERNS = {_boundary_pattern(pairing): element
-                      for pairing, element in _PAIRING_TO_ELEMENT.items()}
+_BOUNDARY_PATTERNS = {tuple(map(min, range(6), matching)): element
+                      for element, matching in MATCHINGS.items()}
 
 
 def classify_boundary(pairing: frozenset[frozenset[str]]) -> TLElement:
@@ -485,13 +465,17 @@ def _read_state(parent: list[int], components: int, boundary: tuple[int, ...],
     if not boundary:
         return components + free_loops, None
     roots = [_find(parent, b) for b in boundary]
+    return components - len(set(roots)) + free_loops, _boundary_element(roots)
+
+
+def _boundary_element(roots: list[int]) -> TLElement:
+    """The element whose boundary positions share roots as ``roots`` do."""
     try:
-        element = _BOUNDARY_PATTERNS[tuple(roots.index(r) for r in roots)]
+        return _BOUNDARY_PATTERNS[tuple(roots.index(r) for r in roots)]
     except KeyError:
         raise MalformedDiagramError(
             "smoothed state induces a non-planar boundary pairing; "
             "the diagram encoding is inconsistent") from None
-    return components - len(set(roots)) + free_loops, element
 
 
 def smooth(diagram: ShadowDiagram,

@@ -6,8 +6,11 @@ cup-caps in the two possible orders (``r = U2*U1`` and ``s = U1*U2``).
 Gluing any two of the five side by side yields another of the five, possibly
 together with one detached loop, so a product is a ``(loops, element)`` pair.
 
-The multiplication table is hardcoded; the test suite checks it against the
-full loop-weighted associativity law and the Temperley-Lieb relations.
+Each element is defined once, as a planar matching of the strip's six
+boundary points (Kauffman, *State models and the Jones polynomial*, Topology
+26, 1987); the product, closure and flip tables are derived from the
+matchings at import.  The test suite checks the products against the full
+loop-weighted associativity law and the Temperley-Lieb relations.
 """
 
 from __future__ import annotations
@@ -50,63 +53,67 @@ ELEMENTS = (TLElement.ID3, TLElement.U1, TLElement.U2, TLElement.R, TLElement.S)
 
 _E = TLElement
 
+# Each element as a matching of the strip's six boundary points: 0-2 on the
+# left side and 3-5 on the right, top to bottom.  Entry i is the point paired
+# with point i.
+MATCHINGS: dict[TLElement, tuple[int, ...]] = {
+    _E.ID3: (3, 4, 5, 0, 1, 2),
+    _E.U1: (1, 0, 5, 4, 3, 2),
+    _E.U2: (3, 2, 1, 0, 5, 4),
+    _E.R: (5, 2, 1, 4, 3, 0),
+    _E.S: (1, 0, 3, 2, 5, 4),
+}
+
+_BY_MATCHING = {matching: element for element, matching in MATCHINGS.items()}
+
+
+def _glue(left: tuple[int, ...], right: tuple[int, ...]) -> ScaledTL:
+    """The product of two matchings: ``left``'s point 3 + k is ``right``'s k.
+
+    Each outer point's path alternates between the two diagrams through the
+    glued middle points until it leaves on an outer side.  The middle points
+    no path crosses lie on detached loops, each through an even number of
+    them, so of three middle points they are none or two on one loop.
+    """
+    paired = []
+    crossed = set()
+    for start in range(6):
+        on_left, point = start < 3, start
+        while True:
+            point = (left if on_left else right)[point]
+            if on_left == (point < 3):
+                break
+            crossed.add(point % 3)
+            on_left = not on_left
+            point = point % 3 + (3 if on_left else 0)
+        paired.append(point)
+    return ScaledTL((3 - len(crossed)) // 2, _BY_MATCHING[tuple(paired)])
+
+
+def _closure_loops(matching: tuple[int, ...]) -> int:
+    """The cycles formed when left point k is joined to right point 3 + k."""
+    loops, seen = 0, set()
+    for start in range(6):
+        if start not in seen:
+            loops += 1
+            point = start
+            while point not in seen:
+                seen.add(point)
+                point = matching[point]
+                seen.add(point)
+                point = (point + 3) % 6
+    return loops
+
+
+# The top-bottom flip of the strip, k -> 2 - k on each side: it swaps the two
+# cup-caps and the two hooks.
+_FLIP = (2, 1, 0, 5, 4, 3)
+
 # Row = left factor, column = right factor; entries are (loops, element).
-_TABLE: dict[TLElement, dict[TLElement, ScaledTL]] = {
-    _E.ID3: {
-        _E.ID3: ScaledTL(0, _E.ID3),
-        _E.U1: ScaledTL(0, _E.U1),
-        _E.U2: ScaledTL(0, _E.U2),
-        _E.R: ScaledTL(0, _E.R),
-        _E.S: ScaledTL(0, _E.S),
-    },
-    _E.U1: {
-        _E.ID3: ScaledTL(0, _E.U1),
-        _E.U1: ScaledTL(1, _E.U1),
-        _E.U2: ScaledTL(0, _E.S),
-        _E.R: ScaledTL(0, _E.U1),
-        _E.S: ScaledTL(1, _E.S),
-    },
-    _E.U2: {
-        _E.ID3: ScaledTL(0, _E.U2),
-        _E.U1: ScaledTL(0, _E.R),
-        _E.U2: ScaledTL(1, _E.U2),
-        _E.R: ScaledTL(1, _E.R),
-        _E.S: ScaledTL(0, _E.U2),
-    },
-    _E.R: {
-        _E.ID3: ScaledTL(0, _E.R),
-        _E.U1: ScaledTL(1, _E.R),
-        _E.U2: ScaledTL(0, _E.U2),
-        _E.R: ScaledTL(0, _E.R),
-        _E.S: ScaledTL(1, _E.U2),
-    },
-    _E.S: {
-        _E.ID3: ScaledTL(0, _E.S),
-        _E.U1: ScaledTL(0, _E.U1),
-        _E.U2: ScaledTL(1, _E.S),
-        _E.R: ScaledTL(1, _E.U1),
-        _E.S: ScaledTL(0, _E.S),
-    },
-}
-
-# Loops formed when the three left endpoints are joined straight across to
-# the three right endpoints.
-_CLOSURE_LOOPS = {
-    _E.ID3: 3,
-    _E.U1: 2,
-    _E.U2: 2,
-    _E.R: 1,
-    _E.S: 1,
-}
-
-# Top-bottom flip of the strip: swaps the two cup-caps and the two hooks.
-_MIRROR = {
-    _E.ID3: _E.ID3,
-    _E.U1: _E.U2,
-    _E.U2: _E.U1,
-    _E.R: _E.S,
-    _E.S: _E.R,
-}
+_TABLE = {a: {b: _glue(MATCHINGS[a], MATCHINGS[b]) for b in ELEMENTS} for a in ELEMENTS}
+_CLOSURE_LOOPS = {element: _closure_loops(m) for element, m in MATCHINGS.items()}
+_MIRROR = {element: _BY_MATCHING[tuple(_FLIP[m[_FLIP[i]]] for i in range(6))]
+           for element, m in MATCHINGS.items()}
 
 
 def multiply(left: TLElement, right: TLElement) -> ScaledTL:

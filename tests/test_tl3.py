@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from shadowbracket.tl3 import (ELEMENTS, ScaledTL, TLElement, closure_loops,
-                               mirror, multiply)
+from shadowbracket.tl3 import (ELEMENTS, MATCHINGS, ScaledTL, TLElement,
+                               closure_loops, mirror, multiply)
 
 E = TLElement
 
@@ -32,9 +32,21 @@ class TestTable:
         assert multiply(E.R, E.R) == ScaledTL(0, E.R)
         assert multiply(E.S, E.S) == ScaledTL(0, E.S)
 
+    def test_entries_no_other_test_pins(self):
+        # With the tests above, every one of the 25 products is pinned.
+        assert multiply(E.U1, E.R) == ScaledTL(0, E.U1)
+        assert multiply(E.U2, E.S) == ScaledTL(0, E.U2)
+        assert multiply(E.R, E.U2) == ScaledTL(0, E.U2)
+        assert multiply(E.S, E.U2) == ScaledTL(1, E.S)
+
     def test_loops_are_zero_or_one(self):
         for a, b in itertools.product(ELEMENTS, repeat=2):
             assert multiply(a, b).loops in (0, 1)
+
+
+def test_matchings_pair_the_six_points():
+    for matching in MATCHINGS.values():
+        assert all(matching[i] != i and matching[matching[i]] == i for i in range(6))
 
 
 def test_loop_weighted_associativity_all_125_triples():
