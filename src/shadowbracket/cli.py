@@ -26,7 +26,7 @@ from typing import Sequence
 from .bracket import (BracketVector, WORD_LETTERS, charpoly, closed_form_bracket,
                       parse_word, pq_invariants, power, states_matrix, word_tuple)
 from .generators import NAMES, generator_tuple
-from .poly import Polynomial, parse_int, render_ints
+from .poly import Polynomial, int_text, parse_int
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -148,15 +148,25 @@ def _resolve_input(args) -> BracketVector | Polynomial:
     return contract(ShadowDiagram.from_json(_load_json(args.pd)))
 
 
-def _load_json(path: str) -> dict:
-    import json
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; a decoding error names the file."""
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle, parse_int=parse_int)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _load_json(path: str) -> dict:
+    import json
+    text = _read_text(path)
+    try:
+        return json.loads(text, parse_int=parse_int)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _json_text(payload: dict) -> str:
@@ -218,8 +228,7 @@ def _cmd_table(args) -> int:
     elif args.format == "csv":
         _emit(args, "\n".join(csv_lines(table)))
     else:
-        _emit(args, render_ints(lambda text: "\n".join(" ".join(map(text, row))
-                                                       for row in table)))
+        _emit(args, "\n".join(" ".join(map(int_text, row)) for row in table))
     return 0
 
 
@@ -273,11 +282,11 @@ def _cmd_export(args) -> int:
         else:
             values = coefficient_column(args.generator, args.rows, args.column)
         text = "\n".join(bfile_lines(values, args.offset))
+    # Compare before emitting: a missing, undecodable or malformed reference
+    # leaves no output behind.
+    problem = compare_bfiles(text, _read_text(args.compare)) if args.compare else None
     _emit(args, text)
     if args.compare:
-        with open(args.compare, encoding="utf-8") as handle:
-            reference = handle.read()
-        problem = compare_bfiles(text, reference)
         if problem:
             print(f"MISMATCH against {args.compare}: {problem}")
             return 1

@@ -169,15 +169,49 @@ class ShadowDiagram(Record):
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ShadowDiagram":
+    def from_json(cls, data: object) -> "ShadowDiagram":
+        """Read the :meth:`to_json` form; raise MalformedDiagramError for
+        anything else, unknown keys and non-string edge identifiers included.
+        ``boundary`` and ``free_loops`` may be left out."""
         try:
-            crossings = tuple(tuple(quad) for quad in data["crossings"])
-            raw_boundary = data.get("boundary")
-            boundary = None if raw_boundary is None else \
-                Boundary(tuple(raw_boundary["L"]), tuple(raw_boundary["R"]))
+            data = _json_object(data, ("crossings", "boundary", "free_loops"), "the diagram")
+            crossings = tuple(_edge_list(quad, f"crossing {i}") for i, quad
+                              in enumerate(_json_list(data["crossings"], "crossings")))
+            boundary = data.get("boundary")
+            if boundary is not None:
+                sides = _json_object(boundary, ("L", "R"), "boundary")
+                boundary = Boundary(*(_edge_list(sides[side], f"boundary side {side!r}")
+                                      for side in ("L", "R")))
             return cls(crossings, boundary, data.get("free_loops", 0))
         except (KeyError, TypeError) as exc:
             raise MalformedDiagramError(f"bad diagram JSON: {exc}") from None
+
+
+def _json_object(value: object, keys: tuple[str, ...], name: str) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise MalformedDiagramError(
+            f"bad diagram JSON: {name} must be an object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise MalformedDiagramError(f"bad diagram JSON: {name} has unknown key {unknown[0]!r}")
+    return value
+
+
+def _json_list(value: object, name: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedDiagramError(
+            f"bad diagram JSON: {name} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _edge_list(value: object, name: str) -> tuple[str, ...]:
+    """``value`` as a tuple if it is a JSON list of edge identifiers (strings)."""
+    for edge in _json_list(value, name):
+        if not isinstance(edge, str):
+            raise MalformedDiagramError(f"bad diagram JSON: {name} has an edge identifier "
+                                        f"of type {type(edge).__name__}, not a string")
+    return tuple(value)
 
 
 # The one union-find of the module, with path halving.  ``parent`` is a list

@@ -194,9 +194,6 @@ class Polynomial:
         return f"Polynomial({list(self._coeffs)!r})"
 
     def __str__(self) -> str:
-        return render_ints(self._text)
-
-    def _text(self, digits: Callable[[int], str]) -> str:
         if not self._coeffs:
             return "0"
         parts = []
@@ -207,10 +204,10 @@ class Polynomial:
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
             if power == 0:
-                body = digits(mag)
+                body = int_text(mag)
             else:
                 var = "x" if power == 1 else f"x^{power}"
-                body = var if mag == 1 else digits(mag) + var
+                body = var if mag == 1 else int_text(mag) + var
             parts.append(sign + body)
         return "".join(parts)
 
@@ -291,23 +288,13 @@ def int_text(value: int) -> str:
 
     ``str`` refuses an int of more than ``sys.int_max_str_digits`` digits
     (4,300 by default), and a library must not raise that process-wide
-    limit; ``Decimal`` converts any int exactly.
-    """
-    from decimal import Decimal
-    return str(Decimal(value))
-
-
-def render_ints(render: Callable[[Callable[[int], str]], T]) -> T:
-    """``render(str)``, or ``render(int_text)`` if an int is too long for ``str``.
-
-    ``render`` turns every int it prints into text with the function it is
-    given.  Only a render that meets an over-long int runs a second time,
-    so the common case costs what plain ``str`` costs.
+    limit; only such an int converts through ``Decimal``, which is exact.
     """
     try:
-        return render(str)
+        return str(value)
     except ValueError:
-        return render(int_text)
+        from decimal import Decimal
+        return str(Decimal(value))
 
 
 def parse_int(text: str) -> int:

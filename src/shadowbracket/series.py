@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .bracket import BracketVector, closure_gf_terms
 from .generators import generator_tuple
-from .poly import ONE, Polynomial, int_text, parse_int, render_ints, series_coefficients
+from .poly import ONE, Polynomial, int_text, parse_int, series_coefficients
 from .record import Record
 
 
@@ -127,13 +127,12 @@ def _check_column_index(k: int) -> None:
 
 
 def csv_lines(table: Sequence[Sequence[int]]) -> list[str]:
-    return render_ints(lambda text: [",".join(map(text, row)) for row in table])
+    return [",".join(map(int_text, row)) for row in table]
 
 
 def bfile_lines(values: Sequence[int], offset: int = 0) -> list[str]:
     """OEIS b-file form: one "index value" pair per line."""
-    return render_ints(lambda text: [f"{offset + i} {text(value)}"
-                                     for i, value in enumerate(values)])
+    return [f"{offset + i} {int_text(value)}" for i, value in enumerate(values)]
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:

@@ -735,3 +735,83 @@ def test_count_flags_are_refused_or_run(capsys, flag):
         else:
             assert_value_or_refused(result, lambda: expected(count), value)
             assert code == 0, value
+
+
+# --- strict diagram JSON and files read before any output --------------------
+
+class TestStrictDiagramJson:
+    def refused(self, capsys, tmp_path, data) -> str:
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "bracket", "--pd", str(path))
+        assert _refused(code, out, err), (code, out, err)
+        return err
+
+    def test_misspelt_key_is_named(self, capsys, tmp_path):
+        err = self.refused(capsys, tmp_path, {
+            "crossings": [["e0", "e1", "e2", "e3"]],
+            "boundary": {"L": ["e0", "e3", "e4"], "R": ["e1", "e2", "e4"]},
+            "free_loop": 2})
+        assert "'free_loop'" in err
+
+    def test_unknown_boundary_key_is_named(self, capsys, tmp_path):
+        err = self.refused(capsys, tmp_path, {
+            "crossings": [["e0", "e1", "e2", "e3"]],
+            "boundary": {"L": ["e0", "e3", "e4"], "R": ["e1", "e2", "e4"], "T": []}})
+        assert "'T'" in err and "boundary" in err
+
+    def test_number_edge_identifiers_are_not_merged_with_strings(self, capsys, tmp_path):
+        err = self.refused(capsys, tmp_path, {"crossings": [["1", 1, "2", 2]],
+                                              "boundary": None})
+        assert "crossing 0" in err and "int" in err
+
+    def test_strings_are_not_read_as_lists(self, capsys, tmp_path):
+        err = self.refused(capsys, tmp_path, {"crossings": ["abcd"],
+                                              "boundary": {"L": "adx", "R": "bcx"}})
+        assert "crossing 0" in err and "list" in err
+        err = self.refused(capsys, tmp_path, {"crossings": [["a", "b", "c", "d"]],
+                                              "boundary": {"L": "adx", "R": "bcx"}})
+        assert "'L'" in err and "list" in err
+        err = self.refused(capsys, tmp_path, {"crossings": "abcd"})
+        assert "crossings" in err and "list" in err
+
+    def test_optional_keys_may_be_left_out(self, capsys, tmp_path):
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps({"crossings": [["a", "a", "b", "b"]]}))
+        assert run(capsys, "bracket", "--pd", str(path)) == (0, "x^2+x\n", "")
+
+
+class TestFilesReadBeforeOutput:
+    def test_absent_compare_file_writes_nothing(self, capsys, tmp_path):
+        out_file = tmp_path / "o.txt"
+        for extra in ((), ("--out", str(out_file))):
+            code, out, err = run(capsys, "export", "--generator", "T", "--rows", "2",
+                                 "--column", "1", "--compare",
+                                 str(tmp_path / "absent.txt"), *extra)
+            assert _refused(code, out, err)
+            assert "absent.txt" in err
+            assert not out_file.exists()
+
+    def test_malformed_compare_file_writes_nothing(self, capsys, tmp_path):
+        reference = tmp_path / "reference.txt"
+        reference.write_text("0 0\n1 one\n")
+        out_file = tmp_path / "o.txt"
+        code, out, err = run(capsys, "export", "--generator", "T", "--rows", "2",
+                             "--column", "1", "--compare", str(reference),
+                             "--out", str(out_file))
+        assert _refused(code, out, err)
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("bracket", "--pd"),
+        ("bracket", "--tuple"),
+        ("export", "--generator", "T", "--rows", "2", "--column", "1", "--compare"),
+    ])
+    def test_non_utf8_file_is_named(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b'{"a": [1]}\xff\n')
+        out_file = tmp_path / "o.txt"
+        code, out, err = run(capsys, *argv, str(path), "--out", str(out_file))
+        assert _refused(code, out, err)
+        assert err.startswith(f"error: {path}: ")
+        assert not out_file.exists()
