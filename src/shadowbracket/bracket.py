@@ -50,7 +50,7 @@ class BracketVector(Record):
     @classmethod
     def of(cls, a: PolynomialLike, b: PolynomialLike, c: PolynomialLike,
            d: PolynomialLike, e: PolynomialLike) -> "BracketVector":
-        return cls(*(Polynomial.coerce(v) for v in (a, b, c, d, e)))
+        return cls(a, b, c, d, e)
 
     @classmethod
     def unit(cls) -> "BracketVector":
@@ -64,7 +64,7 @@ class BracketVector(Record):
         return cls.of(*entries)
 
     def entries(self) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial, Polynomial]:
-        return (self.a, self.b, self.c, self.d, self.e)
+        return self._fields
 
     def mirrored(self) -> "BracketVector":
         """Swap the coefficients paired by the top-bottom flip (b<->c, d<->e)."""
@@ -121,14 +121,15 @@ class PQInvariants(Record):
     def pair_product(self) -> Polynomial:
         """The eigenvalue product (p^2 - q^2) / 4, an exact integer polynomial.
 
-        Raises ValueError if p^2 - q^2 is not divisible by 4 coefficient-wise,
-        which cannot happen for invariants derived from an integer tuple and
-        therefore signals corrupted input.
+        Raises ValueError if p^2 - q^2 is not divisible by 4 coefficient-wise.
+        Invariants derived from any tuple never raise, because p^2 - q^2 =
+        4m with m = (bc - de)x^2 + a(b+c)x + a^2 + a(d+e) + de - bc; only a
+        hand-built pair can.
         """
         return (self.p * self.p - self.q_squared).exact_div(4)
 
 
-class PolyMatrix:
+class PolyMatrix(Record):
     """A square matrix of integer polynomials."""
 
     __slots__ = ("rows",)
@@ -138,7 +139,7 @@ class PolyMatrix:
         size = len(built)
         if any(len(row) != size for row in built):
             raise ValueError("matrix rows must all have the same length")
-        self.rows = built
+        object.__setattr__(self, "rows", built)
 
     @classmethod
     def identity(cls, size: int = 5) -> "PolyMatrix":
@@ -151,14 +152,6 @@ class PolyMatrix:
 
     def __getitem__(self, index: int) -> tuple[Polynomial, ...]:
         return self.rows[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PolyMatrix):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.size != other.size:
@@ -183,36 +176,32 @@ class PolyMatrix:
         return f"PolyMatrix({body})"
 
 
-class LambdaPolynomial:
+class LambdaPolynomial(Record):
     """A polynomial in the eigenvalue variable with Z[x] coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[PolynomialLike] = ()):
         coeffs = [Polynomial.coerce(c) for c in coefficients]
         while coeffs and coeffs[-1].is_zero:
             coeffs.pop()
-        self._coeffs = tuple(coeffs)
-
-    @property
-    def coefficients(self) -> tuple[Polynomial, ...]:
-        return self._coeffs
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self.coefficients) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.coefficients
 
     def coefficient(self, power: int) -> Polynomial:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self.coefficients):
+            return self.coefficients[power]
         return ZERO
 
     def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -221,13 +210,13 @@ class LambdaPolynomial:
         return LambdaPolynomial(out)
 
     def __neg__(self) -> "LambdaPolynomial":
-        return LambdaPolynomial(tuple(-c for c in self._coeffs))
+        return LambdaPolynomial(tuple(-c for c in self.coefficients))
 
     def __sub__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coefficients, other.coefficients
         if not a or not b:
             return LambdaPolynomial()
         out = [ZERO] * (len(a) + len(b) - 1)
@@ -238,23 +227,15 @@ class LambdaPolynomial:
                 out[i + j] = out[i + j] + ca * cb
         return LambdaPolynomial(out)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LambdaPolynomial):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
     def __repr__(self) -> str:
-        return f"LambdaPolynomial({[list(c.coefficients) for c in self._coeffs]!r})"
+        return f"LambdaPolynomial({[list(c.coefficients) for c in self.coefficients]!r})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self.coefficients:
             return "0"
         parts = []
         for power in range(self.degree, -1, -1):
-            c = self._coeffs[power]
+            c = self.coefficients[power]
             if c.is_zero:
                 continue
             if power == 0:
@@ -372,8 +353,9 @@ def closure_gf_terms(v: BracketVector) -> tuple[YRatio, YRatio]:
     The first sums ``x lam^n`` over the eigenvalue pair with sum p and
     product m = (p^2 - q^2)/4; the second comes from the identity slot a.
 
-    Raises ValueError when p^2 - q^2 is not divisible by 4 (impossible for a
-    tuple arising from a diagram; signals corrupted input).
+    Never raises: p^2 - q^2 is divisible by 4 for every tuple (see
+    :meth:`PQInvariants.pair_product`); only a hand-built PQInvariants can
+    fail that check.
     """
     pq = pq_invariants(v)
     return (((2 * X, -(pq.p * X)), (ONE, -pq.p, pq.pair_product())),

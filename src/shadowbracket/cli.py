@@ -29,10 +29,21 @@ from .generators import NAMES, generator_tuple
 from .poly import Polynomial, int_text, parse_int
 
 
+# The count flags, in the order they are checked; each must be nonnegative.
+_COUNT_FLAGS = ("--n", "--terms", "--words", "--max-n", "--rows", "--column")
+
+# The verify suites, each selected by its own flag; none selected runs them all.
+_SUITES = ("tables", "oracle", "charpoly", "recurrence")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in _COUNT_FLAGS:
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < 0:
+                raise ValueError(f"{flag} must be nonnegative, got {value}")
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -86,10 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = commands.add_parser(
         "verify", help="run the self-check suites")
-    verify_cmd.add_argument("--tables", action="store_true")
-    verify_cmd.add_argument("--oracle", action="store_true")
-    verify_cmd.add_argument("--charpoly", action="store_true")
-    verify_cmd.add_argument("--recurrence", action="store_true")
+    for suite in _SUITES:
+        verify_cmd.add_argument(f"--{suite}", action="store_true")
     verify_cmd.add_argument("--generator", choices=NAMES, default=None,
                             help="restrict to one generator (default: all)")
     verify_cmd.add_argument("--rows", type=int, default=None,
@@ -109,8 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="export one column k (default: whole triangle)")
     export_cmd.add_argument("--offset", type=int, default=0,
                             help="first index for b-file lines")
-    export_cmd.add_argument("--format", choices=("bfile", "csv"), default="bfile")
-    export_cmd.add_argument("--out", default=None, help="write to a file instead of stdout")
+    _add_output_flags(export_cmd, ("bfile", "csv"))
     export_cmd.add_argument("--compare", default=None, metavar="FILE",
                             help="compare b-file output against a reference file")
     export_cmd.set_defaults(handler=_cmd_export)
@@ -131,7 +139,7 @@ def _add_input_flags(cmd: argparse.ArgumentParser) -> None:
 
 
 def _add_output_flags(cmd: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    cmd.add_argument("--format", choices=formats, default="text")
+    cmd.add_argument("--format", choices=formats, default=formats[0])
     cmd.add_argument("--out", default=None, help="write to a file instead of stdout")
 
 
@@ -185,11 +193,6 @@ def _require_tangle(value: BracketVector | Polynomial) -> BracketVector:
     return value
 
 
-def _require_nonnegative(flag: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{flag} must be nonnegative, got {value}")
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -199,7 +202,6 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_bracket(args) -> int:
-    _require_nonnegative("--n", args.n)
     value = _resolve_input(args)
     if isinstance(value, Polynomial):
         if args.n != 1 or args.closure:
@@ -221,7 +223,6 @@ def _cmd_bracket(args) -> int:
 
 def _cmd_table(args) -> int:
     from .series import coefficient_table, csv_lines
-    _require_nonnegative("--rows", args.rows)
     table = coefficient_table(args.generator, args.rows)
     if args.format == "json":
         _emit(args, _json_text({"generator": args.generator, "rows": table}))
@@ -234,8 +235,6 @@ def _cmd_table(args) -> int:
 
 def _cmd_gf(args) -> int:
     from .series import expand, gf_from_tuple, render_gf
-    if args.terms is not None:
-        _require_nonnegative("--terms", args.terms)
     v = _require_tangle(_resolve_input(args))
     gf = gf_from_tuple(v)
     if args.format == "json":
@@ -267,9 +266,6 @@ def _cmd_charpoly(args) -> int:
 def _cmd_export(args) -> int:
     from .series import (bfile_lines, coefficient_column, coefficient_table,
                          compare_bfiles, csv_lines, triangle_values)
-    _require_nonnegative("--rows", args.rows)
-    if args.column is not None:
-        _require_nonnegative("--column", args.column)
     if args.format == "csv":
         if args.compare:
             raise ValueError("--compare works with the bfile format only")
@@ -296,18 +292,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .verify import run_suites
-    for flag, value in (("--words", args.words), ("--max-n", args.max_n),
-                        ("--rows", args.rows)):
-        if value is not None:
-            _require_nonnegative(flag, value)
-    suites = {
-        "tables": args.tables,
-        "oracle": args.oracle,
-        "charpoly": args.charpoly,
-        "recurrence": args.recurrence,
-    }
-    if not any(suites.values()):
-        suites = dict.fromkeys(suites, True)
+    suites = [suite for suite in _SUITES if getattr(args, suite)] or _SUITES
     names = (args.generator,) if args.generator else NAMES
     failures = 0
     total = 0

@@ -77,27 +77,16 @@ class GeneratorSpec(Record):
         return self.diagram.crossing_count
 
 
-def _build_generators() -> dict[str, GeneratorSpec]:
-    from .oracle import compile_word, glue, mirror_diagram
-    hitch = _turn_hitch()
-    return {
-        "T": GeneratorSpec("T", _TUPLES["T"], _T_WORD, compile_word(_T_WORD)),
-        "C": GeneratorSpec("C", _TUPLES["C"], None, glue(compile_word(("X1",)), hitch)),
-        "E": GeneratorSpec("E", _TUPLES["E"], None, glue(mirror_diagram(hitch), hitch)),
-    }
-
-
-# Filled on the first call of generator().
-_GENERATORS: dict[str, GeneratorSpec] = {}
-
-
+@lru_cache(maxsize=None)
 def generator(name: str) -> GeneratorSpec:
-    if not _GENERATORS:
-        _GENERATORS.update(_build_generators())
-    try:
-        return _GENERATORS[name]
-    except KeyError:
-        raise _unknown(name) from None
+    """The full spec of a built-in generator, built on first use, unchecked."""
+    bracket = generator_tuple(name)
+    from .oracle import compile_word, glue, mirror_diagram
+    if name == "T":
+        return GeneratorSpec(name, bracket, _T_WORD, compile_word(_T_WORD))
+    hitch = _turn_hitch()
+    front = compile_word(("X1",)) if name == "C" else mirror_diagram(hitch)
+    return GeneratorSpec(name, bracket, None, glue(front, hitch))
 
 
 def generator_tuple(name: str) -> BracketVector:
@@ -105,26 +94,17 @@ def generator_tuple(name: str) -> BracketVector:
     try:
         return _TUPLES[name]
     except KeyError:
-        raise _unknown(name) from None
+        valid = ", ".join(NAMES)
+        raise ValueError(f"unknown generator {name!r} (expected one of: {valid})") from None
 
 
-def _unknown(name: str) -> ValueError:
-    valid = ", ".join(NAMES)
-    return ValueError(f"unknown generator {name!r} (expected one of: {valid})")
-
-
+@lru_cache(maxsize=None)
 def generator_diagram(name: str) -> ShadowDiagram:
     """The shadow diagram of a built-in generator, self-checked on first use.
 
     Raises RuntimeError if the stored diagram's state-sum bracket does not
     reproduce the generator's tuple.
     """
-    _check_diagram(name)
-    return generator(name).diagram
-
-
-@lru_cache(maxsize=None)
-def _check_diagram(name: str) -> None:
     from .oracle import enumerate_states
     spec = generator(name)
     found = enumerate_states(spec.diagram)
@@ -132,3 +112,4 @@ def _check_diagram(name: str) -> None:
         raise RuntimeError(
             f"generator {name}: diagram self-check failed; state sum gave "
             f"{found}, expected {spec.bracket}")
+    return spec.diagram

@@ -19,8 +19,10 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # The tuple of the fields; every record has at least two.
-        cls._fields = property(attrgetter(*cls.__slots__))
+        # The tuple of the fields.  attrgetter returns a bare value for one
+        # name, so a one-field record wraps it.
+        get = attrgetter(*cls.__slots__)
+        cls._fields = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -78,8 +78,9 @@ class RationalGF(Record):
 def gf_from_tuple(v: BracketVector) -> RationalGF:
     """Build the closure generating function from a bracket tuple.
 
-    Raises ValueError under the same divisibility guard as
-    :func:`shadowbracket.bracket.closed_form_bracket`.
+    Never raises: as in :func:`shadowbracket.bracket.closure_gf_terms`, the
+    divisibility check passes for every tuple; only a hand-built
+    PQInvariants can fail it.
     """
     pair, geometric = closure_gf_terms(v)
     return RationalGF(RationalTerm(*pair), RationalTerm(*geometric))

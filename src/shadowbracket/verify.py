@@ -16,7 +16,7 @@ Every run ends with the T column identity (alternate Lucas numbers minus 2).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator
+from typing import Collection, Iterator
 
 from .bracket import (WORD_LETTERS, BracketVector, charpoly, charpoly_factored,
                       closed_form_bracket, closure, power, states_matrix, word_tuple)
@@ -30,20 +30,28 @@ from .series import (bfile_lines, coefficient_column, coefficient_table, column,
                      compare_bfiles, expand, gf_from_tuple)
 
 
-def run_suites(suites: dict, names: Iterable[str], args) -> Iterator[tuple]:
-    """The (label, ok, detail) rows of the selected suites."""
-    if suites["tables"]:
+def run_suites(suites: Collection[str], names: Collection[str], args) -> Iterator[tuple]:
+    """The (label, ok, detail) rows of the selected suites.
+
+    Raises ValueError before the first row if ``args.rows`` runs past the
+    reference rows of a selected generator.
+    """
+    if "tables" in suites:
+        for name in names:
+            last = len(TABLE_ROWS[name]) - 1
+            if args.rows is not None and args.rows > last:
+                raise ValueError(f"no reference rows beyond n = {last} for generator {name}")
         for name in names:
             yield from _verify_tables(name, args.rows)
-    if suites["oracle"]:
+    if "oracle" in suites:
         yield from _verify_words(args.words, args.seed)
         for name in names:
             yield from _verify_generator_oracle(name, args.max_n)
-    if suites["charpoly"]:
+    if "charpoly" in suites:
         for name in names:
             yield from _verify_charpoly(name)
         yield from _verify_charpoly_random(20, args.seed)
-    if suites["recurrence"]:
+    if "recurrence" in suites:
         for name in names:
             yield from _verify_recurrence(name)
             yield from _verify_column_route(name)
@@ -53,9 +61,6 @@ def run_suites(suites: dict, names: Iterable[str], args) -> Iterator[tuple]:
 def _verify_tables(name: str, rows: int | None) -> Iterator[tuple]:
     reference = TABLE_ROWS[name]
     last = len(reference) - 1 if rows is None else rows
-    if last >= len(reference):
-        raise ValueError(
-            f"no reference rows beyond n = {len(reference) - 1} for generator {name}")
     computed = coefficient_table(name, last)
     for n in range(last + 1):
         ok = computed[n] == reference[n]

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import P, rand_word
 from shadowbracket import cli, oracle, verify
-from shadowbracket.bracket import BracketVector, closure, parse_word, power, word_tuple
+from shadowbracket.bracket import (BracketVector, LambdaPolynomial, closure, parse_word,
+                                   power, word_tuple)
 from shadowbracket.generators import generator_diagram, generator_tuple
 from shadowbracket.oracle import (ShadowDiagram, close_diagram, compile_word,
                                   enumerate_states)
@@ -217,6 +218,30 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL  tables C row 2" in out
         assert "checks failed" in out
+
+    def test_rows_past_a_selected_reference_print_no_check(self, capsys):
+        # T has reference rows up to 8, C only up to 6.
+        code, out, err = run(capsys, "verify", "--tables", "--rows", "8")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no reference rows beyond n = 6 for generator C\n"
+
+    def test_random_charpoly_disagreement_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "charpoly_factored", lambda v: LambdaPolynomial())
+        code, out, _ = run(capsys, "verify", "--charpoly", "--generator", "T")
+        assert code == 1
+        assert ("FAIL  charpoly factorisation on 20 random tuples: "
+                "tuple [-2x-1, 2x, -3x-3, x+3, -x-3]\n") in out
+        assert out.endswith("2 of 3 checks failed\n")
+
+    def test_recurrence_disagreement_is_reported(self, capsys, monkeypatch):
+        closed = verify.closed_form_bracket
+        monkeypatch.setattr(verify, "closed_form_bracket", lambda v, n: closed(v, n) + 1)
+        code, out, _ = run(capsys, "verify", "--recurrence", "--generator", "T")
+        assert code == 1
+        assert ("FAIL  recurrence/series agreement T (n <= 10): "
+                "n = 0: closure x^3, recurrence x^3+1, series x^3\n") in out
+        assert out.endswith("1 of 3 checks failed\n")
 
 
 class TestExportCommand:

@@ -44,24 +44,24 @@ class TestDiagrams:
             assert enumerate_states(diagram) == generator_tuple(name)
 
     def test_self_check_passes(self):
-        generators._check_diagram.cache_clear()
+        generator_diagram.cache_clear()
         try:
             for name in NAMES:
-                generators._check_diagram(name)
+                assert generator_diagram(name) == generator(name).diagram
         finally:
-            generators._check_diagram.cache_clear()
+            generator_diagram.cache_clear()
 
     def test_self_check_rejects_a_corrupted_diagram(self, monkeypatch):
         spec = generator("C")
         broken = generators.GeneratorSpec(spec.name, spec.bracket, spec.word,
                                           compile_word(("X1", "X2", "X1")))
-        monkeypatch.setitem(generators._GENERATORS, "C", broken)
-        generators._check_diagram.cache_clear()
+        monkeypatch.setattr(generators, "generator", lambda name: broken)
+        generator_diagram.cache_clear()
         try:
             with pytest.raises(RuntimeError):
                 generator_diagram("C")
         finally:
-            generators._check_diagram.cache_clear()
+            generator_diagram.cache_clear()
 
 
 class TestStateCounts:

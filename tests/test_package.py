@@ -13,8 +13,8 @@ import pytest
 
 import shadowbracket
 from shadowbracket import (BracketVector, PQInvariants, RationalTerm, ShadowDiagram,
-                           close_diagram, compile_word, generator, generator_tuple,
-                           gf_from_tuple, pq_invariants)
+                           charpoly_factored, close_diagram, compile_word, generator,
+                           generator_tuple, gf_from_tuple, pq_invariants, states_matrix)
 
 SRC = Path(shadowbracket.__file__).resolve().parents[1]
 
@@ -129,6 +129,12 @@ RECORDS = [
      "Polynomial([0, -3, -2])), denominator=(Polynomial([1]), Polynomial([-3, -2]), "
      "Polynomial([1, 2, 1]))), geometric_part=RationalTerm(numerator=("
      "Polynomial([0, -2, 0, 1]),), denominator=(Polynomial([1]), Polynomial([-1]))))"),
+    (lambda: states_matrix(generator_tuple("T")), ("rows",),
+     "PolyMatrix([1, 0, 0, 0, 0]; [1, x+1, 0, 0, 1]; [1, 0, x+2, x+1, 0]; "
+     "[0, 0, 1, x+1, 0]; [1, x+1, 0, 0, x+2])"),
+    (lambda: charpoly_factored(generator_tuple("T")), ("coefficients",),
+     "LambdaPolynomial([[1, 4, 6, 4, 1], [-7, -20, -20, -8, -1], [17, 32, 20, 4], "
+     "[-17, -20, -6], [7, 4], [-1]])"),
 ]
 
 

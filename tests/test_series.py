@@ -180,6 +180,10 @@ class TestExportForms:
         assert text == ("(2x + (-2x^2-3x)y) / (1 + (-2x-3)y + (x^2+2x+1)y^2)"
                         " + (x^3-2x) / (1 + (-1)y)")
 
+    def test_render_gf_writes_a_unit_y_coefficient_bare(self):
+        text = render_gf(gf_from_tuple(BracketVector.of(0, 0, 0, -1, 0)))
+        assert text == "(2x + (x)y) / (1 + y) + (x^3-2x) / (1)"
+
 
 def test_coefficient_rows_accepts_any_tuple():
     rows = coefficient_rows(T.mirrored(), 10)
