@@ -10,22 +10,25 @@ A tangle word over ``X1 X2 U1 U2`` is the product of its letters' tuples
 
 Repeated gluing is linear: ``states_matrix(v)`` is the 5x5 matrix of the
 right-gluing map ``w -> compose(w, v)``, so its n-th power applied to the
-unit tuple is the tuple of the n-fold power of ``v``.  The closure of a
-tangle weights each slot by one factor of x per loop its basis diagram
-closes to, and the closures of the powers have a rational generating
-function built from the invariants ``p`` and ``q^2``;
+unit tuple is the tuple of the n-fold power of ``v``.  That matrix is
+annihilated by a cubic built from ``a``, ``p`` and ``m``
+(:func:`power_cubic`), so :func:`power` writes ``v^n`` as a combination of
+1, ``v`` and ``v^2`` whose three coefficients come from one scalar series.
+The closure of a tangle weights each slot by one factor of x per loop its
+basis diagram closes to, and the closures of the powers have a rational
+generating function built from the invariants ``p`` and ``q^2``;
 :func:`closed_form_bracket` runs its recurrence without ever forming the
-radical ``q``.
+radical ``q``.  Both jump to their n-th term with
+:func:`shadowbracket.poly.series_term`.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import islice
 from typing import Iterable, Sequence
 
 from .poly import (ONE, X, ZERO, Polynomial, PolynomialLike, power_by_squaring,
-                   series_coefficients)
+                   series_term)
 from .record import Record
 from .tl3 import ELEMENTS, TLElement, closure_loops, multiply
 
@@ -267,10 +270,40 @@ def compose(v: BracketVector, w: BracketVector) -> BracketVector:
 
 
 def power(v: BracketVector, n: int) -> BracketVector:
-    """The tuple of the n-fold gluing of ``v`` with itself (unit at n = 0)."""
+    """The tuple of the n-fold gluing of ``v`` with itself (unit at n = 0).
+
+    Every tuple satisfies the reduced cubic of its states matrix,
+    ``v^3 = s1 v^2 - s2 v + s3`` with s1 = a + p, s2 = ap + m and s3 = am
+    (:func:`power_cubic`).  So ``v^n`` is ``alpha + beta v + gamma v^2`` with
+    ``lam^n = alpha + beta lam + gamma lam^2`` modulo the cubic (Fiduccia,
+    *An efficient formula for linear recurrences*, SIAM J. Comput. 14, 1985),
+    and all three come from one series ``gamma_n``, the coefficients of
+    ``y^2 / (1 - s1 y + s2 y^2 - s3 y^3)``::
+
+        v^n = s3 gamma_(n-1) + (gamma_(n+1) - s1 gamma_n) v + gamma_n v^2
+    """
     if n < 0:
         raise ValueError("power requires n >= 0")
-    return power_by_squaring(v, n, BracketVector.unit(), compose)
+    if n == 0:  # gamma_(-1) is not a term of the series
+        return BracketVector.unit()
+    s1, s2, s3 = power_cubic(v)
+    before, gamma, after = series_term((ZERO, ZERO, ONE), (ONE, -s1, s2, -s3), n + 1,
+                                       count=3)
+    return (BracketVector.unit().scaled(s3 * before) + v.scaled(after - s1 * gamma)
+            + compose(v, v).scaled(gamma))
+
+
+def power_cubic(v: BracketVector) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """The coefficients (s1, s2, s3) of ``lam^3 - s1 lam^2 + s2 lam - s3``.
+
+    The states matrix has characteristic polynomial
+    -(lam - a)(lam^2 - p lam + m)^2 (:func:`charpoly_factored`); TL_3 splits
+    into a 1x1 and a 2x2 block, so this cubic, (lam - a)(lam^2 - p lam + m),
+    already annihilates every tuple: ``v^3 = s1 v^2 - s2 v + s3``.
+    """
+    pq = pq_invariants(v)
+    m = pq.pair_product()
+    return v.a + pq.p, v.a * pq.p + m, v.a * m
 
 
 WORD_LETTERS = ("X1", "X2", "U1", "U2")
@@ -366,13 +399,12 @@ def closed_form_bracket(v: BracketVector, n: int) -> Polynomial:
     """Closure bracket of the n-th power of ``v``, by recurrence.
 
     The n-th series coefficient of :func:`closure_gf_terms`, each term run
-    through its denominator recurrence.  Agrees with ``closure(power(v, n))``
-    for every n, without forming any radical.
+    through its denominator recurrence by :func:`series_term`.  Agrees with
+    ``closure(power(v, n))`` for every n, without forming any radical.
     """
     if n < 0:
         raise ValueError("closed_form_bracket requires n >= 0")
-    pair, geometric = (next(islice(series_coefficients(num, den), n, None))
-                       for num, den in closure_gf_terms(v))
+    pair, geometric = (series_term(num, den, n)[0] for num, den in closure_gf_terms(v))
     return pair + geometric
 
 

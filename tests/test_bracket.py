@@ -1,16 +1,18 @@
 import random
 from functools import reduce
+from itertools import product
 
 import pytest
 
 from conftest import P, reference_matrix, rand_tuple
 from shadowbracket.bracket import (BracketVector, LambdaPolynomial, PolyMatrix,
                                    charpoly, charpoly_factored, closed_form_bracket,
-                                   closure, compose, power, pq_invariants,
+                                   closure, compose, power, power_cubic, pq_invariants,
                                    states_matrix)
 from shadowbracket.generators import generator_tuple
 from shadowbracket.oracle import compile_word, enumerate_states
-from shadowbracket.poly import Polynomial, X
+from shadowbracket.poly import ONE, Polynomial, X, ZERO, power_by_squaring
+from shadowbracket.series import gf_from_tuple
 from shadowbracket.tl3 import ELEMENTS, TLElement, closure_loops
 
 T = generator_tuple("T")
@@ -110,6 +112,59 @@ class TestPower:
         for v in (T, C, E, rand_tuple(rng), rand_tuple(rng)):
             for n in range(8):
                 assert power(v, n).a == v.a ** n
+
+
+class TestPowerFromTheCubic:
+    """``power`` reads v^n off the reduced cubic; check it three ways."""
+
+    def test_cubic_identity_is_proved_on_a_grid(self):
+        # Each entry of v^3 - s1 v^2 + s2 v - s3 is a polynomial over Z[x]
+        # of degree at most 3 in each of a..e.  Vanishing on all of
+        # {0, 1, 2, 3}^5 makes every such polynomial zero, so the identity
+        # holds for every tuple.
+        for entries in product(range(4), repeat=5):
+            v = BracketVector.of(*entries)
+            square = compose(v, v)
+            s1, s2, s3 = power_cubic(v)
+            assert compose(square, v) == (square.scaled(s1) + v.scaled(-s2)
+                                          + UNIT.scaled(s3)), entries
+
+    def test_cubic_of_the_generators(self):
+        assert power_cubic(T) == (P("2x+4"), P("x^2+4x+4"), P("x^2+2x+1"))
+        for v in (T, C, E):
+            s1, s2, s3 = power_cubic(v)
+            expanded = charpoly_factored(v)
+            # -(lam^3 - s1 lam^2 + s2 lam - s3)(lam^2 - p lam + m)
+            quadratic = LambdaPolynomial((pq_invariants(v).pair_product(),
+                                          -pq_invariants(v).p, 1))
+            assert expanded == -(LambdaPolynomial((-s3, s2, -s1, 1)) * quadratic)
+
+    def test_power_equals_compose_squaring(self):
+        rng = random.Random(82)
+        degenerate = [
+            BracketVector.of(0, P("x+1"), 2, P("x"), -1),  # a = 0
+            BracketVector.of(0, 0, 0, 0, 0),  # the zero tuple
+            BracketVector.of(0, 1, 1, 1, 1),  # m = 0
+            BracketVector.of(P("x+2"), 1, -1, 1, -1),  # q^2 = 0
+            BracketVector.of(P("x-1"), 0, 0, 0, 0),  # q^2 = 0, a lone eigenvalue
+        ]
+        assert pq_invariants(degenerate[2]).pair_product() == ZERO
+        assert pq_invariants(degenerate[3]).q_squared == ZERO
+        for v in [T, C, E, *degenerate, *(rand_tuple(rng) for _ in range(4))]:
+            # Powers by repeated gluing for every n, and by compose squaring
+            # (the route power took before the cubic) where it is dearest.
+            expected = UNIT
+            for n in range(64):
+                assert power(v, n) == expected, n
+                if n in (31, 32, 63):
+                    assert expected == power_by_squaring(v, n, UNIT, compose)
+                expected = compose(expected, v)
+
+    def test_closure_of_the_power_at_150(self):
+        for v in (T, C, E):
+            expected = gf_from_tuple(v).expand(150)[150]
+            assert closure(power(v, 150)) == expected
+            assert closed_form_bracket(v, 150) == expected
 
 
 class TestClosure:

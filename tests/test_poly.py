@@ -1,12 +1,14 @@
 import json
 import random
 import sys
+from itertools import islice
 
 import pytest
 
 from conftest import P, rand_poly
-from shadowbracket.poly import (KRONECKER_MIN_TERMS, ONE, Polynomial, X, ZERO, int_text,
-                                parse_int, power_by_squaring, series_coefficients)
+from shadowbracket.poly import (KRONECKER_MIN_TERMS, ONE, SERIES_BLOCK_STEPS, Polynomial, X,
+                                ZERO, int_text, join_ints, parse_int, power_by_squaring,
+                                series_coefficients, series_term)
 
 
 class TestAddition:
@@ -321,6 +323,94 @@ class TestKernels:
                 reduced = series_coefficients(numerator, denominator, precision)
                 for (_, term), cut in zip(full, reduced):
                     assert cut == term.truncate(precision)
+
+
+class TestSeriesTerm:
+    """The packed jump to t_n agrees with the walk of series_coefficients."""
+
+    # Every n up to here crosses three block boundaries of the packed route.
+    LAST = 3 * SERIES_BLOCK_STEPS + 4
+
+    def _check(self, numerator, denominator, counts=(1, 2, 3)):
+        walk = list(islice(series_coefficients(numerator, denominator), self.LAST + 1))
+        for n in range(self.LAST + 1):
+            for count in counts:
+                assert series_term(numerator, denominator, n, count) == \
+                    walk[max(0, n + 1 - count):n + 1], (n, count)
+        return walk
+
+    def test_against_the_walk_on_random_series(self):
+        # Signed feedback with zero and unit coefficients and zero feedback
+        # polynomials, numerators shorter than, as long as and longer than
+        # the denominator, and order 0 (a polynomial) to 3.
+        rng = random.Random(74)
+        for order in range(4):
+            for length in sorted({0, max(order, 1) - 1, order + 1, order + 3}):
+                numerator = [Polynomial(_signed_coefficients(
+                    rng, rng.randint(0, 3), rng.choice((1, 9, 70)))) for _ in range(length)]
+                denominator = [ONE] + [Polynomial(_signed_coefficients(
+                    rng, rng.randint(0, 4), rng.choice((1, 2)))) for _ in range(order)]
+                self._check(numerator, denominator)
+
+    def test_zero_feedback_and_zero_series(self):
+        numerator = [P("x^2-3"), P("5x")]
+        walk = self._check(numerator, [ONE, ZERO, ZERO])
+        assert walk[:2] == numerator and all(t == ZERO for t in walk[2:])
+        self._check([], [ONE, P("x+1")], counts=(1, 4))
+        self._check([ZERO, ONE], [ONE])
+
+    def test_coefficients_on_the_digit_limit(self):
+        # With monomial terms the l1 bound is exact: every coefficient of
+        # M x^n and M (-x)^n is +-M = 2^(8w-1) - 1, the largest of w bytes.
+        for width in (1, 2, 9):
+            top = (1 << (8 * width - 1)) - 1
+            for sign in (1, -1):
+                for feedback in (X, -X):
+                    walk = self._check([Polynomial([sign * top])], [ONE, -feedback],
+                                       counts=(1, 3))
+                    assert {abs(c) for t in walk for c in t.coefficients if c} == {top}
+
+    def test_every_feedback_term_counts_in_the_width(self):
+        # t_n = x t_(n-1) + x^2 t_(n-2) and its signed twins have Fibonacci
+        # numbers times x^n as terms, so the norm bound is exact; a bound
+        # that left out either feedback term would be too narrow.
+        square = X * X
+        for first in (ONE, -ONE):
+            for pair in ((-X, -square), (X, -square)):
+                walk = self._check([first], [ONE, *pair], counts=(1, 3))
+                assert all(len(set(t.coefficients)) == 2 for t in walk[1:])
+        fibonacci = [1, 1]
+        while len(fibonacci) <= self.LAST:
+            fibonacci.append(fibonacci[-1] + fibonacci[-2])
+        assert series_term([ONE], [ONE, -X, -square], self.LAST)[0] == \
+            Polynomial.monomial(self.LAST, fibonacci[self.LAST])
+
+    def test_jumps_to_deep_terms(self):
+        # Terms of several hundred coefficients of several hundred bits.
+        numerator = [P("2x"), P("-3x^2-2x")]
+        denominator = [ONE, P("-2x-3"), P("x^2+2x+1")]
+        walk = list(islice(series_coefficients(numerator, denominator), 401))
+        for n in (150, 257, 400):
+            assert series_term(numerator, denominator, n, 2) == walk[n - 1:n + 1]
+
+    def test_rejects_negative_index_and_empty_count(self):
+        with pytest.raises(ValueError):
+            series_term([ONE], [ONE, X], -1)
+        with pytest.raises(ValueError):
+            series_term([ONE], [ONE, X], 3, count=0)
+
+
+class TestJoinInts:
+    def test_matches_str_join(self):
+        row = [0, -5, 10 ** 40, 7]
+        assert join_ints(row, ",") == "0,-5," + str(10 ** 40) + ",7"
+        assert join_ints((), " ") == ""
+
+    def test_a_row_past_the_digit_limit(self):
+        long = 3 * 10 ** 4400 + 1
+        limit = sys.get_int_max_str_digits()
+        assert join_ints([1, -long, 2], " ") == f"1 -{int_text(long)} 2"
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestLongIntegerText:
