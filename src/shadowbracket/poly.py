@@ -425,9 +425,9 @@ def series_term(numerator: Sequence[Polynomial], denominator: Sequence[Polynomia
                         min(n + 1, max(order, len(numerator)))))
     keep = max(order, count)
     feedback = [(-c).coefficients for c in denominator[1:]]
+    longest_feedback = max(map(len, feedback), default=0)
     # Horner rows, highest power of x first: row i holds (k, f_k[i]) for every
     # nonzero coefficient of x**i in the feedback polynomials f_k.
-    longest_feedback = max(map(len, feedback), default=0)
     rows = [[(k, f[i]) for k, f in enumerate(feedback) if i < len(f) and f[i]]
             for i in reversed(range(longest_feedback))]
     feedback_norms = [sum(map(abs, f)) for f in feedback]
