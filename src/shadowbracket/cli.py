@@ -26,7 +26,7 @@ from typing import Sequence
 from .bracket import (BracketVector, WORD_LETTERS, charpoly, closed_form_bracket,
                       parse_word, pq_invariants, power, states_matrix, word_tuple)
 from .generators import NAMES, generator_tuple
-from .poly import Polynomial, join_ints, parse_int
+from .poly import Polynomial, int_text, parse_int
 
 
 # The count flags, in the order they are checked; each must be nonnegative.
@@ -229,7 +229,7 @@ def _cmd_table(args) -> int:
     elif args.format == "csv":
         _emit(args, "\n".join(csv_lines(table)))
     else:
-        _emit(args, "\n".join(join_ints(row, " ") for row in table))
+        _emit(args, "\n".join(" ".join(map(int_text, row)) for row in table))
     return 0
 
 

@@ -330,18 +330,6 @@ def int_text(value: int) -> str:
         return str(Decimal(value))
 
 
-def join_ints(values: Sequence[int], separator: str) -> str:
-    """``separator.join`` of the decimal digits of ``values`` (an output row).
-
-    The row goes through ``str`` at once; only a row that holds an int past
-    ``str``'s limit is written again value by value with :func:`int_text`.
-    """
-    try:
-        return separator.join(map(str, values))
-    except ValueError:
-        return separator.join(map(int_text, values))
-
-
 def parse_int(text: str) -> int:
     """``int(text)``, exact also past ``sys.int_max_str_digits`` digits."""
     try:
@@ -450,11 +438,14 @@ def series_term(numerator: Sequence[Polynomial], denominator: Sequence[Polynomia
         # every step would each fault in all their pages (about 400,000
         # minor page faults, a quarter of the time, at closed E^1000).
         # Freeing one buffer four times the block's largest integer first
-        # raises that limit, and the block's integers reuse heap memory;
-        # calloc leaves the fresh mapping untouched, so the buffer costs no
-        # faults.  A step lengthens a term by less than the longest feedback.
+        # raises that limit (up to glibc's 32 MiB cap), and the block's
+        # integers reuse heap memory; ``bytes`` takes the zeroed buffer from
+        # calloc, which leaves a fresh mapping untouched (about 3,400 faults
+        # in all at closed E^1000).  Under another allocator the buffer only
+        # costs its allocation.  A step lengthens a term by less than the
+        # longest feedback.
         longest = max((len(t.coefficients) for t in start), default=0)
-        bytearray(4 * width * (longest + longest_feedback * steps + 1))
+        bytes(4 * width * (longest + longest_feedback * steps + 1))
         packed = deque(maxlen=keep)
         for _ in range(steps):
             value = 0

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .bracket import BracketVector, closure_gf_terms
 from .generators import generator_tuple
-from .poly import ONE, Polynomial, join_ints, parse_int, series_coefficients
+from .poly import ONE, Polynomial, int_text, parse_int, series_coefficients
 from .record import Record
 
 
@@ -128,12 +128,12 @@ def _check_column_index(k: int) -> None:
 
 
 def csv_lines(table: Sequence[Sequence[int]]) -> list[str]:
-    return [join_ints(row, ",") for row in table]
+    return [",".join(map(int_text, row)) for row in table]
 
 
 def bfile_lines(values: Sequence[int], offset: int = 0) -> list[str]:
     """OEIS b-file form: one "index value" pair per line."""
-    return [join_ints((offset + i, value), " ") for i, value in enumerate(values)]
+    return [f"{offset + i} {int_text(value)}" for i, value in enumerate(values)]
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -155,7 +155,8 @@ def compare_bfiles(ours: str, reference: str) -> str | None:
     a, b = parse_bfile(ours), parse_bfile(reference)
     for i, (left, right) in enumerate(zip(a, b)):
         if left != right:
-            ours_line, reference_line = (join_ints(entry, " ") for entry in (left, right))
+            ours_line, reference_line = (" ".join(map(int_text, entry))
+                                         for entry in (left, right))
             return f"mismatch at line {i + 1}: {ours_line} != {reference_line}"
     if len(a) != len(b):
         return f"length mismatch: {len(a)} lines versus {len(b)}"

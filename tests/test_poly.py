@@ -7,7 +7,7 @@ import pytest
 
 from conftest import P, rand_poly
 from shadowbracket.poly import (KRONECKER_MIN_TERMS, ONE, SERIES_BLOCK_STEPS, Polynomial, X,
-                                ZERO, int_text, join_ints, parse_int, power_by_squaring,
+                                ZERO, int_text, parse_int, power_by_squaring,
                                 series_coefficients, series_term)
 
 
@@ -398,19 +398,6 @@ class TestSeriesTerm:
             series_term([ONE], [ONE, X], -1)
         with pytest.raises(ValueError):
             series_term([ONE], [ONE, X], 3, count=0)
-
-
-class TestJoinInts:
-    def test_matches_str_join(self):
-        row = [0, -5, 10 ** 40, 7]
-        assert join_ints(row, ",") == "0,-5," + str(10 ** 40) + ",7"
-        assert join_ints((), " ") == ""
-
-    def test_a_row_past_the_digit_limit(self):
-        long = 3 * 10 ** 4400 + 1
-        limit = sys.get_int_max_str_digits()
-        assert join_ints([1, -long, 2], " ") == f"1 -{int_text(long)} 2"
-        assert sys.get_int_max_str_digits() == limit
 
 
 class TestLongIntegerText:
