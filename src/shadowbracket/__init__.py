@@ -19,12 +19,12 @@ from importlib import import_module
 # the package imports no submodule; the first use of a name imports its
 # module (PEP 562), so a command pays only for the modules it runs.
 _MODULE_OF = {
-    "BracketVector": "bracket", "Boundary": "oracle", "CrossingLimitError": "oracle",
+    "BracketVector": "tl3", "Boundary": "diagram", "CrossingLimitError": "oracle",
     "DEFAULT_MAX_CROSSINGS": "oracle", "ELEMENTS": "tl3", "GeneratorSpec": "generators",
-    "LambdaPolynomial": "bracket", "MalformedDiagramError": "oracle",
+    "LambdaPolynomial": "bracket", "MalformedDiagramError": "diagram",
     "NAMES": "generators", "ONE": "poly", "PQInvariants": "bracket",
     "PolyMatrix": "bracket", "Polynomial": "poly", "RationalGF": "series",
-    "RationalTerm": "series", "ScaledTL": "tl3", "ShadowDiagram": "oracle",
+    "RationalTerm": "series", "ScaledTL": "tl3", "ShadowDiagram": "diagram",
     "TLElement": "tl3", "X": "poly", "ZERO": "poly", "bfile_lines": "series",
     "charpoly": "bracket", "charpoly_factored": "bracket",
     "classify_boundary": "oracle", "close_diagram": "oracle",

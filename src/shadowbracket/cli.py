@@ -23,10 +23,9 @@ from typing import Sequence
 
 # Only what every command needs is imported here; each handler imports the
 # rest, so a command loads no module it does not run.
-from .bracket import (BracketVector, WORD_LETTERS, charpoly, closed_form_bracket,
-                      parse_word, pq_invariants, power, states_matrix, word_tuple)
 from .generators import NAMES, generator_tuple
 from .poly import Polynomial, int_text, parse_int
+from .tl3 import WORD_LETTERS, BracketVector
 
 
 # The count flags, in the order they are checked; each must be nonnegative.
@@ -148,11 +147,12 @@ def _resolve_input(args) -> BracketVector | Polynomial:
     if args.generator:
         return generator_tuple(args.generator)
     if args.word is not None:
+        from .bracket import parse_word, word_tuple
         return word_tuple(parse_word(args.word))
     if args.tuple_file is not None:
         return BracketVector.from_json(_load_json(args.tuple_file))
     from .contraction import contract
-    from .oracle import ShadowDiagram
+    from .diagram import ShadowDiagram
     return contract(ShadowDiagram.from_json(_load_json(args.pd)))
 
 
@@ -202,14 +202,16 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_bracket(args) -> int:
-    value = _resolve_input(args)
-    if isinstance(value, Polynomial):
+    result = _resolve_input(args)
+    if isinstance(result, Polynomial):
         if args.n != 1 or args.closure:
             raise ValueError("--n and --closure do not apply to a closed diagram")
-        result: Polynomial | BracketVector = value
-    else:
-        result = closed_form_bracket(value, args.n) if args.closure \
-            else power(value, args.n)
+    elif args.closure:
+        from .bracket import closed_form_bracket
+        result = closed_form_bracket(result, args.n)
+    elif args.n != 1:  # the first power is the input tangle itself
+        from .bracket import power
+        result = power(result, args.n)
     if args.format == "json":
         if isinstance(result, Polynomial):
             payload = {"n": args.n, "bracket": list(result.coefficients)}
@@ -251,6 +253,7 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
+    from .bracket import charpoly, pq_invariants, states_matrix
     v = _require_tangle(_resolve_input(args))
     chi = charpoly(states_matrix(v))
     if args.format == "json":

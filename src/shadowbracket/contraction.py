@@ -33,10 +33,9 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .bracket import BracketVector
-from .oracle import ShadowDiagram, _boundary_element, _number_edges, _SMOOTHINGS
+from .diagram import ShadowDiagram, _boundary_element, _number_edges, _SMOOTHINGS
 from .poly import Polynomial
-from .tl3 import ELEMENTS, TLElement
+from .tl3 import ELEMENTS, BracketVector, TLElement
 
 # Frontier matching -> loop counts: element k counts the states with k loops.
 _States = dict[tuple[int, ...], list[int]]

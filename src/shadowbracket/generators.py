@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bracket import BracketVector
 from .record import Record
+from .tl3 import BracketVector
 
 NAMES = ("T", "C", "E")
 
@@ -49,7 +49,7 @@ def _turn_hitch() -> ShadowDiagram:
     direction of :func:`compile_word`'s crossings, so glued and closed
     diagrams pass the listed-order planarity check.
     """
-    from .oracle import Boundary, ShadowDiagram
+    from .diagram import Boundary, ShadowDiagram
     return ShadowDiagram(
         crossings=(
             ("turn", "bight1", "leg1", "bight0"),

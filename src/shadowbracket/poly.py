@@ -18,27 +18,23 @@ of two long operands use Kronecker substitution: each operand is packed
 into one integer with one fixed-width digit per coefficient, the two
 integers are multiplied by CPython's big-int multiply, and the digits of
 the product are read back (Harvey, *Faster polynomial multiplication via
-multipoint Kronecker substitution*, J. Symb. Comput. 44, 2009).
-
-A rational series in y over Z[x] has two routes too, chosen by what the
-caller needs.  :func:`series_coefficients` walks every term, one short-by-
-long product per feedback polynomial, for callers that print them all.
-:func:`series_term` jumps to one term: it runs the same recurrence on the
-terms packed into integers, the way the Kronecker product packs, and reads
-the digits back only at block ends.
+multipoint Kronecker substitution*, J. Symb. Comput. 44, 2009).  The
+packing and digit reading are shared with the packed series recurrence of
+:func:`shadowbracket.bracket.series_term`.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from itertools import count, islice
-from operator import add, mul
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from operator import add
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-_TERM_RE = re.compile(r"^([0-9]+)?(x(?:\^([0-9]+))?)?$")
-_SPLIT_RE = re.compile(r"[+-][^+-]*|^[^+-]+")
-_INT_RE = re.compile(r"[+-]?[0-9]+")
+# The text-form patterns, compiled (and cached by ``re``) at first use: only
+# :meth:`Polynomial.parse` and :func:`parse_int`'s long-integer fallback read
+# them, so no other command pays for compiling them.
+_TERM_RE = r"^([0-9]+)?(x(?:\^([0-9]+))?)?$"
+_SPLIT_RE = r"[+-][^+-]*|^[^+-]+"
+_INT_RE = r"[+-]?[0-9]+"
 
 PolynomialLike = Union["Polynomial", int, Iterable[int]]
 
@@ -54,15 +50,6 @@ T = TypeVar("T")
 # Below it, short-by-long products stay term by term: packing the short
 # operand into digits as wide as the long one's costs more than it saves.
 KRONECKER_MIN_TERMS = 32
-
-# Recurrence steps :func:`series_term` runs between two readings of its
-# packed terms.  A block's digit width must hold its last terms, so a longer
-# block carries wider digits through its early steps, and a shorter one
-# reads the digits back more often.  Of 8, 16, 32, 64 and 128 steps, 32 was
-# fastest for closed E^1000 (8 and 16 took 23% and 8% longer) and within
-# the noise of the best at the sizes of the tower benchmark (CPython 3.11,
-# 2-vCPU x86 VM).
-SERIES_BLOCK_STEPS = 32
 
 
 class Polynomial:
@@ -234,7 +221,7 @@ class Polynomial:
         compact = text.replace(" ", "")
         if not compact:
             raise ValueError("empty polynomial text")
-        terms = _SPLIT_RE.findall(compact)
+        terms = re.findall(_SPLIT_RE, compact)
         if "".join(terms) != compact:
             raise ValueError(f"cannot parse polynomial: {text!r}")
         powers: dict[int, int] = {}
@@ -244,7 +231,7 @@ class Polynomial:
             if body[0] in "+-":
                 sign = -1 if body[0] == "-" else 1
                 body = body[1:]
-            match = _TERM_RE.match(body)
+            match = re.match(_TERM_RE, body)
             if not match or (match.group(1) is None and match.group(2) is None):
                 raise ValueError(f"cannot parse polynomial term: {term!r}")
             coeff = parse_int(match.group(1)) if match.group(1) is not None else 1
@@ -335,7 +322,7 @@ def parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        if not _INT_RE.fullmatch(text):
+        if not re.fullmatch(_INT_RE, text):
             raise
         from decimal import Decimal
         return int(Decimal(text))
@@ -358,111 +345,3 @@ def power_by_squaring(base: T, exponent: int, unit: T,
         if exponent:
             base = multiply(base, base)
     return result
-
-
-def series_coefficients(numerator: Sequence[Polynomial],
-                        denominator: Sequence[Polynomial],
-                        precision: int | None = None) -> Iterator[Polynomial]:
-    """Coefficients t_0, t_1, ... of the series numerator / denominator in y.
-
-    Both are coefficient sequences over Z[x], lowest power of y first, and
-    the denominator starts with 1, so ``t_n = num_n - sum_k den_k t_(n-k)``;
-    only the last ``len(denominator) - 1`` coefficients are kept.
-
-    With ``precision``, every t_n is reduced modulo ``x**precision``.
-    Reduction is a ring homomorphism, so reducing the inputs and each new
-    term gives exactly the reduced series while every product stays short.
-    """
-    def cut(p: Polynomial) -> Polynomial:
-        return p if precision is None else p.truncate(precision)
-
-    numerator = [cut(c) for c in numerator]
-    feedback = [cut(-c) for c in denominator[1:]]
-    recent: list[Polynomial] = []  # newest first
-    for n in count():
-        term = cut(sum((c * t for c, t in zip(feedback, recent)),
-                       numerator[n] if n < len(numerator) else ZERO))
-        yield term
-        recent = [term, *recent][:len(feedback)]
-
-
-def series_term(numerator: Sequence[Polynomial], denominator: Sequence[Polynomial],
-                n: int, count: int = 1) -> list[Polynomial]:
-    """The terms t_(n-count+1), ..., t_n of the series numerator / denominator.
-
-    Fewer than ``count`` terms when n < count - 1.  They equal the terms of
-    :func:`series_coefficients`, which walks the series term by term; this
-    kernel jumps to t_n.  The terms up to the last one the numerator touches
-    come from :func:`series_coefficients`.  From there the recurrence runs on
-    integers packed at x = 2**(8w), one digit per coefficient (Kronecker
-    substitution, as in the product): a product by a feedback polynomial
-    is a few shifts and small-integer multiplies of one packed integer.
-
-    The digits are read back only every :data:`SERIES_BLOCK_STEPS` steps.
-    Each block takes its digit width w from the exact l1 norms of the terms
-    it starts from: the l1 norm of ``sum f_k t_(n-k)`` is at most
-    ``sum |f_k| |t_(n-k)|``, so that recurrence run on the norms bounds
-    every coefficient the block reads back.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if count < 1:
-        raise ValueError("count must be positive")
-    order = len(denominator) - 1
-    terms = list(islice(series_coefficients(numerator, denominator),
-                        min(n + 1, max(order, len(numerator)))))
-    keep = max(order, count)
-    feedback = [(-c).coefficients for c in denominator[1:]]
-    longest_feedback = max(map(len, feedback), default=0)
-    # Horner rows, highest power of x first: row i holds (k, f_k[i]) for every
-    # nonzero coefficient of x**i in the feedback polynomials f_k.
-    rows = [[(k, f[i]) for k, f in enumerate(feedback) if i < len(f) and f[i]]
-            for i in reversed(range(longest_feedback))]
-    feedback_norms = [sum(map(abs, f)) for f in feedback]
-    done = len(terms)
-    while done <= n:
-        steps = min(SERIES_BLOCK_STEPS, n + 1 - done)
-        start = terms[len(terms) - order:][::-1]  # newest first
-        norms = [sum(map(abs, t.coefficients)) for t in start]
-        top = max(norms, default=0)  # the start terms are packed at this width too
-        for step in range(steps):
-            bound = sum(map(mul, feedback_norms, norms))
-            norms = [bound, *norms[:-1]]
-            if step >= steps - keep:
-                top = max(top, bound)
-        width = _digit_width(top)
-        shift = 8 * width
-        recent = [_pack(t.coefficients, width) for t in start]
-        # glibc's malloc maps a block larger than any it has freed so far
-        # afresh, and unmaps it when freed, so integers that grow a little
-        # every step would each fault in all their pages (about 400,000
-        # minor page faults, a quarter of the time, at closed E^1000).
-        # Freeing one buffer four times the block's largest integer first
-        # raises that limit (up to glibc's 32 MiB cap), and the block's
-        # integers reuse heap memory; ``bytes`` takes the zeroed buffer from
-        # calloc, which leaves a fresh mapping untouched (about 3,400 faults
-        # in all at closed E^1000).  Under another allocator the buffer only
-        # costs its allocation.  A step lengthens a term by less than the
-        # longest feedback.
-        longest = max((len(t.coefficients) for t in start), default=0)
-        bytes(4 * width * (longest + longest_feedback * steps + 1))
-        packed = deque(maxlen=keep)
-        for _ in range(steps):
-            value = 0
-            for row in rows:
-                value <<= shift
-                for k, c in row:
-                    # A unit coefficient costs no multiply, the first term no add.
-                    if c == -1:
-                        value -= recent[k]
-                        continue
-                    term = recent[k] if c == 1 else c * recent[k]
-                    value = value + term if value else term
-            recent = [value, *recent[:-1]]
-            packed.append(value)
-        terms += [Polynomial._unchecked(
-                      _unpack(value, width, value.bit_length() // shift + 1))
-                  for value in packed]
-        terms = terms[-keep:]
-        done += steps
-    return terms[-count:]

@@ -24,10 +24,11 @@ from __future__ import annotations
 from itertools import islice
 from typing import Sequence
 
-from .bracket import BracketVector, closure_gf_terms
+from .bracket import closure_gf_terms, series_coefficients
 from .generators import generator_tuple
-from .poly import ONE, Polynomial, int_text, parse_int, series_coefficients
+from .poly import ONE, Polynomial, int_text, parse_int
 from .record import Record
+from .tl3 import BracketVector
 
 
 class RationalTerm(Record):

@@ -11,12 +11,20 @@ boundary points (Kauffman, *State models and the Jones polynomial*, Topology
 26, 1987); the product, closure and flip tables are derived from the
 matchings at import.  The test suite checks the products against the full
 loop-weighted associativity law and the Temperley-Lieb relations.
+
+A tangle bracket is a :class:`BracketVector`, one integer polynomial per
+element.  It lives here, beside the basis it is written in, so that reading,
+printing or passing on a tuple needs none of the tuple algebra of
+:mod:`shadowbracket.bracket`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from typing import NamedTuple
+
+from .poly import Polynomial, PolynomialLike
+from .record import Record
 
 
 class TLElement(Enum):
@@ -129,3 +137,79 @@ def closure_loops(element: TLElement) -> int:
 def mirror(element: TLElement) -> TLElement:
     """The image of an element under the top-bottom flip of the strip."""
     return _MIRROR[element]
+
+
+# The letters of a tangle word: the crossings of strands 1-2 and 2-3, and the
+# two cup-cap insertions.
+WORD_LETTERS = ("X1", "X2", "U1", "U2")
+
+
+class BracketVector(Record):
+    """Coefficients of a tangle bracket on the five-diagram basis."""
+
+    __slots__ = ("a", "b", "c", "d", "e")
+
+    def __init__(self, a: PolynomialLike, b: PolynomialLike, c: PolynomialLike,
+                 d: PolynomialLike, e: PolynomialLike):
+        coerce, set_field = Polynomial.coerce, object.__setattr__
+        set_field(self, "a", coerce(a))
+        set_field(self, "b", coerce(b))
+        set_field(self, "c", coerce(c))
+        set_field(self, "d", coerce(d))
+        set_field(self, "e", coerce(e))
+
+    @classmethod
+    def of(cls, a: PolynomialLike, b: PolynomialLike, c: PolynomialLike,
+           d: PolynomialLike, e: PolynomialLike) -> "BracketVector":
+        return cls(a, b, c, d, e)
+
+    @classmethod
+    def unit(cls) -> "BracketVector":
+        """The tuple of the identity tangle."""
+        return cls.of(1, 0, 0, 0, 0)
+
+    @classmethod
+    def basis(cls, element: TLElement) -> "BracketVector":
+        entries = [0] * 5
+        entries[ELEMENTS.index(element)] = 1
+        return cls.of(*entries)
+
+    def entries(self) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial, Polynomial]:
+        return self._fields
+
+    def mirrored(self) -> "BracketVector":
+        """Swap the coefficients paired by the top-bottom flip (b<->c, d<->e)."""
+        return BracketVector(self.a, self.c, self.b, self.e, self.d)
+
+    def scaled(self, factor: PolynomialLike) -> "BracketVector":
+        factor = Polynomial.coerce(factor)
+        return BracketVector(*(factor * p for p in self.entries()))
+
+    def __add__(self, other: "BracketVector") -> "BracketVector":
+        return BracketVector(*(p + q for p, q in zip(self.entries(), other.entries())))
+
+    def to_json(self) -> dict:
+        return {name: list(p.coefficients)
+                for name, p in zip("abcde", self.entries())}
+
+    @classmethod
+    def from_json(cls, data: object) -> "BracketVector":
+        """Read the :meth:`to_json` form; raise ValueError for anything else."""
+        if not isinstance(data, dict):
+            raise ValueError("bracket tuple JSON must be an object")
+        try:
+            entries = [data[name] for name in "abcde"]
+        except KeyError as missing:
+            raise ValueError(f"bracket tuple JSON is missing key {missing}") from None
+        extra = sorted(set(data) - set("abcde"))
+        if extra:
+            raise ValueError(f"bracket tuple JSON has unknown key {extra[0]!r}")
+        for name, coeffs in zip("abcde", entries):
+            # bool is a subclass of int, so test the exact type.
+            if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
+                raise ValueError(
+                    f"bracket tuple JSON key {name!r} must be a list of integers")
+        return cls.of(*entries)
+
+    def __str__(self) -> str:
+        return "[" + ", ".join(str(p) for p in self.entries()) + "]"

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from conftest import P, reference_matrix, rand_tuple
+from shadowbracket import bracket
 from shadowbracket.bracket import (BracketVector, LambdaPolynomial, PolyMatrix,
                                    charpoly, charpoly_factored, closed_form_bracket,
                                    closure, compose, power, power_cubic, pq_invariants,
@@ -19,6 +20,15 @@ T = generator_tuple("T")
 C = generator_tuple("C")
 E = generator_tuple("E")
 UNIT = BracketVector.unit()
+
+# Tuples on which the cubic's coefficients degenerate.
+DEGENERATE = [
+    BracketVector.of(0, P("x+1"), 2, P("x"), -1),  # a = 0
+    BracketVector.of(0, 0, 0, 0, 0),  # the zero tuple
+    BracketVector.of(0, 1, 1, 1, 1),  # m = 0
+    BracketVector.of(P("x+2"), 1, -1, 1, -1),  # q^2 = 0
+    BracketVector.of(P("x-1"), 0, 0, 0, 0),  # q^2 = 0, a lone eigenvalue
+]
 
 
 class TestCompose:
@@ -141,16 +151,9 @@ class TestPowerFromTheCubic:
 
     def test_power_equals_compose_squaring(self):
         rng = random.Random(82)
-        degenerate = [
-            BracketVector.of(0, P("x+1"), 2, P("x"), -1),  # a = 0
-            BracketVector.of(0, 0, 0, 0, 0),  # the zero tuple
-            BracketVector.of(0, 1, 1, 1, 1),  # m = 0
-            BracketVector.of(P("x+2"), 1, -1, 1, -1),  # q^2 = 0
-            BracketVector.of(P("x-1"), 0, 0, 0, 0),  # q^2 = 0, a lone eigenvalue
-        ]
-        assert pq_invariants(degenerate[2]).pair_product() == ZERO
-        assert pq_invariants(degenerate[3]).q_squared == ZERO
-        for v in [T, C, E, *degenerate, *(rand_tuple(rng) for _ in range(4))]:
+        assert pq_invariants(DEGENERATE[2]).pair_product() == ZERO
+        assert pq_invariants(DEGENERATE[3]).q_squared == ZERO
+        for v in [T, C, E, *DEGENERATE, *(rand_tuple(rng) for _ in range(4))]:
             # Powers by repeated gluing for every n, and by compose squaring
             # (the route power took before the cubic) where it is dearest.
             expected = UNIT
@@ -159,6 +162,24 @@ class TestPowerFromTheCubic:
                 if n in (31, 32, 63):
                     assert expected == power_by_squaring(v, n, UNIT, compose)
                 expected = compose(expected, v)
+
+    def test_first_powers_are_glued_without_the_cubic(self, monkeypatch):
+        # v^1 is v itself and v^2 one gluing; v^3 is the first power that
+        # reads the cubic and its series.
+        rng = random.Random(83)
+        tuples = [T, C, E, *DEGENERATE, *(rand_tuple(rng) for _ in range(4))]
+        cubes = [power(v, 3) for v in tuples]
+
+        def refuse(v):
+            raise AssertionError("the cubic was formed")
+        monkeypatch.setattr(bracket, "power_cubic", refuse)
+        for v, cube in zip(tuples, cubes):
+            assert power(v, 0) == UNIT
+            assert power(v, 1) is v
+            assert power(v, 2) == compose(v, v)
+            assert cube == compose(compose(v, v), v)
+        with pytest.raises(AssertionError, match="cubic"):
+            power(T, 3)
 
     def test_closure_of_the_power_at_150(self):
         for v in (T, C, E):

@@ -14,7 +14,7 @@ from shadowbracket.oracle import (MAX_FREE_LOOPS, Boundary, CrossingLimitError,
                                   classify_boundary, close_diagram,
                                   compile_word, enumerate_states, glue, letter_tuple,
                                   mirror_diagram, parse_word, smooth, word_tuple)
-from shadowbracket.oracle import _listed_order_is_planar
+from shadowbracket.diagram import _listed_order_is_planar
 from shadowbracket.poly import Polynomial
 from shadowbracket.tl3 import TLElement
 

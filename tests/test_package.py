@@ -15,6 +15,7 @@ import shadowbracket
 from shadowbracket import (BracketVector, PQInvariants, RationalTerm, ShadowDiagram,
                            charpoly_factored, close_diagram, compile_word, generator,
                            generator_tuple, gf_from_tuple, pq_invariants, states_matrix)
+from shadowbracket import bracket, cli, diagram, oracle, series, tl3
 
 SRC = Path(shadowbracket.__file__).resolve().parents[1]
 
@@ -75,8 +76,8 @@ def loaded_modules(*args: str) -> set[str]:
 
 
 class TestImportFootprint:
-    HEAVY = {"dataclasses", "inspect", "json", "shadowbracket.oracle",
-             "shadowbracket.contraction", "shadowbracket.series",
+    HEAVY = {"dataclasses", "inspect", "json", "shadowbracket.diagram",
+             "shadowbracket.oracle", "shadowbracket.contraction", "shadowbracket.series",
              "shadowbracket.reference"}
 
     @pytest.fixture(scope="class")
@@ -89,6 +90,26 @@ class TestImportFootprint:
         loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
         assert "shadowbracket.bracket" in loaded
         assert not loaded & self.HEAVY
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_pd_loads_no_tuple_algebra_or_state_sum(self, baseline, tmp_path, closed):
+        shadow = compile_word(("X1", "X2", "U1"))
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps((close_diagram(shadow) if closed else shadow).to_json()))
+        loaded = loaded_modules("-m", "shadowbracket.cli", "bracket", "--pd",
+                                str(path)) - baseline
+        assert {"shadowbracket.diagram", "shadowbracket.contraction"} <= loaded
+        assert not loaded & {"shadowbracket.bracket", "shadowbracket.oracle",
+                             "shadowbracket.series"}
+
+    def test_first_powers_load_no_tuple_algebra(self, baseline, tmp_path):
+        tangle = tmp_path / "t.json"
+        tangle.write_text(json.dumps(BracketVector.of(1, 1, 0, 0, 0).to_json()))
+        for argv in [("bracket", "--tuple", str(tangle)), ("bracket", "--generator", "T"),
+                     ("bracket", "--generator", "T", "--n", "1", "--format", "json")]:
+            loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
+            assert "shadowbracket.tl3" in loaded, argv
+            assert "shadowbracket.bracket" not in loaded, argv
 
     def test_no_command_loads_dataclasses(self, baseline, tmp_path):
         tangle = tmp_path / "t.json"
@@ -104,6 +125,36 @@ class TestImportFootprint:
             loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
             assert "shadowbracket" in loaded, argv
             assert not loaded & {"dataclasses", "inspect"}, argv
+
+
+class TestTracedSurface:
+    """What the benchmark's tracer finds by module and by name.
+
+    It wraps each public function under the module that defines it, reaches
+    ``from_json`` through ``oracle.ShadowDiagram`` and ``bracket.BracketVector``,
+    and times ``verify`` through ``cli._cmd_verify``.
+    """
+
+    WRAPPED = {
+        bracket: ("power", "closed_form_bracket", "charpoly", "compose", "closure",
+                  "word_tuple", "states_matrix", "pq_invariants"),
+        oracle: ("enumerate_states", "compile_word", "glue", "close_diagram",
+                 "mirror_diagram", "smooth"),
+        series: ("expand", "coefficient_table"),
+        tl3: ("multiply",),
+    }
+
+    def test_wrapped_functions_stay_in_their_modules(self):
+        for module, names in self.WRAPPED.items():
+            for name in names:
+                assert getattr(module, name).__module__ == module.__name__, name
+        assert callable(cli._cmd_verify)
+
+    def test_moved_classes_resolve_under_their_old_modules(self):
+        assert oracle.ShadowDiagram is diagram.ShadowDiagram
+        assert bracket.BracketVector is tl3.BracketVector
+        for cls in (oracle.ShadowDiagram, bracket.BracketVector):
+            assert isinstance(cls.__dict__["from_json"], classmethod)
 
 
 # Each record with its fields and the repr of the frozen dataclass it replaced.

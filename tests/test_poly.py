@@ -6,9 +6,9 @@ from itertools import islice
 import pytest
 
 from conftest import P, rand_poly
-from shadowbracket.poly import (KRONECKER_MIN_TERMS, ONE, SERIES_BLOCK_STEPS, Polynomial, X,
-                                ZERO, int_text, parse_int, power_by_squaring,
-                                series_coefficients, series_term)
+from shadowbracket.bracket import SERIES_BLOCK_STEPS, series_coefficients, series_term
+from shadowbracket.poly import (KRONECKER_MIN_TERMS, ONE, Polynomial, X, ZERO, int_text,
+                                parse_int, power_by_squaring)
 
 
 class TestAddition:
