@@ -20,20 +20,19 @@ from importlib import import_module
 # module (PEP 562), so a command pays only for the modules it runs.
 _MODULE_OF = {
     "BracketVector": "tl3", "Boundary": "diagram", "CrossingLimitError": "oracle",
-    "DEFAULT_MAX_CROSSINGS": "oracle", "ELEMENTS": "tl3", "GeneratorSpec": "generators",
+    "DEFAULT_MAX_CROSSINGS": "oracle", "ELEMENTS": "tl3",
     "LambdaPolynomial": "bracket", "MalformedDiagramError": "diagram",
     "NAMES": "generators", "ONE": "poly", "PQInvariants": "bracket",
     "PolyMatrix": "bracket", "Polynomial": "poly", "RationalGF": "series",
     "RationalTerm": "series", "ScaledTL": "tl3", "ShadowDiagram": "diagram",
     "TLElement": "tl3", "X": "poly", "ZERO": "poly", "bfile_lines": "series",
-    "charpoly": "bracket", "charpoly_factored": "bracket",
-    "classify_boundary": "oracle", "close_diagram": "oracle",
+    "charpoly": "bracket", "charpoly_factored": "bracket", "close_diagram": "oracle",
     "closed_form_bracket": "bracket", "closure": "bracket", "closure_loops": "tl3",
     "coefficient_rows": "series", "coefficient_table": "series", "column": "series",
     "compare_bfiles": "series", "compile_word": "oracle", "compose": "bracket",
     "contract": "contraction", "csv_lines": "series", "enumerate_states": "oracle",
-    "expand": "series", "generator": "generators", "generator_diagram": "generators",
-    "generator_tuple": "generators", "gf_from_tuple": "series", "glue": "oracle",
+    "expand": "series", "generator_diagram": "oracle", "generator_tuple": "generators",
+    "gf_from_tuple": "series", "glue": "oracle",
     "letter_tuple": "bracket", "mirror": "tl3", "mirror_diagram": "oracle",
     "multiply": "tl3", "parse_bfile": "series", "parse_word": "bracket",
     "power": "bracket", "pq_invariants": "bracket", "render_gf": "series",

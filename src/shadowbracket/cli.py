@@ -253,9 +253,11 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    from .bracket import charpoly, pq_invariants, states_matrix
+    from .bracket import charpoly_factored, pq_invariants
     v = _require_tangle(_resolve_input(args))
-    chi = charpoly(states_matrix(v))
+    # Equal to the cofactor determinant of states_matrix(v), which verify
+    # --charpoly and the tests compare it against.
+    chi = charpoly_factored(v)
     if args.format == "json":
         payload = {"coefficients": [list(c.coefficients) for c in chi.coefficients]}
         _emit(args, _json_text(payload))

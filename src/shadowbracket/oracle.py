@@ -1,14 +1,15 @@
 """Brute-force Kauffman state sums over planar shadow diagrams.
 
 The diagrams are those of :mod:`shadowbracket.diagram`, whose model this
-module re-exports, with the word algebra of :mod:`shadowbracket.bracket`.
-Enumerating all ``2**crossings`` smoothing bit vectors, counting the closed
-components of each state and classifying the residual boundary pairing
-gives the bracket by plain summation, one ``x**loops`` per state.  This is
-the independent ground truth that the tuple algebra in
-:mod:`shadowbracket.bracket` and the frontier contraction in
-:mod:`shadowbracket.contraction` are tested against.  The builders that
-compile, glue, close and mirror diagrams live here too.
+module re-exports.  Enumerating all ``2**crossings`` smoothing bit vectors,
+counting the closed components of each state and reading the monoid element
+of its boundary pattern gives the bracket by plain summation, one
+``x**loops`` per state.  This is the independent ground truth that the
+tuple algebra in :mod:`shadowbracket.bracket` and the frontier contraction
+in :mod:`shadowbracket.contraction` are tested against, so it imports
+neither.  The builders that compile, glue, close and mirror diagrams live
+here too, with the shadow diagram of each built-in generator built from
+them.
 
 One smoothing routine serves :func:`smooth` and :func:`enumerate_states`:
 the edges are numbered once, each crossing's two smoothings become a row of
@@ -27,22 +28,20 @@ fold exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
-# The word algebra lives with the tuple algebra and the diagram model in its
-# own module; both are re-exported here.
-from .bracket import WORD_LETTERS, letter_tuple, parse_word, word_tuple  # noqa: F401
+# The diagram model lives in its own module and is re-exported here.
 from .diagram import (MAX_FREE_LOOPS, Boundary, MalformedDiagramError,  # noqa: F401
                       ShadowDiagram, _SMOOTHINGS, _boundary_element, _find, _number_edges,
                       _Roots, _union)
+from .generators import generator_tuple
 from .poly import Polynomial
-from .tl3 import ELEMENTS, MATCHINGS, BracketVector, TLElement
+from .tl3 import ELEMENTS, BracketVector, TLElement
 
 DEFAULT_MAX_CROSSINGS = 20
-
-BOUNDARY_LABELS = ("L1", "L2", "L3", "R1", "R2", "R3")
 
 
 class CrossingLimitError(ValueError):
@@ -150,27 +149,39 @@ def mirror_diagram(diagram: ShadowDiagram) -> ShadowDiagram:
     return builder.finish(boundary, extra_loops=diagram.free_loops)
 
 
-# The five non-crossing perfect matchings of the boundary, as label pairings;
-# a closed state has no element and no pairing.
-_ELEMENT_TO_PAIRING = {
-    element: frozenset(frozenset((BOUNDARY_LABELS[i], BOUNDARY_LABELS[j]))
-                       for i, j in enumerate(matching) if i < j)
-    for element, matching in MATCHINGS.items()}
-_PAIRING_TO_ELEMENT = {pairing: element for element, pairing in _ELEMENT_TO_PAIRING.items()}
-_ELEMENT_TO_PAIRING[None] = frozenset()
+# The shadows of the built-in generators.  T compiles directly from the word
+# ``X1 X2``.  C and E are assembled from a two-crossing hitch gadget (a bight
+# of new line pulled through a closed turn of the lower two strands) whose
+# bracket is ``(x+2)<1_3> + <U2>``: gluing a single crossing of the top two
+# strands in front yields C, and gluing the flipped gadget to the plain one
+# yields E.
+def _turn_hitch() -> ShadowDiagram:
+    """Two-crossing gadget with bracket (x+2)<1_3> + <U2>.
 
-
-def classify_boundary(pairing: frozenset[frozenset[str]]) -> TLElement:
-    """Map a boundary pairing to its crossingless diagram.
-
-    Only the five planar matchings can arise from a planar shadow; anything
-    else signals a diagram-encoding bug and raises MalformedDiagramError.
+    The top strand passes straight through; a bight enters from the right and
+    threads the closed turn formed by the two lower strands.  Two of its four
+    states resolve to the identity, one to the identity with a detached loop,
+    and one to the lower cup-cap.  Each crossing is listed in the rotational
+    direction of :func:`compile_word`'s crossings, so glued and closed
+    diagrams pass the listed-order planarity check.
     """
-    try:
-        return _PAIRING_TO_ELEMENT[frozenset(frozenset(p) for p in pairing)]
-    except KeyError:
-        raise MalformedDiagramError(
-            f"boundary pairing {sorted(map(sorted, pairing))} is not planar") from None
+    return ShadowDiagram(
+        crossings=(
+            ("turn", "bight1", "leg1", "bight0"),
+            ("turn", "bight2", "leg2", "bight1"),
+        ),
+        boundary=Boundary(("pass", "leg1", "leg2"), ("pass", "bight0", "bight2")),
+    )
+
+
+@lru_cache(maxsize=None)
+def _unchecked_diagram(name: str) -> ShadowDiagram:
+    """The shadow diagram of the built-in generator ``name``, not self-checked."""
+    if name == "T":
+        return compile_word(("X1", "X2"))
+    hitch = _turn_hitch()
+    front = compile_word(("X1",)) if name == "C" else mirror_diagram(hitch)
+    return glue(front, hitch)
 
 
 # Per smoothing, a getter of the four joined slots of a crossing, pair by pair.
@@ -204,11 +215,11 @@ def _read_state(parent: list[int], components: int, boundary: tuple[int, ...],
 
 
 def smooth(diagram: ShadowDiagram,
-           choices: Sequence[int]) -> tuple[int, frozenset[frozenset[str]]]:
+           choices: Sequence[int]) -> tuple[int, TLElement | None]:
     """Resolve every crossing according to ``choices`` (one bit per crossing).
 
-    Returns the number of closed loops (including free loops) and the induced
-    pairing of the boundary labels (empty for a closed diagram).
+    Returns the number of closed loops (including free loops) and the monoid
+    element of the boundary pattern (None for a closed diagram).
     """
     if len(choices) != diagram.crossing_count:
         raise ValueError(
@@ -218,15 +229,14 @@ def smooth(diagram: ShadowDiagram,
     for options, bit in zip(joins, choices):
         a, b, c, d = options[1 if bit else 0]
         components -= _union(parent, a, b) + _union(parent, c, d)
-    loops, element = _read_state(parent, components, boundary, diagram.free_loops)
-    return loops, _ELEMENT_TO_PAIRING[element]
+    return _read_state(parent, components, boundary, diagram.free_loops)
 
 
 def enumerate_states(diagram: ShadowDiagram) -> BracketVector | Polynomial:
     """Sum ``x**loops`` over all Kauffman states of the diagram.
 
     For an open 3-tangle the result is a :class:`BracketVector`, each state
-    accumulated into the slot of its boundary pairing; for a closed diagram
+    accumulated into the slot of its boundary element; for a closed diagram
     it is the bracket polynomial itself.  States are visited in binary-counter
     order, crossing 0 being the least significant bit; every state contributes
     exactly what :func:`smooth` reports for its bit vector.
@@ -264,3 +274,20 @@ def enumerate_states(diagram: ShadowDiagram) -> BracketVector | Polynomial:
         return Polynomial(loop_counts.get(None, [0]))
     return BracketVector(*(Polynomial(loop_counts.get(element, []))
                            for element in ELEMENTS))
+
+
+@lru_cache(maxsize=None)
+def generator_diagram(name: str) -> ShadowDiagram:
+    """The shadow diagram of a built-in generator, self-checked on first use.
+
+    Raises ValueError for an unknown name, and RuntimeError if the diagram's
+    state-sum bracket does not reproduce the generator's tuple.
+    """
+    expected = generator_tuple(name)
+    diagram = _unchecked_diagram(name)
+    found = enumerate_states(diagram)
+    if found != expected:
+        raise RuntimeError(
+            f"generator {name}: diagram self-check failed; state sum gave "
+            f"{found}, expected {expected}")
+    return diagram

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from conftest import P, rand_word
+from conftest import P, rand_tuple, rand_word
 from shadowbracket import cli, oracle, verify
-from shadowbracket.bracket import (BracketVector, LambdaPolynomial, closure, parse_word,
-                                   power, word_tuple)
-from shadowbracket.generators import generator_diagram, generator_tuple
+from shadowbracket.bracket import (BracketVector, LambdaPolynomial, charpoly, closure,
+                                   parse_word, power, states_matrix, word_tuple)
+from shadowbracket.generators import generator_tuple
 from shadowbracket.oracle import (ShadowDiagram, close_diagram, compile_word,
-                                  enumerate_states)
+                                  enumerate_states, generator_diagram)
 from shadowbracket.poly import Polynomial, int_text
 from shadowbracket.series import (bfile_lines, coefficient_column, coefficient_table,
                                   column, expand, gf_from_tuple, render_gf)
@@ -165,6 +165,22 @@ class TestCharpolyCommand:
         payload = json.loads(out)
         assert len(payload["coefficients"]) == 6
         assert payload["coefficients"][5] == [-1]
+
+    def test_tuples_print_the_determinant(self, capsys, tmp_path):
+        # The command prints the factored form expanded; it must read exactly
+        # as the cofactor determinant of the states matrix would.
+        rng = random.Random(62)
+        path = tmp_path / "v.json"
+        for _ in range(10):
+            v = rand_tuple(rng, max_degree=2)
+            chi = charpoly(states_matrix(v))
+            path.write_text(json.dumps(v.to_json()))
+            code, out, _ = run(capsys, "charpoly", "--tuple", str(path))
+            assert code == 0
+            assert out.splitlines()[1] == f"expanded: {chi}"
+            code, out, _ = run(capsys, "charpoly", "--tuple", str(path), "--format", "json")
+            payload = {"coefficients": [list(c.coefficients) for c in chi.coefficients]}
+            assert (code, out) == (0, json.dumps(payload, sort_keys=True) + "\n")
 
 
 class TestVerifyCommand:
@@ -568,6 +584,17 @@ class TestContractionRoute:
         assert code == 1
         assert "FAIL  oracle 5 random words: word" in out
         assert "FAIL  oracle T^1: contraction" in out
+
+    def test_verify_oracle_reports_a_wrong_generator_diagram(self, capsys, monkeypatch):
+        # The suite reads the unchecked diagram, so a wrong one gives FAIL
+        # rows instead of the self-check's RuntimeError.
+        monkeypatch.setattr(verify, "_unchecked_diagram",
+                            lambda name: compile_word(("X1", "X2", "X1")))
+        code, out, _ = run(capsys, "verify", "--oracle", "--generator", "C",
+                           "--words", "1", "--max-n", "2")
+        assert code == 1
+        assert "FAIL  oracle C^1: contraction" in out
+        assert "FAIL  oracle C^2: contraction" in out
 
 
 class TestLongIntegers:

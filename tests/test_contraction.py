@@ -8,10 +8,10 @@ from conftest import rand_word
 from shadowbracket import cli, contraction
 from shadowbracket.bracket import BracketVector, closure, power
 from shadowbracket.contraction import MAX_MATCHINGS, contract
-from shadowbracket.generators import NAMES, generator
+from shadowbracket.generators import NAMES, generator_tuple
 from shadowbracket.oracle import (Boundary, MalformedDiagramError, ShadowDiagram,
-                                  close_diagram, compile_word,
-                                  enumerate_states, glue, mirror_diagram)
+                                  close_diagram, compile_word, enumerate_states,
+                                  generator_diagram, glue, mirror_diagram)
 from shadowbracket.poly import Polynomial
 
 
@@ -25,7 +25,7 @@ def shuffled(diagram: ShadowDiagram, rng: random.Random) -> ShadowDiagram:
 def generator_power(name: str, n: int) -> ShadowDiagram:
     # By squaring: each glue validates its inputs, and few large ones cost
     # less than many growing ones.
-    result, square = compile_word(()), generator(name).diagram
+    result, square = compile_word(()), generator_diagram(name)
     while n:
         if n & 1:
             result = glue(result, square)
@@ -107,10 +107,9 @@ class TestAgreesWithStateSum:
     @pytest.mark.parametrize("name", NAMES)
     def test_generator_powers_and_closures(self, name):
         rng = random.Random(303)
-        spec = generator(name)
         for n in range(4):
             diagram = generator_power(name, n)
-            expected = power(spec.bracket, n)
+            expected = power(generator_tuple(name), n)
             assert contract(shuffled(diagram, rng)) == \
                 enumerate_states(diagram) == expected
             closed = close_diagram(diagram)
@@ -166,7 +165,7 @@ class TestBeyondTheStateSum:
     def test_closed_powers(self, name, n):
         closed = close_diagram(generator_power(name, n))
         bracket = contract(shuffled(closed, random.Random(304)))
-        assert bracket == closure(power(generator(name).bracket, n))
+        assert bracket == closure(power(generator_tuple(name), n))
         assert_special_values(closed, bracket)
 
     def test_special_values_of_random_closed_words(self):
@@ -183,7 +182,7 @@ class TestBeyondTheStateSum:
         elapsed = time.perf_counter() - start
         out = capsys.readouterr().out
         assert code == 0
-        assert out == f"{closure(power(generator('T').bracket, 50))}\n"
+        assert out == f"{closure(power(generator_tuple('T'), 50))}\n"
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("diagram", [grid_shadow(10), torus_shadow(5, 25)],

@@ -1,11 +1,10 @@
 import pytest
 
 from conftest import P
-from shadowbracket import generators
+from shadowbracket import oracle
 from shadowbracket.bracket import BracketVector, closure, power
-from shadowbracket.generators import (NAMES, generator, generator_diagram,
-                                      generator_tuple)
-from shadowbracket.oracle import compile_word, enumerate_states
+from shadowbracket.generators import NAMES, generator_tuple
+from shadowbracket.oracle import compile_word, enumerate_states, generator_diagram
 
 
 class TestTuples:
@@ -30,12 +29,9 @@ class TestTuples:
 class TestDiagrams:
     def test_crossing_counts(self):
         for name, count in (("T", 2), ("C", 3), ("E", 4)):
-            spec = generator(name)
-            assert spec.crossings == count
-            assert spec.diagram.crossing_count == count
+            assert generator_diagram(name).crossing_count == count
 
     def test_t_diagram_is_the_compiled_word(self):
-        assert generator("T").word == ("X1", "X2")
         assert generator_diagram("T") == compile_word(("X1", "X2"))
 
     def test_state_sums_reproduce_the_tuples(self):
@@ -47,15 +43,13 @@ class TestDiagrams:
         generator_diagram.cache_clear()
         try:
             for name in NAMES:
-                assert generator_diagram(name) == generator(name).diagram
+                assert generator_diagram(name) == oracle._unchecked_diagram(name)
         finally:
             generator_diagram.cache_clear()
 
     def test_self_check_rejects_a_corrupted_diagram(self, monkeypatch):
-        spec = generator("C")
-        broken = generators.GeneratorSpec(spec.name, spec.bracket, spec.word,
-                                          compile_word(("X1", "X2", "X1")))
-        monkeypatch.setattr(generators, "generator", lambda name: broken)
+        broken = compile_word(("X1", "X2", "X1"))
+        monkeypatch.setattr(oracle, "_unchecked_diagram", lambda name: broken)
         generator_diagram.cache_clear()
         try:
             with pytest.raises(RuntimeError):
@@ -67,15 +61,15 @@ class TestDiagrams:
 class TestStateCounts:
     def test_every_crossing_splits_two_ways(self):
         for name in NAMES:
-            spec = generator(name)
-            assert closure(spec.bracket).evaluate(1) == 2 ** spec.crossings
+            crossings = generator_diagram(name).crossing_count
+            assert closure(generator_tuple(name)).evaluate(1) == 2 ** crossings
 
     def test_powers_multiply_the_state_count(self):
         for name in NAMES:
-            spec = generator(name)
+            crossings = generator_diagram(name).crossing_count
             for n in range(7):
-                states = closure(power(spec.bracket, n)).evaluate(1)
-                assert states == 2 ** (spec.crossings * n)
+                states = closure(power(generator_tuple(name), n)).evaluate(1)
+                assert states == 2 ** (crossings * n)
 
 
 class TestClosurePolynomials:

@@ -6,25 +6,27 @@ import time
 import pytest
 
 from conftest import P, rand_word
-from shadowbracket.bracket import BracketVector, closure, power
+from shadowbracket.bracket import (BracketVector, closure, letter_tuple, parse_word, power,
+                                   word_tuple)
 from shadowbracket.contraction import contract
-from shadowbracket.generators import NAMES, generator
+from shadowbracket.generators import NAMES
 from shadowbracket.oracle import (MAX_FREE_LOOPS, Boundary, CrossingLimitError,
-                                  MalformedDiagramError, ShadowDiagram,
-                                  classify_boundary, close_diagram,
-                                  compile_word, enumerate_states, glue, letter_tuple,
-                                  mirror_diagram, parse_word, smooth, word_tuple)
-from shadowbracket.diagram import _listed_order_is_planar
+                                  MalformedDiagramError, ShadowDiagram, close_diagram,
+                                  compile_word, enumerate_states, generator_diagram, glue,
+                                  mirror_diagram, smooth)
+from shadowbracket.diagram import _boundary_element, _listed_order_is_planar
 from shadowbracket.poly import Polynomial
 from shadowbracket.tl3 import TLElement
 
-
-def pairing(*pairs):
-    return frozenset(frozenset(p) for p in pairs)
+BOUNDARY_LABELS = ("L1", "L2", "L3", "R1", "R2", "R3")
 
 
-ID_PAIRING = pairing(("L1", "R1"), ("L2", "R2"), ("L3", "R3"))
-U1_PAIRING = pairing(("L1", "L2"), ("R1", "R2"), ("L3", "R3"))
+def roots(*pairs):
+    """Union-find roots of the boundary points L1..R3 joined in the given pairs."""
+    root = {}
+    for first, second in pairs:
+        root[first] = root[second] = BOUNDARY_LABELS.index(first)
+    return [root[label] for label in BOUNDARY_LABELS]
 
 
 class TestCompileWord:
@@ -61,36 +63,40 @@ class TestCompileWord:
 class TestSmooth:
     def test_identity_smoothing_of_one_crossing(self):
         diagram = compile_word(("X1",))
-        assert smooth(diagram, [0]) == (0, ID_PAIRING)
+        assert smooth(diagram, [0]) == (0, TLElement.ID3)
 
     def test_cupcap_smoothing_of_one_crossing(self):
         diagram = compile_word(("X1",))
-        assert smooth(diagram, [1]) == (0, U1_PAIRING)
+        assert smooth(diagram, [1]) == (0, TLElement.U1)
 
     def test_alternating_state_of_four_crossings(self):
         diagram = compile_word(("X1", "X2", "X1", "X2"))
-        assert smooth(diagram, [1, 0, 1, 0]) == (1, U1_PAIRING)
+        assert smooth(diagram, [1, 0, 1, 0]) == (1, TLElement.U1)
 
     def test_wrong_choice_count(self):
         with pytest.raises(ValueError):
             smooth(compile_word(("X1",)), [0, 1])
 
 
-class TestClassifyBoundary:
+class TestBoundaryElement:
+    """The boundary reader of both smoothing routes, pinned by hand-typed pairings."""
+
     def test_the_five_planar_matchings(self):
-        assert classify_boundary(ID_PAIRING) is TLElement.ID3
-        assert classify_boundary(U1_PAIRING) is TLElement.U1
-        assert classify_boundary(
-            pairing(("L2", "L3"), ("R2", "R3"), ("L1", "R1"))) is TLElement.U2
-        assert classify_boundary(
-            pairing(("L2", "L3"), ("L1", "R3"), ("R1", "R2"))) is TLElement.R
-        assert classify_boundary(
-            pairing(("L1", "L2"), ("L3", "R1"), ("R2", "R3"))) is TLElement.S
+        assert _boundary_element(
+            roots(("L1", "R1"), ("L2", "R2"), ("L3", "R3"))) is TLElement.ID3
+        assert _boundary_element(
+            roots(("L1", "L2"), ("R1", "R2"), ("L3", "R3"))) is TLElement.U1
+        assert _boundary_element(
+            roots(("L2", "L3"), ("R2", "R3"), ("L1", "R1"))) is TLElement.U2
+        assert _boundary_element(
+            roots(("L2", "L3"), ("L1", "R3"), ("R1", "R2"))) is TLElement.R
+        assert _boundary_element(
+            roots(("L1", "L2"), ("L3", "R1"), ("R2", "R3"))) is TLElement.S
 
     def test_nonplanar_pairing_rejected(self):
-        crossed = pairing(("L1", "R2"), ("L2", "R1"), ("L3", "R3"))
+        crossed = roots(("L1", "R2"), ("L2", "R1"), ("L3", "R3"))
         with pytest.raises(MalformedDiagramError):
-            classify_boundary(crossed)
+            _boundary_element(crossed)
 
 
 class TestEnumerateStates:
@@ -143,8 +149,7 @@ class TestEnumerateStates:
             tallies = {}
             for mask in range(1 << diagram.crossing_count):
                 choices = [(mask >> i) & 1 for i in range(diagram.crossing_count)]
-                loops, boundary_pairing = smooth(diagram, choices)
-                element = classify_boundary(boundary_pairing)
+                loops, element = smooth(diagram, choices)
                 tallies.setdefault(element, []).append(loops)
             expected = {}
             for element, loop_counts in tallies.items():
@@ -157,14 +162,14 @@ class TestEnumerateStates:
                     (TLElement.ID3, TLElement.U1, TLElement.U2,
                      TLElement.R, TLElement.S), result.entries()):
                 assert value == expected.get(element, Polynomial())
-            # The closure: every state has an empty pairing, and the fold of
-            # the loop counts is the bracket polynomial.
+            # The closure: no state has an element, and the fold of the loop
+            # counts is the bracket polynomial.
             closed = close_diagram(diagram)
             coeffs = [0]
             for mask in range(1 << closed.crossing_count):
                 choices = [(mask >> i) & 1 for i in range(closed.crossing_count)]
-                loops, boundary_pairing = smooth(closed, choices)
-                assert boundary_pairing == frozenset()
+                loops, element = smooth(closed, choices)
+                assert element is None
                 coeffs.extend([0] * (loops + 1 - len(coeffs)))
                 coeffs[loops] += 1
             assert enumerate_states(closed) == Polynomial(coeffs)
@@ -325,13 +330,13 @@ def _is_accepted(crossings, boundary: Boundary | None) -> bool:
 class TestPlanarity:
     def test_constructed_diagrams_pass(self):
         rng = random.Random(91)
-        diagrams = [generator(name).diagram for name in NAMES]
+        diagrams = [generator_diagram(name) for name in NAMES]
         for _ in range(100):
             first = compile_word(rand_word(rng))
             second = compile_word(rand_word(rng))
             glued = glue(first, second)
             diagrams += [first, glued, close_diagram(glued), mirror_diagram(glued),
-                         glue(generator(rng.choice(NAMES)).diagram, first)]
+                         glue(generator_diagram(rng.choice(NAMES)), first)]
         for diagram in diagrams:
             diagram.validate()
 
@@ -346,15 +351,15 @@ class TestPlanarity:
             return _listed_order_is_planar(rotations)
 
         for name in NAMES:
-            base = generator(name).diagram
+            base = generator_diagram(name)
             power_diagram = base
             for n in range(1, 7):
                 assert listed_order_planar(power_diagram), (name, n)
                 assert listed_order_planar(close_diagram(power_diagram)), (name, n)
                 assert listed_order_planar(mirror_diagram(power_diagram)), (name, n)
                 power_diagram = glue(power_diagram, base)
-        mixed = glue(generator("C").diagram, glue(compile_word(("X2", "U1")),
-                                                  generator("E").diagram))
+        mixed = glue(generator_diagram("C"), glue(compile_word(("X2", "U1")),
+                                                  generator_diagram("E")))
         assert listed_order_planar(close_diagram(mixed))
 
     def test_virtual_crossing_rejected(self):
@@ -417,8 +422,8 @@ class TestValidateOnce:
                 smooth(ShadowDiagram(crossings, boundary), [0])
 
     def test_repeated_smoothing_of_mixed_direction_diagram(self):
-        spec = generator("C")
-        cubed = glue(glue(spec.diagram, spec.diagram), spec.diagram)
+        base = generator_diagram("C")
+        cubed = glue(glue(base, base), base)
         start = time.perf_counter()
         for mask in range(200):
             smooth(cubed, [(mask >> i) & 1 for i in range(9)])

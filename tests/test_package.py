@@ -13,22 +13,22 @@ import pytest
 
 import shadowbracket
 from shadowbracket import (BracketVector, PQInvariants, RationalTerm, ShadowDiagram,
-                           charpoly_factored, close_diagram, compile_word, generator,
-                           generator_tuple, gf_from_tuple, pq_invariants, states_matrix)
+                           charpoly_factored, close_diagram, compile_word, generator_tuple,
+                           gf_from_tuple, pq_invariants, states_matrix)
 from shadowbracket import bracket, cli, diagram, oracle, series, tl3
 
 SRC = Path(shadowbracket.__file__).resolve().parents[1]
 
 PUBLIC_NAMES = [
     "BracketVector", "Boundary", "CrossingLimitError", "DEFAULT_MAX_CROSSINGS",
-    "ELEMENTS", "GeneratorSpec", "LambdaPolynomial", "MalformedDiagramError",
+    "ELEMENTS", "LambdaPolynomial", "MalformedDiagramError",
     "NAMES", "ONE", "PQInvariants", "PolyMatrix", "Polynomial", "RationalGF",
     "RationalTerm", "ScaledTL", "ShadowDiagram", "TLElement", "X", "ZERO",
-    "bfile_lines", "charpoly", "charpoly_factored", "classify_boundary",
+    "bfile_lines", "charpoly", "charpoly_factored",
     "close_diagram", "closed_form_bracket", "closure", "closure_loops",
     "coefficient_rows", "coefficient_table", "column", "compare_bfiles",
     "compile_word", "compose", "contract", "csv_lines", "enumerate_states", "expand",
-    "generator", "generator_diagram", "generator_tuple", "gf_from_tuple", "glue",
+    "generator_diagram", "generator_tuple", "gf_from_tuple", "glue",
     "letter_tuple", "mirror", "mirror_diagram", "multiply", "parse_bfile",
     "parse_word", "power", "pq_invariants", "render_gf", "row_sums", "smooth",
     "states_matrix", "triangle_values", "word_tuple",
@@ -126,6 +126,29 @@ class TestImportFootprint:
             assert "shadowbracket" in loaded, argv
             assert not loaded & {"dataclasses", "inspect"}, argv
 
+    def test_the_oracle_loads_no_tuple_algebra(self, baseline):
+        # The ground truth shares no code with the algebra it checks, and
+        # building a generator's diagram does not reach for it either.
+        loaded = loaded_modules("-c", "import shadowbracket, shadowbracket.oracle; "
+                                      "[shadowbracket.generator_diagram(n) for n in 'TCE']")
+        loaded -= baseline
+        assert "shadowbracket.oracle" in loaded
+        assert "shadowbracket.bracket" not in loaded
+
+    def test_generators_hold_data_only(self, baseline):
+        # Every public function of generators, called on every name, loads
+        # nothing beyond the data modules under it.
+        script = ("import shadowbracket.generators as g\n"
+                  "for attr, f in vars(g).items():\n"
+                  "    if (callable(f) and not isinstance(f, type) and attr[0] != '_'\n"
+                  "            and f.__module__ == g.__name__):\n"
+                  "        for name in g.NAMES:\n"
+                  "            f(name)\n")
+        loaded = loaded_modules("-c", script) - baseline
+        assert {m for m in loaded if m.startswith("shadowbracket.")} == {
+            "shadowbracket.generators", "shadowbracket.record", "shadowbracket.poly",
+            "shadowbracket.tl3"}
+
 
 class TestTracedSurface:
     """What the benchmark's tracer finds by module and by name.
@@ -169,12 +192,6 @@ RECORDS = [
      "left=('e0', 'e3', 'e4'), right=('e1', 'e2', 'e4')), free_loops=0)"),
     (lambda: close_diagram(compile_word(("U1",))), ("crossings", "boundary", "free_loops"),
      "ShadowDiagram(crossings=(), boundary=None, free_loops=2)"),
-    (lambda: generator("T"), ("name", "bracket", "word", "diagram"),
-     "GeneratorSpec(name='T', bracket=BracketVector(a=Polynomial([1]), "
-     "b=Polynomial([1]), c=Polynomial([1]), d=Polynomial([]), e=Polynomial([1])), "
-     "word=('X1', 'X2'), diagram=ShadowDiagram(crossings=(('e0', 'e1', 'e2', 'e3'), "
-     "('e2', 'e4', 'e5', 'e6')), boundary=Boundary(left=('e0', 'e3', 'e6'), "
-     "right=('e1', 'e4', 'e5')), free_loops=0))"),
     (lambda: gf_from_tuple(generator_tuple("T")), ("pair_part", "geometric_part"),
      "RationalGF(pair_part=RationalTerm(numerator=(Polynomial([0, 2]), "
      "Polynomial([0, -3, -2])), denominator=(Polynomial([1]), Polynomial([-3, -2]), "

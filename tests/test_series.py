@@ -5,7 +5,8 @@ import pytest
 from conftest import P, rand_tuple
 from shadowbracket.bracket import (BracketVector, closed_form_bracket, closure,
                                    power, pq_invariants)
-from shadowbracket.generators import generator, generator_tuple
+from shadowbracket.generators import generator_tuple
+from shadowbracket.oracle import generator_diagram
 from shadowbracket.poly import ONE, Polynomial, X
 from shadowbracket.reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
 from shadowbracket.series import (RationalGF, RationalTerm, bfile_lines,
@@ -83,7 +84,7 @@ class TestCoefficientTable:
 
     def test_row_sums_count_all_states(self):
         for name in ("T", "C", "E"):
-            crossings = generator(name).crossings
+            crossings = generator_diagram(name).crossing_count
             table = coefficient_table(name, 6)
             assert row_sums(table) == [2 ** (crossings * n) for n in range(7)]
 
