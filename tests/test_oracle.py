@@ -78,8 +78,9 @@ class TestSmooth:
             smooth(compile_word(("X1",)), [0, 1])
 
 
-class TestBoundaryElement:
-    """The boundary reader of both smoothing routes, pinned by hand-typed pairings."""
+class TestClassifyBoundary:
+    """``diagram._boundary_element``, the boundary reader of both smoothing
+    routes, pinned by hand-typed pairings rather than ``tl3.MATCHINGS``."""
 
     def test_the_five_planar_matchings(self):
         assert _boundary_element(

@@ -192,6 +192,9 @@ RECORDS = [
      "left=('e0', 'e3', 'e4'), right=('e1', 'e2', 'e4')), free_loops=0)"),
     (lambda: close_diagram(compile_word(("U1",))), ("crossings", "boundary", "free_loops"),
      "ShadowDiagram(crossings=(), boundary=None, free_loops=2)"),
+    (lambda: gf_from_tuple(generator_tuple("T")).pair_part, ("numerator", "denominator"),
+     "RationalTerm(numerator=(Polynomial([0, 2]), Polynomial([0, -3, -2])), "
+     "denominator=(Polynomial([1]), Polynomial([-3, -2]), Polynomial([1, 2, 1])))"),
     (lambda: gf_from_tuple(generator_tuple("T")), ("pair_part", "geometric_part"),
      "RationalGF(pair_part=RationalTerm(numerator=(Polynomial([0, 2]), "
      "Polynomial([0, -3, -2])), denominator=(Polynomial([1]), Polynomial([-3, -2]), "
