@@ -12,19 +12,20 @@ Subcommands::
 Exactly one input source per invocation: --generator, --word, --pd or
 --tuple.
 Exit codes: 0 success, 1 verification or comparison failure, 2 usage or
-parse error.
+parse error, 141 a closed stdout (the status of a writer killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # Only what every command needs is imported here; each handler imports the
 # rest, so a command loads no module it does not run.
 from .generators import NAMES, generator_tuple
-from .poly import Polynomial, int_text, parse_int
+from .poly import Polynomial, parse_int
 from .tl3 import WORD_LETTERS, BracketVector
 
 
@@ -43,7 +44,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"), None)
             if value is not None and value < 0:
                 raise ValueError(f"{flag} must be nonnegative, got {value}")
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone: stop, and keep the interpreter's last flush silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -107,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--words", type=int, default=200,
                             help="random words for the oracle suite")
     verify_cmd.add_argument("--seed", type=int, default=7)
-    verify_cmd.set_defaults(handler=_cmd_verify)
+    verify_cmd.set_defaults(handler=_cmd_verify, out=None)
 
     export_cmd = commands.add_parser(
         "export", help="triangle or column data as b-file or CSV")
@@ -177,28 +184,37 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _json_text(payload: dict) -> str:
-    import json
-    try:
-        return json.dumps(payload, sort_keys=True)
-    except ValueError:
-        # json writes ints through str, which stops at sys.int_max_str_digits.
-        raise ValueError("the result has an integer too long for JSON output; "
-                         "use --format text") from None
-
-
 def _require_tangle(value: BracketVector | Polynomial) -> BracketVector:
     if isinstance(value, Polynomial):
         raise ValueError("input diagram is closed; an open 3-tangle is required")
     return value
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+def _emit(args, lines: Iterable[str], end: str = "\n") -> None:
+    """Write each line and ``end`` to ``--out`` or stdout as the line arrives."""
+    from contextlib import nullcontext
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        for line in lines:
+            out.write(line)
+            out.write(end)
+
+
+def _emit_json(args, payload: dict, key: str | None = None, rows=()) -> None:
+    """Write ``json.dumps(payload, sort_keys=True)``, ``key`` holding ``rows``, all
+    rendered before the first byte is written, so that a refusal writes nothing."""
+    import json
+    try:
+        if key is None:
+            pieces = [json.dumps(payload, sort_keys=True)]
+        else:
+            from .series import json_pieces
+            pieces = json_pieces(payload, key, rows)
+    except ValueError:
+        # json writes ints through str, which stops at sys.int_max_str_digits.
+        raise ValueError("the result has an integer too long for JSON output; "
+                         "use --format text") from None
+    pieces.append("\n")
+    _emit(args, pieces, end="")
 
 
 def _cmd_bracket(args) -> int:
@@ -217,38 +233,34 @@ def _cmd_bracket(args) -> int:
             payload = {"n": args.n, "bracket": list(result.coefficients)}
         else:
             payload = {"n": args.n, "tuple": result.to_json()}
-        _emit(args, _json_text(payload))
+        _emit_json(args, payload)
     else:
-        _emit(args, str(result))
+        _emit(args, [str(result)])
     return 0
 
 
 def _cmd_table(args) -> int:
-    from .series import coefficient_table, csv_lines
-    table = coefficient_table(args.generator, args.rows)
+    from .series import row_lines, table_rows
+    rows = table_rows(args.generator, args.rows)
     if args.format == "json":
-        _emit(args, _json_text({"generator": args.generator, "rows": table}))
-    elif args.format == "csv":
-        _emit(args, "\n".join(csv_lines(table)))
+        _emit_json(args, {"generator": args.generator}, "rows", rows)
     else:
-        _emit(args, "\n".join(" ".join(map(int_text, row)) for row in table))
+        _emit(args, row_lines(rows, "," if args.format == "csv" else " "))
     return 0
 
 
 def _cmd_gf(args) -> int:
-    from .series import expand, gf_from_tuple, render_gf
-    v = _require_tangle(_resolve_input(args))
-    gf = gf_from_tuple(v)
-    if args.format == "json":
-        payload = gf.to_json()
-        if args.terms is not None:
-            payload["terms"] = [list(p.coefficients) for p in expand(gf, args.terms)]
-        _emit(args, _json_text(payload))
+    from itertools import chain, islice
+    from .series import gf_from_tuple, render_gf
+    gf = gf_from_tuple(_require_tangle(_resolve_input(args)))
+    terms = islice(gf.terms(), 0 if args.terms is None else args.terms + 1)
+    if args.format == "text":
+        _emit(args, chain([render_gf(gf)],
+                          (f"y^{n}: {p}" for n, p in enumerate(terms))))
+    elif args.terms is None:
+        _emit_json(args, gf.to_json())
     else:
-        lines = [render_gf(gf)]
-        if args.terms is not None:
-            lines += [f"y^{n}: {p}" for n, p in enumerate(expand(gf, args.terms))]
-        _emit(args, "\n".join(lines))
+        _emit_json(args, gf.to_json(), "terms", (p.coefficients for p in terms))
     return 0
 
 
@@ -259,12 +271,11 @@ def _cmd_charpoly(args) -> int:
     # --charpoly and the tests compare it against.
     chi = charpoly_factored(v)
     if args.format == "json":
-        payload = {"coefficients": [list(c.coefficients) for c in chi.coefficients]}
-        _emit(args, _json_text(payload))
+        _emit_json(args, {"coefficients": [list(c.coefficients) for c in chi.coefficients]})
     else:
         pq = pq_invariants(v)
         factored = (f"-(L - ({v.a})) * (L^2 - ({pq.p})L + ({pq.pair_product()}))^2")
-        _emit(args, f"factored: {factored}\nexpanded: {chi}")
+        _emit(args, [f"factored: {factored}", f"expanded: {chi}"])
     return 0
 
 
@@ -276,17 +287,18 @@ def _cmd_export(args) -> int:
             raise ValueError("--compare works with the bfile format only")
         if args.column is not None:
             raise ValueError("--column works with the bfile format only")
-        text = "\n".join(csv_lines(coefficient_table(args.generator, args.rows)))
+        lines = csv_lines(coefficient_table(args.generator, args.rows))
     else:
         if args.column is None:
             values = triangle_values(coefficient_table(args.generator, args.rows))
         else:
             values = coefficient_column(args.generator, args.rows, args.column)
-        text = "\n".join(bfile_lines(values, args.offset))
+        lines = bfile_lines(values, args.offset)
     # Compare before emitting: a missing, undecodable or malformed reference
     # leaves no output behind.
-    problem = compare_bfiles(text, _read_text(args.compare)) if args.compare else None
-    _emit(args, text)
+    problem = (compare_bfiles("\n".join(lines), _read_text(args.compare))
+               if args.compare else None)
+    _emit(args, lines)
     if args.compare:
         if problem:
             print(f"MISMATCH against {args.compare}: {problem}")
@@ -299,20 +311,18 @@ def _cmd_verify(args) -> int:
     from .verify import run_suites
     suites = [suite for suite in _SUITES if getattr(args, suite)] or _SUITES
     names = (args.generator,) if args.generator else NAMES
-    failures = 0
-    total = 0
-    for label, ok, detail in run_suites(suites, names, args):
-        total += 1
-        if ok:
-            print(f"PASS  {label}")
-        else:
-            failures += 1
-            print(f"FAIL  {label}: {detail}")
-    if failures:
-        print(f"{failures} of {total} checks failed")
-        return 1
-    print(f"all {total} checks passed")
-    return 0
+    failures = []
+
+    def report():
+        total = 0
+        for total, (label, ok, detail) in enumerate(run_suites(suites, names, args), 1):
+            if not ok:
+                failures.append(label)
+            yield f"PASS  {label}" if ok else f"FAIL  {label}: {detail}"
+        yield (f"{len(failures)} of {total} checks failed" if failures
+               else f"all {total} checks passed")
+    _emit(args, report())
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

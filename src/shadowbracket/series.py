@@ -17,12 +17,18 @@ coefficient list of the n-th series coefficient.  Column k needs only the
 series modulo x^(k+1), so :func:`coefficient_column` runs the recurrences
 with that truncation instead of building the triangle.  Rows export as CSV
 lines or as OEIS-style b-files ("index value" per line).
+
+The series is also a lazy source, :meth:`RationalGF.terms`, and
+:func:`table_rows`, :func:`row_lines` and :func:`json_pieces` render a
+triangle from it one row at a time, so that a caller writing the rows as
+they come holds one row, not the whole output.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Sequence
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .bracket import closure_gf_terms, series_coefficients
 from .generators import generator_tuple
@@ -43,15 +49,12 @@ class RationalTerm(Record):
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
 
-    def expand(self, count: int, precision: int | None = None) -> list[Polynomial]:
-        """First ``count + 1`` series coefficients, by the denominator recurrence.
+    def terms(self, precision: int | None = None) -> Iterator[Polynomial]:
+        """The series coefficients t_0, t_1, ..., by the denominator recurrence.
 
         With ``precision``, each is reduced modulo ``x**precision``.
         """
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        return list(islice(series_coefficients(self.numerator, self.denominator,
-                                               precision), count + 1))
+        return series_coefficients(self.numerator, self.denominator, precision)
 
 
 class RationalGF(Record):
@@ -63,10 +66,14 @@ class RationalGF(Record):
         object.__setattr__(self, "pair_part", pair_part)
         object.__setattr__(self, "geometric_part", geometric_part)
 
+    def terms(self, precision: int | None = None) -> Iterator[Polynomial]:
+        """The closure brackets of powers 0, 1, ..., each summed as it is read."""
+        return map(add, self.pair_part.terms(precision),
+                   self.geometric_part.terms(precision))
+
     def expand(self, count: int, precision: int | None = None) -> list[Polynomial]:
-        first = self.pair_part.expand(count, precision)
-        second = self.geometric_part.expand(count, precision)
-        return [p + q for p, q in zip(first, second)]
+        """The first ``count + 1`` of :meth:`terms`."""
+        return list(_leading(self.terms(precision), count))
 
     def to_json(self) -> dict:
         def encode(term: RationalTerm) -> dict:
@@ -74,6 +81,13 @@ class RationalGF(Record):
                     "denominator": [list(p.coefficients) for p in term.denominator]}
         return {"pair_part": encode(self.pair_part),
                 "geometric_part": encode(self.geometric_part)}
+
+
+def _leading(terms: Iterator[Polynomial], count: int) -> Iterator[Polynomial]:
+    """The first ``count + 1`` of ``terms``."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return islice(terms, count + 1)
 
 
 def gf_from_tuple(v: BracketVector) -> RationalGF:
@@ -97,9 +111,15 @@ def coefficient_rows(v: BracketVector, rows: int) -> list[list[int]]:
     return [list(p.coefficients) for p in gf_from_tuple(v).expand(rows)]
 
 
+def table_rows(name: str, rows: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..rows of a built-in generator's triangle, each computed as it is read."""
+    gf = gf_from_tuple(generator_tuple(name))
+    return (p.coefficients for p in _leading(gf.terms(), rows))
+
+
 def coefficient_table(name: str, rows: int) -> list[list[int]]:
     """The coefficient triangle of a built-in generator, rows 0..rows."""
-    return coefficient_rows(generator_tuple(name), rows)
+    return [list(row) for row in table_rows(name, rows)]
 
 
 def coefficient_column(name: str, rows: int, k: int) -> list[int]:
@@ -128,8 +148,34 @@ def _check_column_index(k: int) -> None:
         raise ValueError(f"column index must be nonnegative, got {k}")
 
 
+def row_lines(rows: Iterable[Sequence[int]], sep: str = " ") -> Iterator[str]:
+    """Each row as one line of its values, written exactly and joined by ``sep``."""
+    return (sep.join(map(int_text, row)) for row in rows)
+
+
 def csv_lines(table: Sequence[Sequence[int]]) -> list[str]:
-    return [",".join(map(int_text, row)) for row in table]
+    return list(row_lines(table, ","))
+
+
+def json_pieces(head: dict, key: str, rows: Iterable[Sequence[int]]) -> list[str]:
+    """``json.dumps({**head, key: list(rows)}, sort_keys=True)``, in pieces.
+
+    ``key`` must sort after every key of ``head``.  Each row becomes its
+    JSON text as it arrives, and its ints are dropped, so the pieces hold
+    the output once and are never joined.  ``json`` refuses an int of more
+    than ``sys.int_max_str_digits`` digits with a ValueError only when it
+    reaches one; every row renders before this returns, so a caller that
+    writes the pieces afterwards writes nothing when one is refused.
+    """
+    import json
+    framing = json.dumps(head, sort_keys=True)[:-1] + (", " if head else "")
+    pieces = [framing + json.dumps(key) + ": ["]
+    for row in rows:
+        if len(pieces) > 1:
+            pieces.append(", ")
+        pieces.append(json.dumps(row))
+    pieces.append("]}")
+    return pieces
 
 
 def bfile_lines(values: Sequence[int], offset: int = 0) -> list[str]:

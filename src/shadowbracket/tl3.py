@@ -72,7 +72,44 @@ MATCHINGS: dict[TLElement, tuple[int, ...]] = {
     _E.S: (1, 0, 3, 2, 5, 4),
 }
 
-_BY_MATCHING = {matching: element for element, matching in MATCHINGS.items()}
+
+def _check_matching(element: TLElement, matching: tuple[int, ...]) -> None:
+    """Raise ValueError, naming ``element``, unless ``matching`` is a planar pairing.
+
+    That is a fixed-point-free involution of the points 0-5 whose strands do
+    not cross.  Around the strip the points run 0, 1, 2 down the left side
+    and 5, 4, 3 up the right; the strands cross unless, read in that order,
+    every point closes the latest still-open one or opens a new one, as
+    brackets do.
+    """
+    name = f"tl3.MATCHINGS[{element.symbol!r}] = {matching}"
+    if (sorted(matching) != list(range(6))
+            or any(matching[q] != p or p == q for p, q in enumerate(matching))):
+        raise ValueError(f"{name} does not pair off the points 0-5")
+    open_points: list[int] = []
+    for point in (0, 1, 2, 5, 4, 3):
+        if open_points and open_points[-1] == matching[point]:
+            open_points.pop()
+        else:
+            open_points.append(point)
+    if open_points:
+        raise ValueError(f"{name} has crossing strands")
+
+
+def _index_matchings(matchings: dict[TLElement, tuple[int, ...]]
+                     ) -> dict[tuple[int, ...], TLElement]:
+    """The element of each matching, once every row is checked and distinct."""
+    index: dict[tuple[int, ...], TLElement] = {}
+    for element, matching in matchings.items():
+        _check_matching(element, matching)
+        if matching in index:
+            raise ValueError(f"tl3.MATCHINGS[{element.symbol!r}] repeats the row of "
+                             f"{index[matching].symbol!r}")
+        index[matching] = element
+    return index
+
+
+_BY_MATCHING = _index_matchings(MATCHINGS)
 
 
 def _glue(left: tuple[int, ...], right: tuple[int, ...]) -> ScaledTL:

@@ -867,3 +867,154 @@ class TestFilesReadBeforeOutput:
         assert _refused(code, out, err)
         assert err.startswith(f"error: {path}: ")
         assert not out_file.exists()
+
+
+# --- row-by-row output -------------------------------------------------------
+
+def _whole_table(name: str, rows: int, fmt: str) -> str:
+    """The output of ``table`` as one text, rendered from the whole triangle."""
+    table = coefficient_table(name, rows)
+    if fmt == "json":
+        return json.dumps({"generator": name, "rows": table}, sort_keys=True) + "\n"
+    sep = "," if fmt == "csv" else " "
+    return "\n".join(sep.join(map(int_text, row)) for row in table) + "\n"
+
+
+def _whole_gf(name: str, terms: int | None, fmt: str) -> str:
+    """The output of ``gf`` as one text, rendered from the whole expansion."""
+    gf = gf_from_tuple(generator_tuple(name))
+    series = [] if terms is None else expand(gf, terms)
+    if fmt == "json":
+        payload = gf.to_json()
+        if terms is not None:
+            payload["terms"] = [list(p.coefficients) for p in series]
+        return json.dumps(payload, sort_keys=True) + "\n"
+    return "\n".join([render_gf(gf)] + [f"y^{n}: {p}" for n, p in enumerate(series)]) + "\n"
+
+
+class TestStreamedOutput:
+    """Rows written one at a time equal the whole-text rendering, byte for byte."""
+
+    def outputs(self, capsys, tmp_path, *argv) -> tuple[str, str]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        target = tmp_path / "out.txt"
+        code, empty, err = run(capsys, *argv, "--out", str(target))
+        assert (code, empty, err) == (0, "", "")
+        return out, target.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("name, rows", [("T", 0), ("C", 1), ("E", 6), ("T", 45),
+                                            ("E", 30)])
+    def test_table(self, capsys, tmp_path, name, rows, fmt):
+        expected = _whole_table(name, rows, fmt)
+        assert self.outputs(capsys, tmp_path, "table", "--generator", name, "--rows",
+                            str(rows), "--format", fmt) == (expected, expected)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name, terms", [("T", None), ("C", 0), ("E", 5), ("C", 40)])
+    def test_gf(self, capsys, tmp_path, name, terms, fmt):
+        expected = _whole_gf(name, terms, fmt)
+        count = () if terms is None else ("--terms", str(terms))
+        assert self.outputs(capsys, tmp_path, "gf", "--generator", name, *count,
+                            "--format", fmt) == (expected, expected)
+
+    def test_json_framing_is_json_dumps(self):
+        from shadowbracket.series import json_pieces
+        rows = [(1, -2), (), (3,)]
+        for head in ({}, {"a": 1}, {"b": [1, 2], "a": {"z": 0, "y": [3]}}):
+            assert "".join(json_pieces(head, "rows", iter(rows))) == \
+                json.dumps({**head, "rows": rows}, sort_keys=True)
+        assert "".join(json_pieces({"a": 1}, "rows", [])) == '{"a": 1, "rows": []}'
+
+
+class TestJsonRefusalBeforeOutput:
+    """A row too long for JSON is refused before any byte is written."""
+
+    LONG_ROWS = [(0, 1), (2, 10 ** 5000), (3,)]
+
+    def assert_refused(self, capsys, tmp_path, *argv):
+        target = tmp_path / "out.txt"
+        for extra in ((), ("--out", str(target))):
+            code, out, err = run(capsys, *argv, "--format", "json", *extra)
+            assert _refused(code, out, err)
+            assert "--format text" in err
+            assert not target.exists()
+
+    def test_table(self, capsys, tmp_path, monkeypatch):
+        from shadowbracket import series
+        monkeypatch.setattr(series, "table_rows", lambda name, rows: iter(self.LONG_ROWS))
+        self.assert_refused(capsys, tmp_path, "table", "--generator", "T", "--rows", "2")
+
+    def test_gf_terms(self, capsys, tmp_path, monkeypatch):
+        from shadowbracket import series
+        polys = [Polynomial(row) for row in self.LONG_ROWS]
+        monkeypatch.setattr(series.RationalGF, "terms", lambda self: iter(polys))
+        self.assert_refused(capsys, tmp_path, "gf", "--generator", "T", "--terms", "2")
+
+
+def test_closed_stdout_exits_141_quietly():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "shadowbracket.cli", "table",
+         "--generator", "T", "--rows", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # The triangle is about 1 MB, far more than a pipe buffers.
+    assert proc.stdout.readline() == b"0 0 0 1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written (all ASCII)."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestOutputMemory:
+    """The traced peak of a call against the bytes it writes.
+
+    Written row by row, a triangle costs about one row and the recurrence's
+    few terms; the whole-text rendering held the output three times over.
+    JSON keeps every row's text until the last one has rendered.
+    """
+
+    def peak_per_byte(self, *argv) -> float:
+        import contextlib
+        import tracemalloc
+        with contextlib.redirect_stdout(_CountingSink()):
+            assert cli.main(list(argv)) == 0  # warm: imports and caches
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert cli.main(list(argv)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / sink.written
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--generator", "T", "--rows", "120"),
+        ("table", "--generator", "C", "--rows", "100", "--format", "csv"),
+        ("gf", "--generator", "E", "--terms", "80"),
+    ])
+    def test_text_formats_hold_a_row_at_a_time(self, argv):
+        assert self.peak_per_byte(*argv) < 0.5
+
+    def test_json_holds_the_row_texts_once(self):
+        assert self.peak_per_byte("table", "--generator", "T", "--rows", "120",
+                                  "--format", "json") < 1.5
