@@ -20,12 +20,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 # Only what every command needs is imported here; each handler imports the
 # rest, so a command loads no module it does not run.
 from .generators import NAMES, generator_tuple
-from .poly import Polynomial, parse_int
+from .poly import Polynomial, int_text, parse_int
 from .tl3 import WORD_LETTERS, BracketVector
 
 
@@ -199,22 +200,40 @@ def _emit(args, lines: Iterable[str], end: str = "\n") -> None:
             out.write(end)
 
 
-def _emit_json(args, payload: dict, key: str | None = None, rows=()) -> None:
-    """Write ``json.dumps(payload, sort_keys=True)``, ``key`` holding ``rows``, all
-    rendered before the first byte is written, so that a refusal writes nothing."""
-    import json
-    try:
-        if key is None:
-            pieces = [json.dumps(payload, sort_keys=True)]
-        else:
-            from .series import json_pieces
-            pieces = json_pieces(payload, key, rows)
-    except ValueError:
-        # json writes ints through str, which stops at sys.int_max_str_digits.
-        raise ValueError("the result has an integer too long for JSON output; "
-                         "use --format text") from None
-    pieces.append("\n")
-    _emit(args, pieces, end="")
+def _emit_json(args, payload: dict) -> None:
+    """Write ``json.dumps(payload, sort_keys=True)`` and a newline, piece by piece."""
+    _emit(args, chain(_json_pieces(payload), ["\n"]), end="")
+
+
+def _json_pieces(value) -> Iterator[str]:
+    """``json.dumps(value, sort_keys=True)`` in pieces, every int exact.
+
+    ``value`` is built of dicts, strings, ints and iterables.  A flat list or
+    tuple of ints is one piece; any other iterable is read as it is written.
+    """
+    if isinstance(value, int):
+        yield int_text(value)
+    elif isinstance(value, (list, tuple)) and all(isinstance(x, int) for x in value):
+        yield "[" + ", ".join(map(int_text, value)) + "]"
+    elif isinstance(value, str):
+        import json
+        yield json.dumps(value)
+    elif isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            if i:
+                yield ", "
+            yield from _json_pieces(key)
+            yield ": "
+            yield from _json_pieces(value[key])
+        yield "}"
+    else:
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _json_pieces(item)
+        yield "]"
 
 
 def _cmd_bracket(args) -> int:
@@ -243,24 +262,25 @@ def _cmd_table(args) -> int:
     from .series import row_lines, table_rows
     rows = table_rows(args.generator, args.rows)
     if args.format == "json":
-        _emit_json(args, {"generator": args.generator}, "rows", rows)
+        _emit_json(args, {"generator": args.generator, "rows": rows})
     else:
         _emit(args, row_lines(rows, "," if args.format == "csv" else " "))
     return 0
 
 
 def _cmd_gf(args) -> int:
-    from itertools import chain, islice
+    from itertools import islice
     from .series import gf_from_tuple, render_gf
     gf = gf_from_tuple(_require_tangle(_resolve_input(args)))
     terms = islice(gf.terms(), 0 if args.terms is None else args.terms + 1)
     if args.format == "text":
         _emit(args, chain([render_gf(gf)],
                           (f"y^{n}: {p}" for n, p in enumerate(terms))))
-    elif args.terms is None:
-        _emit_json(args, gf.to_json())
     else:
-        _emit_json(args, gf.to_json(), "terms", (p.coefficients for p in terms))
+        payload = gf.to_json()
+        if args.terms is not None:
+            payload["terms"] = (p.coefficients for p in terms)
+        _emit_json(args, payload)
     return 0
 
 
@@ -280,24 +300,24 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    from .series import (bfile_lines, coefficient_column, coefficient_table,
-                         compare_bfiles, csv_lines, triangle_values)
+    from .series import coefficient_column, compare_bfiles, row_lines, table_rows
     if args.format == "csv":
-        if args.compare:
-            raise ValueError("--compare works with the bfile format only")
-        if args.column is not None:
-            raise ValueError("--column works with the bfile format only")
-        lines = csv_lines(coefficient_table(args.generator, args.rows))
+        for flag, given in (("--compare", args.compare),
+                            ("--column", args.column is not None), ("--offset", args.offset)):
+            if given:
+                raise ValueError(f"{flag} works with the bfile format only")
+        lines = row_lines(table_rows(args.generator, args.rows), ",")
     else:
         if args.column is None:
-            values = triangle_values(coefficient_table(args.generator, args.rows))
+            values = chain.from_iterable(table_rows(args.generator, args.rows))
         else:
             values = coefficient_column(args.generator, args.rows, args.column)
-        lines = bfile_lines(values, args.offset)
-    # Compare before emitting: a missing, undecodable or malformed reference
-    # leaves no output behind.
-    problem = (compare_bfiles("\n".join(lines), _read_text(args.compare))
-               if args.compare else None)
+        lines = row_lines(enumerate(values, args.offset))
+    if args.compare:
+        # Compare before emitting: a missing, undecodable or malformed
+        # reference leaves no output behind.
+        lines = list(lines)
+        problem = compare_bfiles("\n".join(lines), _read_text(args.compare))
     _emit(args, lines)
     if args.compare:
         if problem:

@@ -19,9 +19,9 @@ with that truncation instead of building the triangle.  Rows export as CSV
 lines or as OEIS-style b-files ("index value" per line).
 
 The series is also a lazy source, :meth:`RationalGF.terms`, and
-:func:`table_rows`, :func:`row_lines` and :func:`json_pieces` render a
-triangle from it one row at a time, so that a caller writing the rows as
-they come holds one row, not the whole output.
+:func:`table_rows` and :func:`row_lines` render a triangle from it one row
+at a time, so that a caller writing the rows as they come holds one row,
+not the whole output.
 """
 
 from __future__ import annotations
@@ -157,30 +157,9 @@ def csv_lines(table: Sequence[Sequence[int]]) -> list[str]:
     return list(row_lines(table, ","))
 
 
-def json_pieces(head: dict, key: str, rows: Iterable[Sequence[int]]) -> list[str]:
-    """``json.dumps({**head, key: list(rows)}, sort_keys=True)``, in pieces.
-
-    ``key`` must sort after every key of ``head``.  Each row becomes its
-    JSON text as it arrives, and its ints are dropped, so the pieces hold
-    the output once and are never joined.  ``json`` refuses an int of more
-    than ``sys.int_max_str_digits`` digits with a ValueError only when it
-    reaches one; every row renders before this returns, so a caller that
-    writes the pieces afterwards writes nothing when one is refused.
-    """
-    import json
-    framing = json.dumps(head, sort_keys=True)[:-1] + (", " if head else "")
-    pieces = [framing + json.dumps(key) + ": ["]
-    for row in rows:
-        if len(pieces) > 1:
-            pieces.append(", ")
-        pieces.append(json.dumps(row))
-    pieces.append("]}")
-    return pieces
-
-
-def bfile_lines(values: Sequence[int], offset: int = 0) -> list[str]:
+def bfile_lines(values: Iterable[int], offset: int = 0) -> list[str]:
     """OEIS b-file form: one "index value" pair per line."""
-    return [f"{offset + i} {int_text(value)}" for i, value in enumerate(values)]
+    return list(row_lines(enumerate(values, offset)))
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -190,10 +169,11 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
         body = line.strip()
         if not body or body.startswith("#"):
             continue
-        parts = body.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad b-file line {lineno}: {line!r}")
-        entries.append((parse_int(parts[0]), parse_int(parts[1])))
+        try:
+            index, value = map(parse_int, body.split())
+        except ValueError:
+            raise ValueError(f"bad b-file line {lineno}: {line!r}") from None
+        entries.append((index, value))
     return entries
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -304,6 +305,28 @@ class TestExportCommand:
                              "--format", "csv", "--column", k)
         assert _refused(code, out, err)
         assert "--column" in err
+
+    def test_csv_with_offset_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "export", "--generator", "T", "--rows", "4",
+                             "--format", "csv", "--offset", "3")
+        assert (code, out, err) == (
+            2, "", "error: --offset works with the bfile format only\n")
+
+    def test_csv_with_offset_zero_prints_the_triangle(self, capsys):
+        code, out, _ = run(capsys, "export", "--generator", "T", "--rows", "2",
+                           "--format", "csv", "--offset", "0")
+        assert (code, out) == (0, "0,0,0,1\n0,1,2,1\n0,5,8,3\n")
+
+    def test_compare_names_a_reference_line_that_is_not_an_integer(self, capsys,
+                                                                    tmp_path):
+        reference = tmp_path / "reference.txt"
+        reference.write_text("0 0\n1 x\n")
+        out_file = tmp_path / "column.txt"
+        for extra in ((), ("--out", str(out_file))):
+            code, out, err = run(capsys, "export", "--generator", "T", "--rows", "1",
+                                 "--column", "1", "--compare", str(reference), *extra)
+            assert (code, out, err) == (2, "", "error: bad b-file line 2: '1 x'\n")
+        assert not out_file.exists()
 
     def test_csv_without_column_prints_the_triangle(self, capsys):
         code, out, _ = run(capsys, "export", "--generator", "T", "--rows", "2",
@@ -622,13 +645,17 @@ class TestLongIntegers:
         assert (code, err) == (0, "")
         assert out == f"[{int_text((10 ** 1000 + 7) ** 5)}, 0, 0, 0, 0]\n"
 
-    def test_json_output_past_the_digit_limit_names_the_text_format(self, capsys,
-                                                                   tmp_path):
+    def test_json_output_past_the_digit_limit_is_exact(self, capsys, tmp_path):
         path = self.write_tuple(tmp_path, str(10 ** 1000 + 7))
-        code, out, err = run(capsys, "bracket", "--tuple", str(path), "--n", "5",
-                             "--format", "json")
-        assert _refused(code, out, err)
-        assert "--format text" in err
+        argv = ("bracket", "--tuple", str(path), "--n", "5")
+        code, text, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        out = _json_outputs(capsys, tmp_path, *argv)
+        payload = cli._load_json(out)
+        assert payload["n"] == 5
+        assert payload["tuple"]["a"] == [(10 ** 1000 + 7) ** 5]
+        assert len(int_text(payload["tuple"]["a"][0])) == 5001
+        assert str(BracketVector.from_json(payload["tuple"])) + "\n" == text
 
     def test_json_input_past_the_digit_limit_is_read_exactly(self, capsys, tmp_path):
         path = self.write_tuple(tmp_path, "-" + "9" * 5000)
@@ -919,38 +946,61 @@ class TestStreamedOutput:
         assert self.outputs(capsys, tmp_path, "gf", "--generator", name, *count,
                             "--format", fmt) == (expected, expected)
 
-    def test_json_framing_is_json_dumps(self):
-        from shadowbracket.series import json_pieces
-        rows = [(1, -2), (), (3,)]
-        for head in ({}, {"a": 1}, {"b": [1, 2], "a": {"z": 0, "y": [3]}}):
-            assert "".join(json_pieces(head, "rows", iter(rows))) == \
-                json.dumps({**head, "rows": rows}, sort_keys=True)
-        assert "".join(json_pieces({"a": 1}, "rows", [])) == '{"a": 1, "rows": []}'
+    def test_json_renderer_is_json_dumps(self):
+        heads = ({}, {"a": 1}, {"z": "T", "b": [1, 2], "a": {"z": 0, "y": [3, []]}},
+                 {"s": [[], [-4], [5, 6]], "e": ()})
+        for head in heads:
+            for rows in ([], [(1, -2), (), (3,)], [[0, 10 ** 40]]):
+                expected = json.dumps({**head, "rows": rows}, sort_keys=True)
+                for source in (rows, iter(rows), (tuple(row) for row in rows)):
+                    assert "".join(cli._json_pieces({**head, "rows": source})) == expected
+
+    def test_json_renderer_reads_lazy_rows_as_it_writes_them(self):
+        source = iter([(1, 2), (3,)])
+        pieces = cli._json_pieces({"rows": source})
+        assert [next(pieces) for _ in range(5)] == ["{", '"rows"', ": ", "[", "[1, 2]"]
+        assert next(source) == (3,)
 
 
-class TestJsonRefusalBeforeOutput:
-    """A row too long for JSON is refused before any byte is written."""
+def _json_outputs(capsys, tmp_path, *argv):
+    """The ``--format json`` output of a request, equal on stdout and with
+    ``--out``, as the path of the ``--out`` file."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    target = tmp_path / "out.json"
+    assert run(capsys, *argv, "--format", "json", "--out", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    return str(target)
+
+
+class TestJsonPastTheDigitLimit:
+    """A row with an int past ``sys.int_max_str_digits`` is written exactly."""
 
     LONG_ROWS = [(0, 1), (2, 10 ** 5000), (3,)]
-
-    def assert_refused(self, capsys, tmp_path, *argv):
-        target = tmp_path / "out.txt"
-        for extra in ((), ("--out", str(target))):
-            code, out, err = run(capsys, *argv, "--format", "json", *extra)
-            assert _refused(code, out, err)
-            assert "--format text" in err
-            assert not target.exists()
 
     def test_table(self, capsys, tmp_path, monkeypatch):
         from shadowbracket import series
         monkeypatch.setattr(series, "table_rows", lambda name, rows: iter(self.LONG_ROWS))
-        self.assert_refused(capsys, tmp_path, "table", "--generator", "T", "--rows", "2")
+        argv = ("table", "--generator", "T", "--rows", "2")
+        code, text, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        payload = cli._load_json(_json_outputs(capsys, tmp_path, *argv))
+        assert payload == {"generator": "T", "rows": [list(r) for r in self.LONG_ROWS]}
+        assert "".join(line + "\n" for line in series.row_lines(payload["rows"])) == text
 
     def test_gf_terms(self, capsys, tmp_path, monkeypatch):
         from shadowbracket import series
         polys = [Polynomial(row) for row in self.LONG_ROWS]
         monkeypatch.setattr(series.RationalGF, "terms", lambda self: iter(polys))
-        self.assert_refused(capsys, tmp_path, "gf", "--generator", "T", "--terms", "2")
+        argv = ("gf", "--generator", "T", "--terms", "2")
+        code, text, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        payload = cli._load_json(_json_outputs(capsys, tmp_path, *argv))
+        assert payload["terms"] == [list(r) for r in self.LONG_ROWS]
+        terms = [f"y^{n}: {Polynomial(row)}" for n, row in enumerate(payload["terms"])]
+        assert text.splitlines()[1:] == terms
 
 
 def test_closed_stdout_exits_141_quietly():
@@ -988,8 +1038,8 @@ class TestOutputMemory:
     """The traced peak of a call against the bytes it writes.
 
     Written row by row, a triangle costs about one row and the recurrence's
-    few terms; the whole-text rendering held the output three times over.
-    JSON keeps every row's text until the last one has rendered.
+    few terms, in every format; the whole-text rendering held the output
+    three times over.
     """
 
     def peak_per_byte(self, *argv) -> float:
@@ -1011,10 +1061,9 @@ class TestOutputMemory:
         ("table", "--generator", "T", "--rows", "120"),
         ("table", "--generator", "C", "--rows", "100", "--format", "csv"),
         ("gf", "--generator", "E", "--terms", "80"),
+        ("table", "--generator", "T", "--rows", "120", "--format", "json"),
+        ("export", "--generator", "T", "--rows", "120"),
+        ("export", "--generator", "C", "--rows", "100", "--format", "csv"),
     ])
     def test_text_formats_hold_a_row_at_a_time(self, argv):
         assert self.peak_per_byte(*argv) < 0.5
-
-    def test_json_holds_the_row_texts_once(self):
-        assert self.peak_per_byte("table", "--generator", "T", "--rows", "120",
-                                  "--format", "json") < 1.5

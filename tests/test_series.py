@@ -170,6 +170,12 @@ class TestExportForms:
         with pytest.raises(ValueError):
             parse_bfile("1 2 3")
 
+    @pytest.mark.parametrize("line", ["1 x", "1 2 3", "1", "x 1", "1 2.0"])
+    def test_parse_bfile_names_the_bad_line(self, line):
+        with pytest.raises(ValueError) as refused:
+            parse_bfile(f"# head\n0 0\n{line}\n3 4")
+        assert str(refused.value) == f"bad b-file line 3: {line!r}"
+
     def test_compare_bfiles(self):
         ours = "\n".join(bfile_lines([0, 1, 5]))
         assert compare_bfiles(ours, "0 0\n1 1\n2 5") is None
