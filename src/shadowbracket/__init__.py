@@ -23,21 +23,19 @@ _MODULE_OF = {
     "DEFAULT_MAX_CROSSINGS": "oracle", "ELEMENTS": "tl3",
     "LambdaPolynomial": "bracket", "MalformedDiagramError": "diagram",
     "NAMES": "generators", "ONE": "poly", "PQInvariants": "bracket",
-    "PolyMatrix": "bracket", "Polynomial": "poly", "RationalGF": "series",
-    "RationalTerm": "series", "ScaledTL": "tl3", "ShadowDiagram": "diagram",
+    "PolyMatrix": "bracket", "Polynomial": "poly", "RationalGF": "bracket",
+    "RationalTerm": "bracket", "ScaledTL": "tl3", "ShadowDiagram": "diagram",
     "TLElement": "tl3", "X": "poly", "ZERO": "poly", "bfile_lines": "series",
     "charpoly": "bracket", "charpoly_factored": "bracket", "close_diagram": "oracle",
     "closed_form_bracket": "bracket", "closure": "bracket", "closure_loops": "tl3",
-    "coefficient_rows": "series", "coefficient_table": "series", "column": "series",
-    "compare_bfiles": "series", "compile_word": "oracle", "compose": "bracket",
-    "contract": "contraction", "csv_lines": "series", "enumerate_states": "oracle",
-    "expand": "series", "generator_diagram": "oracle", "generator_tuple": "generators",
-    "gf_from_tuple": "series", "glue": "oracle",
+    "coefficient_table": "series", "column": "series", "compare_bfiles": "series",
+    "compile_word": "oracle", "compose": "bracket", "contract": "contraction",
+    "enumerate_states": "oracle", "expand": "series", "generator_diagram": "oracle",
+    "generator_tuple": "generators", "gf_from_tuple": "bracket", "glue": "oracle",
     "letter_tuple": "bracket", "mirror": "tl3", "mirror_diagram": "oracle",
     "multiply": "tl3", "parse_bfile": "series", "parse_word": "bracket",
     "power": "bracket", "pq_invariants": "bracket", "render_gf": "series",
-    "row_sums": "series", "smooth": "oracle", "states_matrix": "bracket",
-    "triangle_values": "series", "word_tuple": "bracket",
+    "smooth": "oracle", "states_matrix": "bracket", "word_tuple": "bracket",
 }
 
 __version__ = "0.1.0"

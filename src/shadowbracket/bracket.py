@@ -16,18 +16,20 @@ annihilated by a cubic built from ``a``, ``p`` and ``m``
 1, ``v`` and ``v^2`` whose three coefficients come from one scalar series.
 The closure of a tangle weights each slot by one factor of x per loop its
 basis diagram closes to, and the closures of the powers have a rational
-generating function built from the invariants ``p`` and ``q^2``;
-:func:`closed_form_bracket` runs its recurrence without ever forming the
-radical ``q``.
+generating function built from the invariants ``p`` and ``q^2``
+(:func:`gf_from_tuple`); :func:`closed_form_bracket` reads it without ever
+forming the radical ``q``.
 
-A rational series in y over Z[x] has two routes, chosen by what the caller
-needs.  :func:`series_coefficients` walks every term, one short-by-long
-product per feedback polynomial, for callers that print them all.
-:func:`series_term` jumps to one term: it runs the same recurrence on the
-terms packed into integers, the way :mod:`shadowbracket.poly`'s Kronecker
-product packs, and reads the digits back only at block ends.  Both
-:func:`power` and :func:`closed_form_bracket` jump to their n-th term with
-it.
+A rational series in y over Z[x], :class:`RationalTerm`, is one linear
+recurrence with two readers, chosen by what the caller needs.
+:meth:`RationalTerm.terms` walks every term, one short-by-long product per
+feedback polynomial, for callers that print them all.
+:meth:`RationalTerm.term` jumps to one term: it runs the same recurrence on
+the terms packed into integers, the way :mod:`shadowbracket.poly`'s
+Kronecker product packs, and reads the digits back only at block ends.
+Both :func:`power` and :func:`closed_form_bracket` jump to their n-th term
+with it.  :class:`RationalGF` is the sum of two such terms, the generating
+function of a tangle's closure brackets.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from functools import reduce
 from itertools import count, islice
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .poly import (ONE, X, ZERO, Polynomial, PolynomialLike, _digit_width, _pack, _unpack,
@@ -43,10 +45,7 @@ from .poly import (ONE, X, ZERO, Polynomial, PolynomialLike, _digit_width, _pack
 from .record import Record
 from .tl3 import ELEMENTS, WORD_LETTERS, BracketVector, closure_loops, multiply
 
-# A generating-function term: numerator and denominator in y, lowest power first.
-YRatio = tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]
-
-# Recurrence steps :func:`series_term` runs between two readings of its
+# Recurrence steps :meth:`RationalTerm.term` runs between two readings of its
 # packed terms.  A block's digit width must hold its last terms, so a longer
 # block carries wider digits through its early steps, and a shorter one
 # reads the digits back more often.  Of 8, 16, 32, 64 and 128 steps, 32 was
@@ -199,6 +198,158 @@ class LambdaPolynomial(Record):
         return " + ".join(parts)
 
 
+class RationalTerm(Record):
+    """A ratio of polynomials in y whose coefficients are polynomials in x.
+
+    Numerator and denominator list their coefficients lowest power of y
+    first, and the denominator starts with 1, so the series t_0, t_1, ...
+    satisfies ``t_n = num_n - sum_k den_k t_(n-k)``.  The recurrence has two
+    readers: :meth:`terms` walks every term, :meth:`term` jumps to one.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: tuple[Polynomial, ...],
+                 denominator: tuple[Polynomial, ...]):
+        if not denominator or denominator[0] != ONE:
+            raise ValueError("denominator must have constant term 1")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+
+    def terms(self, precision: int | None = None) -> Iterator[Polynomial]:
+        """The series coefficients t_0, t_1, ..., walked one at a time.
+
+        Each term costs one short-by-long product per feedback polynomial,
+        and only the last ``len(denominator) - 1`` terms are kept.
+
+        With ``precision``, every t_n is reduced modulo ``x**precision``.
+        Reduction is a ring homomorphism, so reducing the inputs and each new
+        term gives exactly the reduced series while every product stays short.
+        """
+        def cut(p: Polynomial) -> Polynomial:
+            return p if precision is None else p.truncate(precision)
+
+        numerator = [cut(c) for c in self.numerator]
+        feedback = [cut(-c) for c in self.denominator[1:]]
+        recent: list[Polynomial] = []  # newest first
+        for n in count():
+            term = cut(sum((c * t for c, t in zip(feedback, recent)),
+                           numerator[n] if n < len(numerator) else ZERO))
+            yield term
+            recent = [term, *recent][:len(feedback)]
+
+    def term(self, n: int, count: int = 1) -> list[Polynomial]:
+        """The terms t_(n-count+1), ..., t_n, fewer when n < count - 1.
+
+        They equal the terms of :meth:`terms`, which also gives every term up
+        to the last one the numerator touches.  From there the recurrence
+        runs on integers packed at x = 2**(8w), one digit per coefficient
+        (Kronecker substitution, as in the product): a product by a feedback
+        polynomial is a few shifts and small-integer multiplies of one packed
+        integer.
+
+        The digits are read back only every :data:`SERIES_BLOCK_STEPS` steps.
+        Each block takes its digit width w from the exact l1 norms of the terms
+        it starts from: the l1 norm of ``sum f_k t_(n-k)`` is at most
+        ``sum |f_k| |t_(n-k)|``, so that recurrence run on the norms bounds
+        every coefficient the block reads back.
+        """
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if count < 1:
+            raise ValueError("count must be positive")
+        order = len(self.denominator) - 1
+        terms = list(islice(self.terms(),
+                            min(n + 1, max(order, len(self.numerator)))))
+        keep = max(order, count)
+        feedback = [(-c).coefficients for c in self.denominator[1:]]
+        longest_feedback = max(map(len, feedback), default=0)
+        # Horner rows, highest power of x first: row i holds (k, f_k[i]) for every
+        # nonzero coefficient of x**i in the feedback polynomials f_k.
+        rows = [[(k, f[i]) for k, f in enumerate(feedback) if i < len(f) and f[i]]
+                for i in reversed(range(longest_feedback))]
+        feedback_norms = [sum(map(abs, f)) for f in feedback]
+        done = len(terms)
+        while done <= n:
+            steps = min(SERIES_BLOCK_STEPS, n + 1 - done)
+            start = terms[len(terms) - order:][::-1]  # newest first
+            norms = [sum(map(abs, t.coefficients)) for t in start]
+            top = max(norms, default=0)  # the start terms are packed at this width too
+            for step in range(steps):
+                bound = sum(map(mul, feedback_norms, norms))
+                norms = [bound, *norms[:-1]]
+                if step >= steps - keep:
+                    top = max(top, bound)
+            width = _digit_width(top)
+            shift = 8 * width
+            recent = [_pack(t.coefficients, width) for t in start]
+            # glibc's malloc maps a block larger than any it has freed so far
+            # afresh, and unmaps it when freed, so integers that grow a little
+            # every step would each fault in all their pages (about 400,000
+            # minor page faults, a quarter of the time, at closed E^1000).
+            # Freeing one buffer four times the block's largest integer first
+            # raises that limit (up to glibc's 32 MiB cap), and the block's
+            # integers reuse heap memory; ``bytes`` takes the zeroed buffer from
+            # calloc, which leaves a fresh mapping untouched (about 3,400 faults
+            # in all at closed E^1000).  Under another allocator the buffer only
+            # costs its allocation.  A step lengthens a term by less than the
+            # longest feedback.
+            longest = max((len(t.coefficients) for t in start), default=0)
+            bytes(4 * width * (longest + longest_feedback * steps + 1))
+            packed = deque(maxlen=keep)
+            for _ in range(steps):
+                value = 0
+                for row in rows:
+                    value <<= shift
+                    for k, c in row:
+                        # A unit coefficient costs no multiply, the first term no add.
+                        if c == -1:
+                            value -= recent[k]
+                            continue
+                        term = recent[k] if c == 1 else c * recent[k]
+                        value = value + term if value else term
+                recent = [value, *recent[:-1]]
+                packed.append(value)
+            terms += [Polynomial._unchecked(
+                          _unpack(value, width, value.bit_length() // shift + 1))
+                      for value in packed]
+            terms = terms[-keep:]
+            done += steps
+        return terms[-count:]
+
+
+class RationalGF(Record):
+    """Generating function of the closure brackets of a tangle's powers."""
+
+    __slots__ = ("pair_part", "geometric_part")
+
+    def __init__(self, pair_part: RationalTerm, geometric_part: RationalTerm):
+        object.__setattr__(self, "pair_part", pair_part)
+        object.__setattr__(self, "geometric_part", geometric_part)
+
+    def terms(self, precision: int | None = None) -> Iterator[Polynomial]:
+        """The closure brackets of powers 0, 1, ..., each summed as it is read."""
+        return map(add, self.pair_part.terms(precision),
+                   self.geometric_part.terms(precision))
+
+    def term(self, n: int) -> Polynomial:
+        """The closure bracket of power n, by each part's jump to its n-th term."""
+        return self.pair_part.term(n)[0] + self.geometric_part.term(n)[0]
+
+    def expand(self, count: int, precision: int | None = None) -> list[Polynomial]:
+        """The first ``count + 1`` of :meth:`terms`."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        return list(islice(self.terms(precision), count + 1))
+
+    def to_json(self) -> dict:
+        def encode(term: RationalTerm) -> dict:
+            return {"numerator": [list(p.coefficients) for p in term.numerator],
+                    "denominator": [list(p.coefficients) for p in term.denominator]}
+        return {"pair_part": encode(self.pair_part),
+                "geometric_part": encode(self.geometric_part)}
+
+
 def compose(v: BracketVector, w: BracketVector) -> BracketVector:
     """The tuple of the tangle obtained by gluing ``v`` on the left of ``w``.
 
@@ -243,8 +394,8 @@ def power(v: BracketVector, n: int) -> BracketVector:
     if n == 2:
         return compose(v, v)
     s1, s2, s3 = power_cubic(v)
-    before, gamma, after = series_term((ZERO, ZERO, ONE), (ONE, -s1, s2, -s3), n + 1,
-                                       count=3)
+    before, gamma, after = RationalTerm((ZERO, ZERO, ONE),
+                                        (ONE, -s1, s2, -s3)).term(n + 1, count=3)
     return (BracketVector.unit().scaled(s3 * before) + v.scaled(after - s1 * gamma)
             + compose(v, v).scaled(gamma))
 
@@ -332,12 +483,12 @@ def pq_invariants(v: BracketVector) -> PQInvariants:
     return PQInvariants(p, q_squared)
 
 
-def closure_gf_terms(v: BracketVector) -> tuple[YRatio, YRatio]:
-    """The two terms of the generating function of ``closure(power(v, n))``::
+def gf_from_tuple(v: BracketVector) -> RationalGF:
+    """The generating function of ``closure(power(v, n))``::
 
         x(2 - p y) / (1 - p y + m y^2)   +   x(x^2 - 2) / (1 - a y)
 
-    The first sums ``x lam^n`` over the eigenvalue pair with sum p and
+    The first term sums ``x lam^n`` over the eigenvalue pair with sum p and
     product m = (p^2 - q^2)/4; the second comes from the identity slot a.
 
     Never raises: p^2 - q^2 is divisible by 4 for every tuple (see
@@ -345,21 +496,18 @@ def closure_gf_terms(v: BracketVector) -> tuple[YRatio, YRatio]:
     fail that check.
     """
     pq = pq_invariants(v)
-    return (((2 * X, -(pq.p * X)), (ONE, -pq.p, pq.pair_product())),
-            ((X * (X * X - 2),), (ONE, -v.a)))
+    return RationalGF(RationalTerm((2 * X, -(pq.p * X)), (ONE, -pq.p, pq.pair_product())),
+                      RationalTerm((X * (X * X - 2),), (ONE, -v.a)))
 
 
 def closed_form_bracket(v: BracketVector, n: int) -> Polynomial:
     """Closure bracket of the n-th power of ``v``, by recurrence.
 
-    The n-th series coefficient of :func:`closure_gf_terms`, each term run
-    through its denominator recurrence by :func:`series_term`.  Agrees with
-    ``closure(power(v, n))`` for every n, without forming any radical.
+    The n-th series coefficient of :func:`gf_from_tuple`, each term run
+    through its denominator recurrence by :meth:`RationalTerm.term`.  Agrees
+    with ``closure(power(v, n))`` for every n, without forming any radical.
     """
-    if n < 0:
-        raise ValueError("closed_form_bracket requires n >= 0")
-    pair, geometric = (series_term(num, den, n)[0] for num, den in closure_gf_terms(v))
-    return pair + geometric
+    return gf_from_tuple(v).term(n)
 
 
 def charpoly(matrix: PolyMatrix) -> LambdaPolynomial:
@@ -401,110 +549,3 @@ def _determinant(entries: Sequence[Sequence[LambdaPolynomial]]) -> LambdaPolynom
         total = total + term if i % 2 == 0 else total - term
     return total
 
-
-def series_coefficients(numerator: Sequence[Polynomial],
-                        denominator: Sequence[Polynomial],
-                        precision: int | None = None) -> Iterator[Polynomial]:
-    """Coefficients t_0, t_1, ... of the series numerator / denominator in y.
-
-    Both are coefficient sequences over Z[x], lowest power of y first, and
-    the denominator starts with 1, so ``t_n = num_n - sum_k den_k t_(n-k)``;
-    only the last ``len(denominator) - 1`` coefficients are kept.
-
-    With ``precision``, every t_n is reduced modulo ``x**precision``.
-    Reduction is a ring homomorphism, so reducing the inputs and each new
-    term gives exactly the reduced series while every product stays short.
-    """
-    def cut(p: Polynomial) -> Polynomial:
-        return p if precision is None else p.truncate(precision)
-
-    numerator = [cut(c) for c in numerator]
-    feedback = [cut(-c) for c in denominator[1:]]
-    recent: list[Polynomial] = []  # newest first
-    for n in count():
-        term = cut(sum((c * t for c, t in zip(feedback, recent)),
-                       numerator[n] if n < len(numerator) else ZERO))
-        yield term
-        recent = [term, *recent][:len(feedback)]
-
-
-def series_term(numerator: Sequence[Polynomial], denominator: Sequence[Polynomial],
-                n: int, count: int = 1) -> list[Polynomial]:
-    """The terms t_(n-count+1), ..., t_n of the series numerator / denominator.
-
-    Fewer than ``count`` terms when n < count - 1.  They equal the terms of
-    :func:`series_coefficients`, which walks the series term by term; this
-    kernel jumps to t_n.  The terms up to the last one the numerator touches
-    come from :func:`series_coefficients`.  From there the recurrence runs on
-    integers packed at x = 2**(8w), one digit per coefficient (Kronecker
-    substitution, as in the product): a product by a feedback polynomial
-    is a few shifts and small-integer multiplies of one packed integer.
-
-    The digits are read back only every :data:`SERIES_BLOCK_STEPS` steps.
-    Each block takes its digit width w from the exact l1 norms of the terms
-    it starts from: the l1 norm of ``sum f_k t_(n-k)`` is at most
-    ``sum |f_k| |t_(n-k)|``, so that recurrence run on the norms bounds
-    every coefficient the block reads back.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if count < 1:
-        raise ValueError("count must be positive")
-    order = len(denominator) - 1
-    terms = list(islice(series_coefficients(numerator, denominator),
-                        min(n + 1, max(order, len(numerator)))))
-    keep = max(order, count)
-    feedback = [(-c).coefficients for c in denominator[1:]]
-    longest_feedback = max(map(len, feedback), default=0)
-    # Horner rows, highest power of x first: row i holds (k, f_k[i]) for every
-    # nonzero coefficient of x**i in the feedback polynomials f_k.
-    rows = [[(k, f[i]) for k, f in enumerate(feedback) if i < len(f) and f[i]]
-            for i in reversed(range(longest_feedback))]
-    feedback_norms = [sum(map(abs, f)) for f in feedback]
-    done = len(terms)
-    while done <= n:
-        steps = min(SERIES_BLOCK_STEPS, n + 1 - done)
-        start = terms[len(terms) - order:][::-1]  # newest first
-        norms = [sum(map(abs, t.coefficients)) for t in start]
-        top = max(norms, default=0)  # the start terms are packed at this width too
-        for step in range(steps):
-            bound = sum(map(mul, feedback_norms, norms))
-            norms = [bound, *norms[:-1]]
-            if step >= steps - keep:
-                top = max(top, bound)
-        width = _digit_width(top)
-        shift = 8 * width
-        recent = [_pack(t.coefficients, width) for t in start]
-        # glibc's malloc maps a block larger than any it has freed so far
-        # afresh, and unmaps it when freed, so integers that grow a little
-        # every step would each fault in all their pages (about 400,000
-        # minor page faults, a quarter of the time, at closed E^1000).
-        # Freeing one buffer four times the block's largest integer first
-        # raises that limit (up to glibc's 32 MiB cap), and the block's
-        # integers reuse heap memory; ``bytes`` takes the zeroed buffer from
-        # calloc, which leaves a fresh mapping untouched (about 3,400 faults
-        # in all at closed E^1000).  Under another allocator the buffer only
-        # costs its allocation.  A step lengthens a term by less than the
-        # longest feedback.
-        longest = max((len(t.coefficients) for t in start), default=0)
-        bytes(4 * width * (longest + longest_feedback * steps + 1))
-        packed = deque(maxlen=keep)
-        for _ in range(steps):
-            value = 0
-            for row in rows:
-                value <<= shift
-                for k, c in row:
-                    # A unit coefficient costs no multiply, the first term no add.
-                    if c == -1:
-                        value -= recent[k]
-                        continue
-                    term = recent[k] if c == 1 else c * recent[k]
-                    value = value + term if value else term
-            recent = [value, *recent[:-1]]
-            packed.append(value)
-        terms += [Polynomial._unchecked(
-                      _unpack(value, width, value.bit_length() // shift + 1))
-                  for value in packed]
-        terms = terms[-keep:]
-        done += steps
-    return terms[-count:]

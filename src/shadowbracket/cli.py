@@ -270,7 +270,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_gf(args) -> int:
     from itertools import islice
-    from .series import gf_from_tuple, render_gf
+    from .bracket import gf_from_tuple
+    from .series import render_gf
     gf = gf_from_tuple(_require_tangle(_resolve_input(args)))
     terms = islice(gf.terms(), 0 if args.terms is None else args.terms + 1)
     if args.format == "text":

@@ -20,7 +20,7 @@ integers are multiplied by CPython's big-int multiply, and the digits of
 the product are read back (Harvey, *Faster polynomial multiplication via
 multipoint Kronecker substitution*, J. Symb. Comput. 44, 2009).  The
 packing and digit reading are shared with the packed series recurrence of
-:func:`shadowbracket.bracket.series_term`.
+:meth:`shadowbracket.bracket.RationalTerm.term`.
 """
 
 from __future__ import annotations

@@ -1,15 +1,11 @@
-"""Rational generating functions and coefficient triangles for closure brackets.
+"""Coefficient triangles of closure brackets, rendered and exported.
 
-The sequence of closure brackets of the powers of a tangle has a rational
-generating function in y with coefficients in Z[x], the sum of two terms::
-
-    x(2 - p y) / (1 - p y + m y^2)   +   x(x^2 - 2) / (1 - a y)
-
-where p is the linear invariant of the tuple, m = (p^2 - q^2)/4 the
-eigenvalue product, and a the identity coefficient.  Expanding either term is
-a plain linear recurrence driven by its denominator, so the n-th series
-coefficient reproduces :func:`shadowbracket.bracket.closed_form_bracket`
-exactly.
+The closure brackets of the powers of a tangle are the coefficients of one
+rational generating function in y over Z[x],
+:func:`shadowbracket.bracket.gf_from_tuple`, whose
+:class:`~shadowbracket.bracket.RationalTerm` parts also run the recurrence
+that reads it.  This module renders that series and the triangles it
+produces.
 
 The coefficient triangle s(n, k) collects, for each power n, the number of
 Kauffman states of the closure with exactly k loops; row n is just the
@@ -18,7 +14,7 @@ series modulo x^(k+1), so :func:`coefficient_column` runs the recurrences
 with that truncation instead of building the triangle.  Rows export as CSV
 lines or as OEIS-style b-files ("index value" per line).
 
-The series is also a lazy source, :meth:`RationalGF.terms`, and
+The series is a lazy source, :meth:`RationalGF.terms`, and
 :func:`table_rows` and :func:`row_lines` render a triangle from it one row
 at a time, so that a caller writing the rows as they come holds one row,
 not the whole output.
@@ -26,79 +22,13 @@ not the whole output.
 
 from __future__ import annotations
 
+import re
 from itertools import islice
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .bracket import closure_gf_terms, series_coefficients
+from .bracket import RationalGF, gf_from_tuple
 from .generators import generator_tuple
-from .poly import ONE, Polynomial, int_text, parse_int
-from .record import Record
-from .tl3 import BracketVector
-
-
-class RationalTerm(Record):
-    """A ratio of polynomials in y whose coefficients are polynomials in x."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: tuple[Polynomial, ...],
-                 denominator: tuple[Polynomial, ...]):
-        if not denominator or denominator[0] != ONE:
-            raise ValueError("denominator must have constant term 1")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    def terms(self, precision: int | None = None) -> Iterator[Polynomial]:
-        """The series coefficients t_0, t_1, ..., by the denominator recurrence.
-
-        With ``precision``, each is reduced modulo ``x**precision``.
-        """
-        return series_coefficients(self.numerator, self.denominator, precision)
-
-
-class RationalGF(Record):
-    """Generating function of the closure brackets of a tangle's powers."""
-
-    __slots__ = ("pair_part", "geometric_part")
-
-    def __init__(self, pair_part: RationalTerm, geometric_part: RationalTerm):
-        object.__setattr__(self, "pair_part", pair_part)
-        object.__setattr__(self, "geometric_part", geometric_part)
-
-    def terms(self, precision: int | None = None) -> Iterator[Polynomial]:
-        """The closure brackets of powers 0, 1, ..., each summed as it is read."""
-        return map(add, self.pair_part.terms(precision),
-                   self.geometric_part.terms(precision))
-
-    def expand(self, count: int, precision: int | None = None) -> list[Polynomial]:
-        """The first ``count + 1`` of :meth:`terms`."""
-        return list(_leading(self.terms(precision), count))
-
-    def to_json(self) -> dict:
-        def encode(term: RationalTerm) -> dict:
-            return {"numerator": [list(p.coefficients) for p in term.numerator],
-                    "denominator": [list(p.coefficients) for p in term.denominator]}
-        return {"pair_part": encode(self.pair_part),
-                "geometric_part": encode(self.geometric_part)}
-
-
-def _leading(terms: Iterator[Polynomial], count: int) -> Iterator[Polynomial]:
-    """The first ``count + 1`` of ``terms``."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return islice(terms, count + 1)
-
-
-def gf_from_tuple(v: BracketVector) -> RationalGF:
-    """Build the closure generating function from a bracket tuple.
-
-    Never raises: as in :func:`shadowbracket.bracket.closure_gf_terms`, the
-    divisibility check passes for every tuple; only a hand-built
-    PQInvariants can fail it.
-    """
-    pair, geometric = closure_gf_terms(v)
-    return RationalGF(RationalTerm(*pair), RationalTerm(*geometric))
+from .poly import _INT_RE, ONE, Polynomial, int_text, parse_int
 
 
 def expand(gf: RationalGF, count: int) -> list[Polynomial]:
@@ -106,15 +36,12 @@ def expand(gf: RationalGF, count: int) -> list[Polynomial]:
     return gf.expand(count)
 
 
-def coefficient_rows(v: BracketVector, rows: int) -> list[list[int]]:
-    """Loop-count distributions for the closures of powers 0..rows of ``v``."""
-    return [list(p.coefficients) for p in gf_from_tuple(v).expand(rows)]
-
-
 def table_rows(name: str, rows: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..rows of a built-in generator's triangle, each computed as it is read."""
+    if rows < 0:
+        raise ValueError("count must be nonnegative")
     gf = gf_from_tuple(generator_tuple(name))
-    return (p.coefficients for p in _leading(gf.terms(), rows))
+    return (p.coefficients for p in islice(gf.terms(), rows + 1))
 
 
 def coefficient_table(name: str, rows: int) -> list[list[int]]:
@@ -133,10 +60,6 @@ def coefficient_column(name: str, rows: int, k: int) -> list[int]:
     return [p.coefficient(k) for p in series]
 
 
-def row_sums(table: Sequence[Sequence[int]]) -> list[int]:
-    return [sum(row) for row in table]
-
-
 def column(table: Sequence[Sequence[int]], k: int) -> list[int]:
     """Column k of a triangle, reading missing entries as 0."""
     _check_column_index(k)
@@ -153,10 +76,6 @@ def row_lines(rows: Iterable[Sequence[int]], sep: str = " ") -> Iterator[str]:
     return (sep.join(map(int_text, row)) for row in rows)
 
 
-def csv_lines(table: Sequence[Sequence[int]]) -> list[str]:
-    return list(row_lines(table, ","))
-
-
 def bfile_lines(values: Iterable[int], offset: int = 0) -> list[str]:
     """OEIS b-file form: one "index value" pair per line."""
     return list(row_lines(enumerate(values, offset)))
@@ -169,11 +88,10 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
         body = line.strip()
         if not body or body.startswith("#"):
             continue
-        try:
-            index, value = map(parse_int, body.split())
-        except ValueError:
-            raise ValueError(f"bad b-file line {lineno}: {line!r}") from None
-        entries.append((index, value))
+        fields = body.split()
+        if len(fields) != 2 or not all(re.fullmatch(_INT_RE, f) for f in fields):
+            raise ValueError(f"bad b-file line {lineno}: {line!r}")
+        entries.append((parse_int(fields[0]), parse_int(fields[1])))
     return entries
 
 
@@ -188,11 +106,6 @@ def compare_bfiles(ours: str, reference: str) -> str | None:
     if len(a) != len(b):
         return f"length mismatch: {len(a)} lines versus {len(b)}"
     return None
-
-
-def triangle_values(table: Sequence[Sequence[int]]) -> list[int]:
-    """Flatten a triangle row by row, k ascending, for b-file export."""
-    return [value for row in table for value in row]
 
 
 def render_gf(gf: RationalGF) -> str:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import random
 from typing import Collection, Iterator
 
-from .bracket import (charpoly, charpoly_factored, closed_form_bracket, closure, power,
-                      states_matrix, word_tuple)
+from .bracket import (charpoly, charpoly_factored, closed_form_bracket, closure,
+                      gf_from_tuple, power, states_matrix, word_tuple)
 from .contraction import contract
 from .generators import generator_tuple
 from .oracle import (DEFAULT_MAX_CROSSINGS, ShadowDiagram, _unchecked_diagram, close_diagram,
@@ -27,7 +27,7 @@ from .oracle import (DEFAULT_MAX_CROSSINGS, ShadowDiagram, _unchecked_diagram, c
 from .poly import Polynomial
 from .reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
 from .series import (bfile_lines, coefficient_column, coefficient_table, column,
-                     compare_bfiles, expand, gf_from_tuple)
+                     compare_bfiles, expand)
 from .tl3 import WORD_LETTERS, BracketVector
 
 

@@ -8,12 +8,11 @@ from conftest import P, reference_matrix, rand_tuple
 from shadowbracket import bracket
 from shadowbracket.bracket import (BracketVector, LambdaPolynomial, PolyMatrix,
                                    charpoly, charpoly_factored, closed_form_bracket,
-                                   closure, compose, power, power_cubic, pq_invariants,
-                                   states_matrix)
+                                   closure, compose, gf_from_tuple, power, power_cubic,
+                                   pq_invariants, states_matrix)
 from shadowbracket.generators import generator_tuple
 from shadowbracket.oracle import compile_word, enumerate_states
 from shadowbracket.poly import ONE, Polynomial, X, ZERO, power_by_squaring
-from shadowbracket.series import gf_from_tuple
 from shadowbracket.tl3 import ELEMENTS, TLElement, closure_loops
 
 T = generator_tuple("T")
@@ -327,6 +326,21 @@ class TestClosedForm:
                     t2 = powers[n + 2].entries()[i]
                     t3 = powers[n + 3].entries()[i]
                     assert t3 == (a + p) * t2 - (a * p + m) * t1 + a * m * t0
+
+    def test_state_sum_invariants_at_depth_on_both_readers(self):
+        # A closed shadow of c crossings has 2^c states, so its bracket is
+        # 2^c at x = 1, and 0 at x = -1 once it has a crossing.  The depths
+        # cross three SERIES_BLOCK_STEPS blocks of the packed jump.
+        assert 250 > 3 * bracket.SERIES_BLOCK_STEPS
+        depths = (1, 33, 100, 250)
+        for v, crossings in ((T, 2), (C, 3), (E, 4)):
+            gf = gf_from_tuple(v)
+            walk = gf.expand(depths[-1])
+            for n in depths:
+                jump = gf.term(n)
+                assert jump == walk[n], (v, n)
+                assert jump.evaluate(1) == 2 ** (crossings * n)
+                assert jump.evaluate(-1) == 0
 
 
 class TestCharpoly:

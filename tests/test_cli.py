@@ -7,13 +7,14 @@ import pytest
 from conftest import P, rand_tuple, rand_word
 from shadowbracket import cli, oracle, verify
 from shadowbracket.bracket import (BracketVector, LambdaPolynomial, charpoly, closure,
-                                   parse_word, power, states_matrix, word_tuple)
+                                   gf_from_tuple, parse_word, power, states_matrix,
+                                   word_tuple)
 from shadowbracket.generators import generator_tuple
 from shadowbracket.oracle import (ShadowDiagram, close_diagram, compile_word,
                                   enumerate_states, generator_diagram)
 from shadowbracket.poly import Polynomial, int_text
 from shadowbracket.series import (bfile_lines, coefficient_column, coefficient_table,
-                                  column, expand, gf_from_tuple, render_gf)
+                                  column, expand, render_gf)
 
 
 def run(capsys, *argv):
@@ -327,6 +328,16 @@ class TestExportCommand:
                                  "--column", "1", "--compare", str(reference), *extra)
             assert (code, out, err) == (2, "", "error: bad b-file line 2: '1 x'\n")
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("line", ["1 0_1", "1 \u0661"])
+    def test_compare_refuses_a_reference_integer_that_is_not_ascii_digits(
+            self, capsys, tmp_path, line):
+        # Read by int(), either line would equal "1 1" and the column match.
+        reference = tmp_path / "reference.txt"
+        reference.write_text(f"0 0\n{line}\n2 5\n3 16\n", encoding="utf-8")
+        code, out, err = run(capsys, "export", "--generator", "T", "--rows", "3",
+                             "--column", "1", "--compare", str(reference))
+        assert (code, out, err) == (2, "", f"error: bad b-file line 2: {line!r}\n")
 
     def test_csv_without_column_prints_the_triangle(self, capsys):
         code, out, _ = run(capsys, "export", "--generator", "T", "--rows", "2",
@@ -991,9 +1002,9 @@ class TestJsonPastTheDigitLimit:
         assert "".join(line + "\n" for line in series.row_lines(payload["rows"])) == text
 
     def test_gf_terms(self, capsys, tmp_path, monkeypatch):
-        from shadowbracket import series
+        from shadowbracket import bracket
         polys = [Polynomial(row) for row in self.LONG_ROWS]
-        monkeypatch.setattr(series.RationalGF, "terms", lambda self: iter(polys))
+        monkeypatch.setattr(bracket.RationalGF, "terms", lambda self: iter(polys))
         argv = ("gf", "--generator", "T", "--terms", "2")
         code, text, err = run(capsys, *argv)
         assert (code, err) == (0, "")

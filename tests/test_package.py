@@ -26,12 +26,12 @@ PUBLIC_NAMES = [
     "RationalTerm", "ScaledTL", "ShadowDiagram", "TLElement", "X", "ZERO",
     "bfile_lines", "charpoly", "charpoly_factored",
     "close_diagram", "closed_form_bracket", "closure", "closure_loops",
-    "coefficient_rows", "coefficient_table", "column", "compare_bfiles",
-    "compile_word", "compose", "contract", "csv_lines", "enumerate_states", "expand",
+    "coefficient_table", "column", "compare_bfiles",
+    "compile_word", "compose", "contract", "enumerate_states", "expand",
     "generator_diagram", "generator_tuple", "gf_from_tuple", "glue",
     "letter_tuple", "mirror", "mirror_diagram", "multiply", "parse_bfile",
-    "parse_word", "power", "pq_invariants", "render_gf", "row_sums", "smooth",
-    "states_matrix", "triangle_values", "word_tuple",
+    "parse_word", "power", "pq_invariants", "render_gf", "smooth",
+    "states_matrix", "word_tuple",
 ]
 
 
@@ -85,7 +85,9 @@ class TestImportFootprint:
         return loaded_modules("-c", "pass")
 
     @pytest.mark.parametrize("argv", [("bracket", "--generator", "T", "--n", "3"),
-                                      ("bracket", "--word", "X1 X2")])
+                                      ("bracket", "--word", "X1 X2"),
+                                      ("bracket", "--generator", "E", "--n", "5",
+                                       "--closure")])
     def test_tuple_commands_load_no_diagram_or_series_code(self, baseline, argv):
         loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
         assert "shadowbracket.bracket" in loaded

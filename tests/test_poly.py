@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from conftest import P, rand_poly
-from shadowbracket.bracket import SERIES_BLOCK_STEPS, series_coefficients, series_term
+from shadowbracket.bracket import SERIES_BLOCK_STEPS, RationalTerm
 from shadowbracket.poly import (KRONECKER_MIN_TERMS, ONE, Polynomial, X, ZERO, int_text,
                                 parse_int, power_by_squaring)
 
@@ -306,7 +306,7 @@ class TestKernels:
         for _ in range(20):
             numerator = [rand_poly(rng, 3) for _ in range(rng.randint(0, 3))]
             denominator = [ONE] + [rand_poly(rng, 2) for _ in range(rng.randint(0, 3))]
-            terms = list(zip(range(12), series_coefficients(numerator, denominator)))
+            terms = list(zip(range(12), RationalTerm(numerator, denominator).terms()))
             for n, _ in terms:
                 product = sum((denominator[k] * terms[n - k][1]
                                for k in range(min(n, len(denominator) - 1) + 1)), ZERO)
@@ -316,26 +316,28 @@ class TestKernels:
     def test_truncated_series_is_the_series_reduced(self):
         rng = random.Random(73)
         for _ in range(40):
-            numerator = [rand_poly(rng, 4) for _ in range(rng.randint(0, 3))]
-            denominator = [ONE] + [rand_poly(rng, 3) for _ in range(rng.randint(0, 3))]
-            full = list(zip(range(15), series_coefficients(numerator, denominator)))
+            series = RationalTerm(
+                tuple(rand_poly(rng, 4) for _ in range(rng.randint(0, 3))),
+                (ONE, *(rand_poly(rng, 3) for _ in range(rng.randint(0, 3)))))
+            full = list(zip(range(15), series.terms()))
             for precision in (0, 1, 2, 5, 40):
-                reduced = series_coefficients(numerator, denominator, precision)
+                reduced = series.terms(precision)
                 for (_, term), cut in zip(full, reduced):
                     assert cut == term.truncate(precision)
 
 
 class TestSeriesTerm:
-    """The packed jump to t_n agrees with the walk of series_coefficients."""
+    """The packed jump to t_n agrees with the walk of RationalTerm.terms."""
 
     # Every n up to here crosses three block boundaries of the packed route.
     LAST = 3 * SERIES_BLOCK_STEPS + 4
 
     def _check(self, numerator, denominator, counts=(1, 2, 3)):
-        walk = list(islice(series_coefficients(numerator, denominator), self.LAST + 1))
+        series = RationalTerm(tuple(numerator), tuple(denominator))
+        walk = list(islice(series.terms(), self.LAST + 1))
         for n in range(self.LAST + 1):
             for count in counts:
-                assert series_term(numerator, denominator, n, count) == \
+                assert series.term(n, count) == \
                     walk[max(0, n + 1 - count):n + 1], (n, count)
         return walk
 
@@ -382,22 +384,21 @@ class TestSeriesTerm:
         fibonacci = [1, 1]
         while len(fibonacci) <= self.LAST:
             fibonacci.append(fibonacci[-1] + fibonacci[-2])
-        assert series_term([ONE], [ONE, -X, -square], self.LAST)[0] == \
+        assert RationalTerm((ONE,), (ONE, -X, -square)).term(self.LAST)[0] == \
             Polynomial.monomial(self.LAST, fibonacci[self.LAST])
 
     def test_jumps_to_deep_terms(self):
         # Terms of several hundred coefficients of several hundred bits.
-        numerator = [P("2x"), P("-3x^2-2x")]
-        denominator = [ONE, P("-2x-3"), P("x^2+2x+1")]
-        walk = list(islice(series_coefficients(numerator, denominator), 401))
+        series = RationalTerm((P("2x"), P("-3x^2-2x")), (ONE, P("-2x-3"), P("x^2+2x+1")))
+        walk = list(islice(series.terms(), 401))
         for n in (150, 257, 400):
-            assert series_term(numerator, denominator, n, 2) == walk[n - 1:n + 1]
+            assert series.term(n, 2) == walk[n - 1:n + 1]
 
     def test_rejects_negative_index_and_empty_count(self):
         with pytest.raises(ValueError):
-            series_term([ONE], [ONE, X], -1)
+            RationalTerm((ONE,), (ONE, X)).term(-1)
         with pytest.raises(ValueError):
-            series_term([ONE], [ONE, X], 3, count=0)
+            RationalTerm((ONE,), (ONE, X)).term(3, count=0)
 
 
 class TestLongIntegerText:

@@ -1,19 +1,19 @@
 import random
+from itertools import chain
 
 import pytest
 
 from conftest import P, rand_tuple
-from shadowbracket.bracket import (BracketVector, closed_form_bracket, closure,
-                                   power, pq_invariants)
+from shadowbracket.bracket import (BracketVector, RationalGF, RationalTerm,
+                                   closed_form_bracket, closure, gf_from_tuple, power,
+                                   pq_invariants)
 from shadowbracket.generators import generator_tuple
 from shadowbracket.oracle import generator_diagram
 from shadowbracket.poly import ONE, Polynomial, X
 from shadowbracket.reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
-from shadowbracket.series import (RationalGF, RationalTerm, bfile_lines,
-                                  coefficient_column, coefficient_rows,
-                                  coefficient_table, column,
-                                  compare_bfiles, csv_lines, expand, gf_from_tuple,
-                                  parse_bfile, render_gf, row_sums, triangle_values)
+from shadowbracket.series import (bfile_lines, coefficient_column, coefficient_table,
+                                  column, compare_bfiles, expand, parse_bfile, render_gf,
+                                  row_lines, table_rows)
 
 T = generator_tuple("T")
 C = generator_tuple("C")
@@ -86,7 +86,7 @@ class TestCoefficientTable:
         for name in ("T", "C", "E"):
             crossings = generator_diagram(name).crossing_count
             table = coefficient_table(name, 6)
-            assert row_sums(table) == [2 ** (crossings * n) for n in range(7)]
+            assert [sum(row) for row in table] == [2 ** (crossings * n) for n in range(7)]
 
     def test_no_states_without_loops(self):
         for name in ("T", "C", "E"):
@@ -152,13 +152,14 @@ class TestFormRegressions:
 
 class TestExportForms:
     def test_csv_lines(self):
-        assert csv_lines([[0, 1, 2], [3, 4]]) == ["0,1,2", "3,4"]
+        assert list(row_lines([[0, 1, 2], [3, 4]], ",")) == ["0,1,2", "3,4"]
 
     def test_column_pads_short_rows(self):
         assert column([[1], [2, 5], [3]], 1) == [0, 5, 0]
 
     def test_triangle_values_flatten_row_major(self):
-        assert triangle_values([[1, 2], [3]]) == [1, 2, 3]
+        # The values a whole-triangle b-file lists, k ascending within each row.
+        assert list(chain.from_iterable(table_rows("T", 2))) == [0, 0, 0, 1, 0, 1, 2, 1, 0, 5, 8, 3]
 
     def test_bfile_lines_and_parse(self):
         lines = bfile_lines([7, 8, 9], offset=2)
@@ -170,7 +171,9 @@ class TestExportForms:
         with pytest.raises(ValueError):
             parse_bfile("1 2 3")
 
-    @pytest.mark.parametrize("line", ["1 x", "1 2 3", "1", "x 1", "1 2.0"])
+    # int() alone would also read digit-group underscores and non-ASCII digits.
+    @pytest.mark.parametrize("line", ["1 x", "1 2 3", "1", "x 1", "1 2.0", "1 0_1",
+                                      "3 \u0663", "\u0661 1"])
     def test_parse_bfile_names_the_bad_line(self, line):
         with pytest.raises(ValueError) as refused:
             parse_bfile(f"# head\n0 0\n{line}\n3 4")
@@ -193,7 +196,7 @@ class TestExportForms:
 
 
 def test_coefficient_rows_accepts_any_tuple():
-    rows = coefficient_rows(T.mirrored(), 10)
+    rows = [list(p.coefficients) for p in gf_from_tuple(T.mirrored()).expand(10)]
     assert rows == TABLE_ROWS["T"][:11]
 
 
@@ -206,7 +209,7 @@ class TestLongIntegerExport:
     def test_lines_past_the_digit_limit_round_trip(self):
         long = -(10 ** 6000) - 1
         digits = "-1" + "0" * 5999 + "1"
-        assert csv_lines([[1, long], [2]]) == [f"1,{digits}", "2"]
+        assert list(row_lines([[1, long], [2]], ",")) == [f"1,{digits}", "2"]
         assert bfile_lines([5, long], 3) == ["3 5", f"4 {digits}"]
         assert parse_bfile("\n".join(bfile_lines([5, long], 3))) == [(3, 5), (4, long)]
         assert compare_bfiles(f"0 {digits}", "0 1") == f"mismatch at line 1: 0 {digits} != 0 1"
