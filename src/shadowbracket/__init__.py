@@ -25,7 +25,7 @@ _MODULE_OF = {
     "NAMES": "generators", "ONE": "poly", "PQInvariants": "bracket",
     "PolyMatrix": "bracket", "Polynomial": "poly", "RationalGF": "bracket",
     "RationalTerm": "bracket", "ScaledTL": "tl3", "ShadowDiagram": "diagram",
-    "TLElement": "tl3", "X": "poly", "ZERO": "poly", "bfile_lines": "series",
+    "TLElement": "tl3", "X": "poly", "ZERO": "poly",
     "charpoly": "bracket", "charpoly_factored": "bracket", "close_diagram": "oracle",
     "closed_form_bracket": "bracket", "closure": "bracket", "closure_loops": "tl3",
     "coefficient_table": "series", "column": "series", "compare_bfiles": "series",

@@ -336,11 +336,11 @@ class RationalGF(Record):
         """The closure bracket of power n, by each part's jump to its n-th term."""
         return self.pair_part.term(n)[0] + self.geometric_part.term(n)[0]
 
-    def expand(self, count: int, precision: int | None = None) -> list[Polynomial]:
+    def expand(self, count: int) -> list[Polynomial]:
         """The first ``count + 1`` of :meth:`terms`."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        return list(islice(self.terms(precision), count + 1))
+        return list(islice(self.terms(), count + 1))
 
     def to_json(self) -> dict:
         def encode(term: RationalTerm) -> dict:

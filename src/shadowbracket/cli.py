@@ -7,7 +7,7 @@ Subcommands::
     gf         rational generating function (and optional expansion)
     charpoly   characteristic polynomial of the states matrix
     verify     self-check suites (tables, oracle, charpoly, recurrence)
-    export     triangle or column data as b-file/CSV, with offline compare
+    export     triangle or column data as a b-file, with offline compare
 
 Exactly one input source per invocation: --generator, --word, --pd or
 --tuple.
@@ -118,14 +118,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd.set_defaults(handler=_cmd_verify, out=None)
 
     export_cmd = commands.add_parser(
-        "export", help="triangle or column data as b-file or CSV")
+        "export", help="triangle or column data as a b-file")
     export_cmd.add_argument("--generator", required=True, choices=NAMES)
     export_cmd.add_argument("--rows", type=int, required=True)
     export_cmd.add_argument("--column", type=int, default=None,
                             help="export one column k (default: whole triangle)")
     export_cmd.add_argument("--offset", type=int, default=0,
                             help="first index for b-file lines")
-    _add_output_flags(export_cmd, ("bfile", "csv"))
+    export_cmd.add_argument("--out", default=None, help="write to a file instead of stdout")
     export_cmd.add_argument("--compare", default=None, metavar="FILE",
                             help="compare b-file output against a reference file")
     export_cmd.set_defaults(handler=_cmd_export)
@@ -302,24 +302,17 @@ def _cmd_charpoly(args) -> int:
 
 def _cmd_export(args) -> int:
     from .series import coefficient_column, compare_bfiles, row_lines, table_rows
-    if args.format == "csv":
-        for flag, given in (("--compare", args.compare),
-                            ("--column", args.column is not None), ("--offset", args.offset)):
-            if given:
-                raise ValueError(f"{flag} works with the bfile format only")
-        lines = row_lines(table_rows(args.generator, args.rows), ",")
+    if args.column is None:
+        values = chain.from_iterable(table_rows(args.generator, args.rows))
     else:
-        if args.column is None:
-            values = chain.from_iterable(table_rows(args.generator, args.rows))
-        else:
-            values = coefficient_column(args.generator, args.rows, args.column)
-        lines = row_lines(enumerate(values, args.offset))
+        values = coefficient_column(args.generator, args.rows, args.column)
+    entries = enumerate(values, args.offset)
     if args.compare:
         # Compare before emitting: a missing, undecodable or malformed
         # reference leaves no output behind.
-        lines = list(lines)
-        problem = compare_bfiles("\n".join(lines), _read_text(args.compare))
-    _emit(args, lines)
+        entries = list(entries)
+        problem = compare_bfiles(entries, _read_text(args.compare))
+    _emit(args, row_lines(entries))
     if args.compare:
         if problem:
             print(f"MISMATCH against {args.compare}: {problem}")

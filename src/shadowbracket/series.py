@@ -11,13 +11,15 @@ The coefficient triangle s(n, k) collects, for each power n, the number of
 Kauffman states of the closure with exactly k loops; row n is just the
 coefficient list of the n-th series coefficient.  Column k needs only the
 series modulo x^(k+1), so :func:`coefficient_column` runs the recurrences
-with that truncation instead of building the triangle.  Rows export as CSV
-lines or as OEIS-style b-files ("index value" per line).
+with that truncation instead of building the triangle.  Rows render as
+lines of values; ``row_lines(enumerate(values, offset))`` is the OEIS-style
+b-file ("index value" per line), which :func:`compare_bfiles` checks value
+by value against a reference b-file.
 
 The series is a lazy source, :meth:`RationalGF.terms`, and
-:func:`table_rows` and :func:`row_lines` render a triangle from it one row
-at a time, so that a caller writing the rows as they come holds one row,
-not the whole output.
+:func:`table_rows`, :func:`coefficient_column` and :func:`row_lines` render
+from it one row at a time, so that a caller writing the rows as they come
+holds one row, not the whole output.
 """
 
 from __future__ import annotations
@@ -38,10 +40,7 @@ def expand(gf: RationalGF, count: int) -> list[Polynomial]:
 
 def table_rows(name: str, rows: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..rows of a built-in generator's triangle, each computed as it is read."""
-    if rows < 0:
-        raise ValueError("count must be nonnegative")
-    gf = gf_from_tuple(generator_tuple(name))
-    return (p.coefficients for p in islice(gf.terms(), rows + 1))
+    return (p.coefficients for p in _series(name, rows))
 
 
 def coefficient_table(name: str, rows: int) -> list[list[int]]:
@@ -49,15 +48,21 @@ def coefficient_table(name: str, rows: int) -> list[list[int]]:
     return [list(row) for row in table_rows(name, rows)]
 
 
-def coefficient_column(name: str, rows: int, k: int) -> list[int]:
+def coefficient_column(name: str, rows: int, k: int) -> Iterator[int]:
     """Column k of the coefficient triangle of a built-in generator, rows 0..rows.
 
-    Equal to ``column(coefficient_table(name, rows), k)``, from the series
-    reduced modulo x^(k+1).
+    The values of ``column(coefficient_table(name, rows), k)``, from the
+    series reduced modulo x^(k+1), each computed as it is read.
     """
     _check_column_index(k)
-    series = gf_from_tuple(generator_tuple(name)).expand(rows, precision=k + 1)
-    return [p.coefficient(k) for p in series]
+    return (p.coefficient(k) for p in _series(name, rows, k + 1))
+
+
+def _series(name: str, rows: int, precision: int | None = None) -> Iterator[Polynomial]:
+    """Series coefficients 0..rows of a built-in generator, reduced modulo x^precision."""
+    if rows < 0:
+        raise ValueError("count must be nonnegative")
+    return islice(gf_from_tuple(generator_tuple(name)).terms(precision), rows + 1)
 
 
 def column(table: Sequence[Sequence[int]], k: int) -> list[int]:
@@ -76,11 +81,6 @@ def row_lines(rows: Iterable[Sequence[int]], sep: str = " ") -> Iterator[str]:
     return (sep.join(map(int_text, row)) for row in rows)
 
 
-def bfile_lines(values: Iterable[int], offset: int = 0) -> list[str]:
-    """OEIS b-file form: one "index value" pair per line."""
-    return list(row_lines(enumerate(values, offset)))
-
-
 def parse_bfile(text: str) -> list[tuple[int, int]]:
     """Parse b-file text, skipping blank lines and # comments."""
     entries = []
@@ -95,16 +95,15 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     return entries
 
 
-def compare_bfiles(ours: str, reference: str) -> str | None:
-    """Compare two b-file texts; return None on match, else a message."""
-    a, b = parse_bfile(ours), parse_bfile(reference)
-    for i, (left, right) in enumerate(zip(a, b)):
+def compare_bfiles(entries: Sequence[tuple[int, int]], reference: str) -> str | None:
+    """Compare (index, value) pairs with b-file text; return None on match, else a message."""
+    theirs = parse_bfile(reference)
+    for i, (left, right) in enumerate(zip(entries, theirs)):
         if left != right:
-            ours_line, reference_line = (" ".join(map(int_text, entry))
-                                         for entry in (left, right))
+            ours_line, reference_line = row_lines((left, right))
             return f"mismatch at line {i + 1}: {ours_line} != {reference_line}"
-    if len(a) != len(b):
-        return f"length mismatch: {len(a)} lines versus {len(b)}"
+    if len(entries) != len(theirs):
+        return f"length mismatch: {len(entries)} lines versus {len(theirs)}"
     return None
 
 

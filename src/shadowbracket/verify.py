@@ -16,19 +16,21 @@ Every run ends with the T column identity (alternate Lucas numbers minus 2).
 from __future__ import annotations
 
 import random
-from typing import Collection, Iterator
+from typing import TYPE_CHECKING, Collection, Iterator
 
 from .bracket import (charpoly, charpoly_factored, closed_form_bracket, closure,
                       gf_from_tuple, power, states_matrix, word_tuple)
-from .contraction import contract
 from .generators import generator_tuple
-from .oracle import (DEFAULT_MAX_CROSSINGS, ShadowDiagram, _unchecked_diagram, close_diagram,
-                     compile_word, enumerate_states, glue)
 from .poly import Polynomial
 from .reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
-from .series import (bfile_lines, coefficient_column, coefficient_table, column,
-                     compare_bfiles, expand)
+from .series import (coefficient_column, coefficient_table, column, compare_bfiles, expand,
+                     row_lines)
 from .tl3 import WORD_LETTERS, BracketVector
+
+# The oracle suite imports the diagram code (contraction, oracle) as it runs,
+# so the other suites do not load it.
+if TYPE_CHECKING:
+    from .diagram import ShadowDiagram
 
 
 def run_suites(suites: Collection[str], names: Collection[str], args) -> Iterator[tuple]:
@@ -70,6 +72,7 @@ def _verify_tables(name: str, rows: int | None) -> Iterator[tuple]:
 
 
 def _verify_words(count: int, seed: int) -> Iterator[tuple]:
+    from .oracle import compile_word
     rng = random.Random(seed)
     bad = ""
     for _ in range(count):
@@ -83,6 +86,7 @@ def _verify_words(count: int, seed: int) -> Iterator[tuple]:
 
 
 def _verify_generator_oracle(name: str, max_n: int) -> Iterator[tuple]:
+    from .oracle import DEFAULT_MAX_CROSSINGS, _unchecked_diagram, close_diagram, glue
     # The unchecked diagram: a wrong one shows as FAIL rows, not a RuntimeError.
     base = diagram = _unchecked_diagram(name)
     for n in range(1, max_n + 1):
@@ -102,6 +106,8 @@ def _verify_generator_oracle(name: str, max_n: int) -> Iterator[tuple]:
 
 def _disagreement(diagram: ShadowDiagram, expected: BracketVector | Polynomial) -> str:
     """Empty if the contraction, the state sum and ``expected`` all agree."""
+    from .contraction import contract
+    from .oracle import enumerate_states
     contracted = contract(diagram)
     summed = enumerate_states(diagram)
     if contracted == summed == expected:
@@ -144,15 +150,14 @@ def _verify_recurrence(name: str) -> Iterator[tuple]:
 def _verify_column_route(name: str) -> Iterator[tuple]:
     table = coefficient_table(name, 10)
     bad = next((k for k in range(4)
-                if coefficient_column(name, 10, k) != column(table, k)), None)
+                if list(coefficient_column(name, 10, k)) != column(table, k)), None)
     yield (f"truncated column route {name} (k <= 3, n <= 10)", bad is None,
            "" if bad is None else f"column {bad} differs from the coefficient table")
 
 
 def _verify_column_identity() -> Iterator[tuple]:
-    table = coefficient_table("T", 10)
-    ours = "\n".join(bfile_lines(column(table, 1)))
-    reference = "\n".join(bfile_lines(ALTERNATE_LUCAS_MINUS_2))
+    ours = list(enumerate(column(coefficient_table("T", 10), 1)))
+    reference = "\n".join(row_lines(enumerate(ALTERNATE_LUCAS_MINUS_2)))
     problem = compare_bfiles(ours, reference)
     yield ("T column k=1 equals alternate Lucas numbers minus 2",
            problem is None, problem or "")

@@ -16,8 +16,7 @@ from shadowbracket.oracle import (close_diagram, compile_word, enumerate_states,
                                   generator_diagram)
 from shadowbracket.poly import ONE, Polynomial
 from shadowbracket.reference import TABLE_ROWS
-from shadowbracket.series import (bfile_lines, coefficient_table, column, compare_bfiles,
-                                  expand)
+from shadowbracket.series import coefficient_table, column, compare_bfiles, expand, row_lines
 from shadowbracket.tl3 import ELEMENTS, ScaledTL, TLElement, multiply
 
 
@@ -137,8 +136,8 @@ def test_criterion_09_monoid_soundness():
 
 def test_criterion_10_alternate_lucas_column():
     reference = [0, 1, 5, 16, 45, 121, 320, 841, 2205, 5776, 15125]
-    ours = "\n".join(bfile_lines(column(coefficient_table("T", 10), 1)))
-    theirs = "\n".join(bfile_lines(reference))
+    ours = list(enumerate(column(coefficient_table("T", 10), 1)))
+    theirs = "\n".join(row_lines(enumerate(reference)))
     assert compare_bfiles(ours, theirs) is None
     _passed(10, "T column k=1 matches alternate Lucas numbers minus 2 via b-file")
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import P, rand_tuple, rand_word
-from shadowbracket import cli, oracle, verify
+from shadowbracket import cli, contraction, oracle, series, verify
 from shadowbracket.bracket import (BracketVector, LambdaPolynomial, charpoly, closure,
                                    gf_from_tuple, parse_word, power, states_matrix,
                                    word_tuple)
@@ -13,8 +13,8 @@ from shadowbracket.generators import generator_tuple
 from shadowbracket.oracle import (ShadowDiagram, close_diagram, compile_word,
                                   enumerate_states, generator_diagram)
 from shadowbracket.poly import Polynomial, int_text
-from shadowbracket.series import (bfile_lines, coefficient_column, coefficient_table,
-                                  column, expand, render_gf)
+from shadowbracket.series import (coefficient_column, coefficient_table, column, expand,
+                                  render_gf, row_lines)
 
 
 def run(capsys, *argv):
@@ -200,7 +200,7 @@ class TestVerifyCommand:
         assert "oracle T^3" in out
 
     def test_oracle_says_which_powers_it_skips(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "DEFAULT_MAX_CROSSINGS", 4)
+        monkeypatch.setattr(oracle, "DEFAULT_MAX_CROSSINGS", 4)
         code, out, _ = run(capsys, "verify", "--oracle", "--generator", "T",
                            "--max-n", "5", "--words", "0")
         assert code == 0
@@ -293,30 +293,65 @@ class TestExportCommand:
         assert code == 1
         assert "MISMATCH" in out
 
+    # export writes b-files only; `table --format csv` is the CSV output.
+    @pytest.mark.parametrize("fmt", ["csv", "bfile"])
+    def test_format_is_a_usage_error(self, capsys, fmt):
+        assert run_usage_error(capsys, "export", "--generator", "T", "--rows", "2",
+                               "--format", fmt) == (
+            2, "", f"shadowbracket: error: unrecognized arguments: --format {fmt}\n")
+
     def test_csv_with_compare_is_usage_error(self, capsys, tmp_path):
         reference = tmp_path / "reference.txt"
         reference.write_text("0 0\n")
-        code, _, err = run(capsys, "export", "--generator", "T", "--rows", "1",
-                           "--format", "csv", "--compare", str(reference))
-        assert code == 2
+        code, out, err = run_usage_error(capsys, "export", "--generator", "T", "--rows", "1",
+                                         "--format", "csv", "--compare", str(reference))
+        assert _refused(code, out, err)
+        assert "--format csv" in err
 
     @pytest.mark.parametrize("k", ["0", "2"])
     def test_csv_with_column_is_usage_error(self, capsys, k):
-        code, out, err = run(capsys, "export", "--generator", "T", "--rows", "4",
-                             "--format", "csv", "--column", k)
+        code, out, err = run_usage_error(capsys, "export", "--generator", "T", "--rows", "4",
+                                         "--format", "csv", "--column", k)
         assert _refused(code, out, err)
-        assert "--column" in err
+        assert "--format csv" in err
 
     def test_csv_with_offset_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "export", "--generator", "T", "--rows", "4",
-                             "--format", "csv", "--offset", "3")
-        assert (code, out, err) == (
-            2, "", "error: --offset works with the bfile format only\n")
+        code, out, err = run_usage_error(capsys, "export", "--generator", "T", "--rows", "4",
+                                         "--format", "csv", "--offset", "3")
+        assert _refused(code, out, err)
+        assert "--format csv" in err
 
-    def test_csv_with_offset_zero_prints_the_triangle(self, capsys):
-        code, out, _ = run(capsys, "export", "--generator", "T", "--rows", "2",
-                           "--format", "csv", "--offset", "0")
-        assert (code, out) == (0, "0,0,0,1\n0,1,2,1\n0,5,8,3\n")
+    @pytest.mark.parametrize("offset, reference, problem", [
+        (0, "# column 1\n0 0\n1 1\n2 5\n3 16\n", None),
+        (2, "2 0\n3 1\n\n4 5\n5 16", None),
+        (0, "0 0\n1 1\n2 999\n3 16\n", "mismatch at line 3: 2 5 != 2 999"),
+        (2, "2 0\n3 1\n4 5\n", "length mismatch: 4 lines versus 3"),
+        (0, "0 0\n1 1\n2 5\n3 16\n4 45\n", "length mismatch: 4 lines versus 5"),
+    ])
+    def test_compare_output_is_exact(self, capsys, tmp_path, offset, reference, problem):
+        path = tmp_path / "reference.txt"
+        path.write_text(reference)
+        out_file = tmp_path / "column.txt"
+        argv = ("export", "--generator", "T", "--rows", "3", "--column", "1",
+                "--offset", str(offset), "--compare", str(path))
+        lines = "".join(f"{offset + n} {v}\n" for n, v in enumerate([0, 1, 5, 16]))
+        code, verdict = ((0, f"MATCH against {path}\n") if problem is None
+                         else (1, f"MISMATCH against {path}: {problem}\n"))
+        assert run(capsys, *argv) == (code, lines + verdict, "")
+        assert run(capsys, *argv, "--out", str(out_file)) == (code, verdict, "")
+        assert out_file.read_text() == lines
+
+    def test_compare_parses_only_the_reference(self, capsys, tmp_path, monkeypatch):
+        reference = tmp_path / "reference.txt"
+        reference.write_text("0 0\n1 1\n2 5\n3 16\n")
+        parsed = []
+        parse = series.parse_bfile
+        monkeypatch.setattr(series, "parse_bfile",
+                            lambda text: parsed.append(text) or parse(text))
+        code, out, _ = run(capsys, "export", "--generator", "T", "--rows", "3",
+                           "--column", "1", "--compare", str(reference))
+        assert code == 0 and out.endswith(f"MATCH against {reference}\n")
+        assert parsed == [reference.read_text()]
 
     def test_compare_names_a_reference_line_that_is_not_an_integer(self, capsys,
                                                                     tmp_path):
@@ -339,11 +374,6 @@ class TestExportCommand:
                              "--column", "1", "--compare", str(reference))
         assert (code, out, err) == (2, "", f"error: bad b-file line 2: {line!r}\n")
 
-    def test_csv_without_column_prints_the_triangle(self, capsys):
-        code, out, _ = run(capsys, "export", "--generator", "T", "--rows", "2",
-                           "--format", "csv")
-        assert (code, out) == (0, "0,0,0,1\n0,1,2,1\n0,5,8,3\n")
-
     @pytest.mark.parametrize("name", ["T", "C", "E"])
     def test_column_output_matches_the_table_column(self, capsys, name):
         # k = 0, k beyond the degree of every row, and rows = 0.
@@ -352,7 +382,7 @@ class TestExportCommand:
             code, out, _ = run(capsys, "export", "--generator", name,
                                "--rows", str(rows), "--column", str(k),
                                "--offset", str(offset))
-            expected = bfile_lines(column(coefficient_table(name, rows), k), offset)
+            expected = row_lines(enumerate(column(coefficient_table(name, rows), k), offset))
             assert (code, out) == (0, "\n".join(expected) + "\n")
 
 
@@ -436,7 +466,7 @@ class TestBadInput:
         ("export", "--generator", "T", "--rows", "-1"),
         ("export", "--generator", "C", "--rows", "-2", "--column", "1"),
         ("export", "--generator", "E", "--rows", "-1", "--column", "0"),
-        ("export", "--generator", "T", "--rows", "-1", "--format", "csv"),
+        ("export", "--generator", "T", "--rows", "-1", "--offset", "2"),
         ("verify", "--oracle", "--rows", "-1"),
         ("verify", "--recurrence", "--rows", "-5"),
         ("verify", "--tables", "--rows", "-1"),
@@ -611,7 +641,7 @@ class TestContractionRoute:
         assert (code, out) == (0, "[x+2, x+2, 1, 0, 1]\n")
 
     def test_verify_oracle_checks_the_contraction(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "contract",
+        monkeypatch.setattr(contraction, "contract",
                             lambda diagram: BracketVector.of(0, 0, 0, 0, 1))
         code, out, _ = run(capsys, "verify", "--oracle", "--generator", "T",
                            "--words", "5", "--max-n", "1")
@@ -622,7 +652,7 @@ class TestContractionRoute:
     def test_verify_oracle_reports_a_wrong_generator_diagram(self, capsys, monkeypatch):
         # The suite reads the unchecked diagram, so a wrong one gives FAIL
         # rows instead of the self-check's RuntimeError.
-        monkeypatch.setattr(verify, "_unchecked_diagram",
+        monkeypatch.setattr(oracle, "_unchecked_diagram",
                             lambda name: compile_word(("X1", "X2", "X1")))
         code, out, _ = run(capsys, "verify", "--oracle", "--generator", "C",
                            "--words", "1", "--max-n", "2")
@@ -643,7 +673,7 @@ class TestLongIntegers:
         index, digits = lines[-1].split()
         assert (len(lines), index, len(digits)) == (5265, "5264", 4301)
         from decimal import Decimal
-        assert int(Decimal(digits)) == coefficient_column("E", 5264, 1)[-1]
+        assert int(Decimal(digits)) == list(coefficient_column("E", 5264, 1))[-1]
 
     def write_tuple(self, tmp_path, a_text: str):
         path = tmp_path / "tuple.json"
@@ -795,7 +825,7 @@ _COUNT_FLAGS = {
                                    for row in coefficient_table("E", k))),
     "--terms": (("gf", "--word", "X1 U2", "--terms"), _gf_text),
     "--column": (("export", "--generator", "T", "--rows", "3", "--column"),
-                 lambda k: "\n".join(bfile_lines(coefficient_column("T", 3, k)))),
+                 lambda k: "\n".join(row_lines(enumerate(coefficient_column("T", 3, k))))),
     "--max-n": (("verify", "--oracle", "--generator", "T", "--words", "2", "--max-n"),
                 None),
     "--words": (("verify", "--oracle", "--generator", "C", "--max-n", "1", "--words"),
@@ -1074,7 +1104,7 @@ class TestOutputMemory:
         ("gf", "--generator", "E", "--terms", "80"),
         ("table", "--generator", "T", "--rows", "120", "--format", "json"),
         ("export", "--generator", "T", "--rows", "120"),
-        ("export", "--generator", "C", "--rows", "100", "--format", "csv"),
+        ("export", "--generator", "E", "--rows", "600", "--column", "1"),
     ])
     def test_text_formats_hold_a_row_at_a_time(self, argv):
         assert self.peak_per_byte(*argv) < 0.5

@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
     "ELEMENTS", "LambdaPolynomial", "MalformedDiagramError",
     "NAMES", "ONE", "PQInvariants", "PolyMatrix", "Polynomial", "RationalGF",
     "RationalTerm", "ScaledTL", "ShadowDiagram", "TLElement", "X", "ZERO",
-    "bfile_lines", "charpoly", "charpoly_factored",
+    "charpoly", "charpoly_factored",
     "close_diagram", "closed_form_bracket", "closure", "closure_loops",
     "coefficient_table", "column", "compare_bfiles",
     "compile_word", "compose", "contract", "enumerate_states", "expand",
@@ -127,6 +127,15 @@ class TestImportFootprint:
             loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
             assert "shadowbracket" in loaded, argv
             assert not loaded & {"dataclasses", "inspect"}, argv
+
+    @pytest.mark.parametrize("argv", [("verify", "--tables", "--generator", "T", "--rows", "1"),
+                                      ("verify", "--charpoly", "--generator", "T"),
+                                      ("verify", "--recurrence", "--generator", "T")])
+    def test_verify_loads_diagram_code_for_the_oracle_only(self, baseline, argv):
+        loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
+        assert "shadowbracket.verify" in loaded
+        assert not loaded & {"shadowbracket.diagram", "shadowbracket.contraction",
+                             "shadowbracket.oracle"}
 
     def test_the_oracle_loads_no_tuple_algebra(self, baseline):
         # The ground truth shares no code with the algebra it checks, and
