@@ -321,6 +321,21 @@ class TestExportCommand:
         assert _refused(code, out, err)
         assert "--format csv" in err
 
+    # The triangle export --format csv printed is now table --format csv's, byte for byte.
+    def test_csv_with_offset_zero_prints_the_triangle(self, capsys):
+        code, out, err = run_usage_error(capsys, "export", "--generator", "T", "--rows", "2",
+                                         "--format", "csv", "--offset", "0")
+        assert _refused(code, out, err)
+        assert run(capsys, "table", "--generator", "T", "--rows", "2", "--format", "csv") == (
+            0, "0,0,0,1\n0,1,2,1\n0,5,8,3\n", "")
+
+    def test_csv_without_column_prints_the_triangle(self, capsys):
+        code, out, err = run_usage_error(capsys, "export", "--generator", "T", "--rows", "2",
+                                         "--format", "csv")
+        assert _refused(code, out, err)
+        assert run(capsys, "table", "--generator", "T", "--rows", "2", "--format", "csv") == (
+            0, "0,0,0,1\n0,1,2,1\n0,5,8,3\n", "")
+
     @pytest.mark.parametrize("offset, reference, problem", [
         (0, "# column 1\n0 0\n1 1\n2 5\n3 16\n", None),
         (2, "2 0\n3 1\n\n4 5\n5 16", None),
