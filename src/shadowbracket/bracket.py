@@ -25,8 +25,8 @@ recurrence with two readers, chosen by what the caller needs.
 :meth:`RationalTerm.terms` walks every term, one short-by-long product per
 feedback polynomial, for callers that print them all.
 :meth:`RationalTerm.term` jumps to one term: it runs the same recurrence on
-the terms packed into integers, the way :mod:`shadowbracket.poly`'s
-Kronecker product packs, and reads the digits back only at block ends.
+the terms packed into integers, one fixed-width digit per coefficient
+(Kronecker substitution), and reads the digits back only at block ends.
 Both :func:`power` and :func:`closed_form_bracket` jump to their n-th term
 with it.  :class:`RationalGF` is the sum of two such terms, the generating
 function of a tangle's closure brackets.
@@ -40,8 +40,7 @@ from itertools import count, islice
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
-from .poly import (ONE, X, ZERO, Polynomial, PolynomialLike, _digit_width, _pack, _unpack,
-                   power_by_squaring)
+from .poly import ONE, X, ZERO, Polynomial, PolynomialLike, power_by_squaring
 from .record import Record
 from .tl3 import ELEMENTS, WORD_LETTERS, BracketVector, closure_loops, multiply
 
@@ -244,7 +243,7 @@ class RationalTerm(Record):
         They equal the terms of :meth:`terms`, which also gives every term up
         to the last one the numerator touches.  From there the recurrence
         runs on integers packed at x = 2**(8w), one digit per coefficient
-        (Kronecker substitution, as in the product): a product by a feedback
+        (Kronecker substitution, :func:`_pack`): a product by a feedback
         polynomial is a few shifts and small-integer multiplies of one packed
         integer.
 
@@ -316,6 +315,45 @@ class RationalTerm(Record):
             terms = terms[-keep:]
             done += steps
         return terms[-count:]
+
+
+def _digit_width(bound: int) -> int:
+    """Bytes per digit for coefficients of size at most ``bound``, sign bit included."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """The value at x = 2**(8 * width) of a polynomial with these coefficients.
+
+    The coefficients are written as two's-complement digits, so a negative
+    digit borrows one from the digit above; the packed value is corrected
+    for that.
+    """
+    if not coeffs:
+        return 0
+    packed = int.from_bytes(
+        b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs]), "little")
+    if min(coeffs) < 0:
+        one, zero = (1).to_bytes(width, "little"), bytes(width)
+        borrows = b"".join([one if c < 0 else zero for c in coeffs])
+        packed -= int.from_bytes(borrows, "little") << (8 * width)
+    return packed
+
+
+def _unpack(packed: int, width: int, digits: int) -> list[int]:
+    """The first ``digits`` coefficients of a value packed by :func:`_pack`.
+
+    Exact when every coefficient has size below ``2**(8 * width - 1)``: each
+    digit is read as a signed number plus the borrow of the digit below.
+    """
+    data = packed.to_bytes(width * digits, "little", signed=True)
+    out = []
+    borrow = 0
+    for start in range(0, len(data), width):
+        digit = int.from_bytes(data[start:start + width], "little", signed=True)
+        out.append(digit + borrow)
+        borrow = digit < 0
+    return out
 
 
 class RationalGF(Record):

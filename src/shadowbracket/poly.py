@@ -12,22 +12,14 @@ whose index is the power of x.  Text is exact at any size: an int too long
 for ``str`` (``sys.int_max_str_digits``) converts through ``Decimal``
 (:func:`int_text`, :func:`parse_int`).
 
-Products take one of two exact routes, chosen by the shorter operand's
-length.  Products with a short operand are formed term by term.  Products
-of two long operands use Kronecker substitution: each operand is packed
-into one integer with one fixed-width digit per coefficient, the two
-integers are multiplied by CPython's big-int multiply, and the digits of
-the product are read back (Harvey, *Faster polynomial multiplication via
-multipoint Kronecker substitution*, J. Symb. Comput. 44, 2009).  The
-packing and digit reading are shared with the packed series recurrence of
-:meth:`shadowbracket.bracket.RationalTerm.term`.
+Every product is formed term by term, one pass over the shorter operand.
 """
 
 from __future__ import annotations
 
 import re
 from operator import add
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 # The text-form patterns, compiled (and cached by ``re``) at first use: only
 # :meth:`Polynomial.parse` and :func:`parse_int`'s long-integer fallback read
@@ -39,17 +31,6 @@ _INT_RE = r"[+-]?[0-9]+"
 PolynomialLike = Union["Polynomial", int, Iterable[int]]
 
 T = TypeVar("T")
-
-# Shortest operand length at which a product packs both operands into
-# integers.  Against the term-by-term product, Kronecker substitution broke
-# even at about 16 terms with 60-bit coefficients and at about 24 with 300-
-# to 1,000-bit ones; from 32 terms it won at every size measured: 1.1 to 4.8
-# times at 32 to 64 terms, and 2.9 to 5.4 times at 300 to 900 terms with
-# 600- to 1,000-bit coefficients (more with smaller ones), with CPython 3.11
-# on a 2-vCPU x86 VM.
-# Below it, short-by-long products stay term by term: packing the short
-# operand into digits as wide as the long one's costs more than it saves.
-KRONECKER_MIN_TERMS = 32
 
 
 class Polynomial:
@@ -167,8 +148,6 @@ class Polynomial:
             a, b = b, a
         if not a:
             return ZERO
-        if len(a) >= KRONECKER_MIN_TERMS:
-            return Polynomial._unchecked(_kronecker_product(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -252,55 +231,6 @@ class Polynomial:
 ZERO = Polynomial()
 ONE = Polynomial((1,))
 X = Polynomial((0, 1))
-
-
-def _kronecker_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The coefficients of the product of two nonzero coefficient sequences.
-
-    Every product coefficient is at most ``min(len) * max|a| * max|b|`` in
-    size, which fixes the digit width (:func:`_digit_width`).
-    """
-    width = _digit_width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
-    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
-
-
-def _digit_width(bound: int) -> int:
-    """Bytes per digit for coefficients of size at most ``bound``, sign bit included."""
-    return (bound.bit_length() + 8) // 8
-
-
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """The value at x = 2**(8 * width) of a polynomial with these coefficients.
-
-    The coefficients are written as two's-complement digits, so a negative
-    digit borrows one from the digit above; the packed value is corrected
-    for that.
-    """
-    if not coeffs:
-        return 0
-    packed = int.from_bytes(
-        b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs]), "little")
-    if min(coeffs) < 0:
-        one, zero = (1).to_bytes(width, "little"), bytes(width)
-        borrows = b"".join([one if c < 0 else zero for c in coeffs])
-        packed -= int.from_bytes(borrows, "little") << (8 * width)
-    return packed
-
-
-def _unpack(packed: int, width: int, digits: int) -> list[int]:
-    """The first ``digits`` coefficients of a value packed by :func:`_pack`.
-
-    Exact when every coefficient has size below ``2**(8 * width - 1)``: each
-    digit is read as a signed number plus the borrow of the digit below.
-    """
-    data = packed.to_bytes(width * digits, "little", signed=True)
-    out = []
-    borrow = 0
-    for start in range(0, len(data), width):
-        digit = int.from_bytes(data[start:start + width], "little", signed=True)
-        out.append(digit + borrow)
-        borrow = digit < 0
-    return out
 
 
 def int_text(value: int) -> str:

@@ -1,6 +1,6 @@
 import random
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -9,7 +9,7 @@ from shadowbracket import bracket
 from shadowbracket.bracket import (BracketVector, LambdaPolynomial, PolyMatrix,
                                    charpoly, charpoly_factored, closed_form_bracket,
                                    closure, compose, gf_from_tuple, power, power_cubic,
-                                   pq_invariants, states_matrix)
+                                   pq_invariants, states_matrix, word_tuple)
 from shadowbracket.generators import generator_tuple
 from shadowbracket.oracle import compile_word, enumerate_states
 from shadowbracket.poly import ONE, Polynomial, X, ZERO, power_by_squaring
@@ -305,6 +305,18 @@ class TestClosedForm:
             v = rand_tuple(rng)
             for n in range(9):
                 assert closed_form_bracket(v, n) == closure(power(v, n))
+        # A 40-crossing word: the entries of its square and the s2 and s3 of
+        # its cubic have about 40 terms, so every route multiplies operands
+        # of 32 terms and more.
+        v = word_tuple(("X1", "X2") * 20)
+        assert min(len(p.coefficients) for p in power(v, 2).entries()[1:]) >= 32
+        assert min(len(s.coefficients) for s in power_cubic(v)[1:]) >= 32
+        walk = list(islice(gf_from_tuple(v).terms(), 7))
+        matrix = states_matrix(v)
+        for n in range(7):
+            expected = power(v, n)
+            assert expected == matrix.power(n).apply(UNIT), n
+            assert closure(expected) == closed_form_bracket(v, n) == walk[n], n
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

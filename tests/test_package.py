@@ -1,10 +1,12 @@
 """The package surface: lazy public names, import footprint and record classes."""
 
+import ast
 import copy
 import importlib
 import json
 import os
 import pickle
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -254,3 +256,49 @@ class TestRecords:
             RationalTerm((v.a,), (v.b,))
         diagram = ShadowDiagram([[0, 1, 1, 0]], free_loops=3)
         assert diagram.crossings == (("0", "1", "1", "0"),)
+
+
+def _readme_block(heading: str, language: str) -> tuple[str, ...]:
+    """The lines of the first ``language`` code block under README's ``heading``."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1]
+    return tuple(section.split(f"```{language}\n", 1)[1].split("\n```", 1)[0].splitlines())
+
+
+def _stated(line: str) -> str:
+    """The value a README comment states: its text after any ``label: ``."""
+    return line.partition("#")[2].strip().rpartition(": ")[2]
+
+
+class TestReadmeExamples:
+    """README's examples run, and give the values their comments state."""
+
+    def test_library_example(self):
+        lines = _readme_block("Library example", "python")
+        namespace: dict = {}
+        checked = 0
+        for node in ast.parse("\n".join(lines)).body:
+            if isinstance(node, ast.Expr):
+                value = eval(compile(ast.Expression(node.value), "README.md", "eval"),
+                             namespace)
+            else:
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+                value = (namespace[node.targets[0].id] if isinstance(node, ast.Assign)
+                         else None)
+            line = lines[node.end_lineno - 1]
+            if "#" in line:
+                stated = _stated(line)
+                text = str(value)
+                assert stated == text or stated.startswith(text + " "), line
+                checked += 1
+        assert checked == 6
+
+    def test_cli_lines_print_what_their_comments_say(self, capsys):
+        checked = 0
+        for line in _readme_block("CLI", "sh"):
+            if line.startswith("shadowbracket bracket ") and "#" in line:
+                argv = shlex.split(line.partition("#")[0])[1:]
+                assert cli.main(argv) == 0, line
+                assert capsys.readouterr().out == _stated(line) + "\n", line
+                checked += 1
+        assert checked == 2

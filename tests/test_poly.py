@@ -1,14 +1,14 @@
 import json
 import random
 import sys
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
 from conftest import P, rand_poly
-from shadowbracket.bracket import SERIES_BLOCK_STEPS, RationalTerm
-from shadowbracket.poly import (KRONECKER_MIN_TERMS, ONE, Polynomial, X, ZERO, int_text,
-                                parse_int, power_by_squaring)
+from shadowbracket.bracket import SERIES_BLOCK_STEPS, RationalTerm, _digit_width, _pack, _unpack
+from shadowbracket.poly import (ONE, Polynomial, X, ZERO, int_text, parse_int,
+                                power_by_squaring)
 
 
 class TestAddition:
@@ -86,27 +86,33 @@ def _signed_coefficients(rng: random.Random, length: int, bits: int) -> list[int
 
 
 class TestProductRoutes:
-    """Products on both sides of KRONECKER_MIN_TERMS agree with schoolbook."""
+    """Products agree with schoolbook at every operand length and coefficient
+    size, on short, long, balanced and skewed operands.  Lengths 31 to 33
+    span the crossover where a Kronecker route once took over."""
 
-    LENGTHS = (0, 1, 2, 5, KRONECKER_MIN_TERMS - 1, KRONECKER_MIN_TERMS,
-               KRONECKER_MIN_TERMS + 1, 70, 200)
+    LENGTHS = (0, 1, 2, 5, 31, 32, 33, 70, 200)
 
     def test_against_schoolbook_on_signed_coefficients(self):
         rng = random.Random(48)
+        pairs = []
         for _ in range(300):
             la, lb = rng.choice(self.LENGTHS), rng.choice(self.LENGTHS)
             bits = rng.choice((1, 7, 8, 31, 64, 65, 600, 1000, 1100))
             a = _signed_coefficients(rng, la, bits)
             b = _signed_coefficients(rng, lb, rng.choice((1, 8, bits)))
+            pairs.append((a, b))
+        # The series walk's skewed shape: a feedback of 41 terms of 40 bits
+        # times a term of 600 terms of 1,200 bits.
+        pairs.append((_signed_coefficients(rng, 41, 40), _signed_coefficients(rng, 600, 1200)))
+        for a, b in pairs:
             expected = _schoolbook(a, b)
             assert (Polynomial(a) * Polynomial(b)).coefficients == tuple(expected)
             assert (Polynomial(b) * Polynomial(a)).coefficients == tuple(expected)
 
     def test_largest_coefficients_fill_the_digit(self):
-        # The middle product coefficient reaches the bound min(len) max|a|
-        # max|b| used for the digit width, with either sign; at length 128
-        # with unit coefficients it is 128, a whole byte without its sign.
-        for length in (KRONECKER_MIN_TERMS, 100, 128):
+        # The middle product coefficient reaches min(len) max|a| max|b|, the
+        # largest any product coefficient can be, with either sign.
+        for length in (32, 100, 128):
             for bits in (1, 8, 63, 64, 1000):
                 top = (1 << bits) - 1
                 for sa in (1, -1):
@@ -116,13 +122,13 @@ class TestProductRoutes:
                             tuple(_schoolbook(a, b))
 
     def test_leading_and_trailing_zero_coefficients(self):
-        n = KRONECKER_MIN_TERMS
+        n = 32
         a = [0] * n + [3] + [0] * n + [-5]
         b = [0, 0, 1] + [0] * (2 * n) + [-1]
         assert (Polynomial(a) * Polynomial(b)).coefficients == tuple(_schoolbook(a, b))
 
     def test_zero_polynomial(self):
-        long = Polynomial(range(1, 3 * KRONECKER_MIN_TERMS))
+        long = Polynomial(range(1, 96))
         for p in (long, ONE, X, ZERO):
             assert (p * ZERO).coefficients == ()
             assert (ZERO * p).coefficients == ()
@@ -131,7 +137,7 @@ class TestProductRoutes:
 
     def test_int_times_polynomial(self):
         rng = random.Random(49)
-        for length in (1, KRONECKER_MIN_TERMS, 150):
+        for length in (1, 32, 150):
             p = Polynomial(_signed_coefficients(rng, length, 1200))
             for k in (1, -1, 7, -(1 << 1001)):
                 expected = Polynomial([k * c for c in p.coefficients])
@@ -399,6 +405,56 @@ class TestSeriesTerm:
             RationalTerm((ONE,), (ONE, X)).term(-1)
         with pytest.raises(ValueError):
             RationalTerm((ONE,), (ONE, X)).term(3, count=0)
+
+
+class TestPackedDigits:
+    """``_pack`` writes a coefficient list as its value at x = 2**(8w), and
+    ``_unpack`` reads it back, for every coefficient that fits ``_digit_width``."""
+
+    WIDTHS = (1, 2, 9)
+
+    def _round_trip(self, coeffs, width):
+        packed = _pack(coeffs, width)
+        assert packed == Polynomial(coeffs).evaluate(1 << (8 * width)), (coeffs, width)
+        assert _unpack(packed, width, len(coeffs)) == coeffs, (coeffs, width)
+        # Digits past the last coefficient read back as zeros.
+        assert _unpack(packed, width, len(coeffs) + 2) == [*coeffs, 0, 0]
+
+    def test_width_holds_the_size_and_a_sign_bit(self):
+        for width in self.WIDTHS:
+            top = (1 << (8 * width - 1)) - 1
+            assert _digit_width(top) == width
+            assert _digit_width(top + 1) == width + 1
+        assert _digit_width(0) == 1
+
+    def test_every_coefficient_on_the_digit_limit(self):
+        for width in self.WIDTHS:
+            top = (1 << (8 * width - 1)) - 1
+            for signs in product((1, -1), repeat=4):
+                self._round_trip([sign * top for sign in signs], width)
+            # One past the limit needs a wider digit, and round-trips there.
+            for value in (top + 1, -top - 1):
+                self._round_trip([value, -value, value], _digit_width(top + 1))
+
+    def test_chained_borrows_of_negative_runs(self):
+        # Each negative digit borrows one from the digit above, so a run of
+        # negative digits chains its borrows up to the first digit after it.
+        rng = random.Random(75)
+        for width in self.WIDTHS:
+            top = (1 << (8 * width - 1)) - 1
+            for run in ([-1] * 6, [-top] * 5, [-1, -top, -1, -top]):
+                for after in ([], [0], [1], [top], [0, 0, -1]):
+                    for before in ([], [0], [top], [-1]):
+                        self._round_trip([*before, *run, *after], width)
+            for _ in range(50):
+                coeffs = [rng.choice((-top, -1, 0, 1, top, rng.randint(-top, top)))
+                          for _ in range(rng.randint(1, 40))]
+                self._round_trip(coeffs, width)
+
+    def test_zero_and_empty_inputs(self):
+        for width in self.WIDTHS:
+            for coeffs in ([], [0], [0, 0, 0], [0, 0, 5]):
+                self._round_trip(coeffs, width)
 
 
 class TestLongIntegerText:
