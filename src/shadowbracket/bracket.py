@@ -16,7 +16,7 @@ annihilated by a cubic built from ``a``, ``p`` and ``m``
 1, ``v`` and ``v^2`` whose three coefficients come from one scalar series.
 The closure of a tangle weights each slot by one factor of x per loop its
 basis diagram closes to, and the closures of the powers have a rational
-generating function built from the invariants ``p`` and ``q^2``
+generating function built from the invariants ``p`` and ``m``
 (:func:`gf_from_tuple`); :func:`closed_form_bracket` reads it without ever
 forming the radical ``q``.
 
@@ -55,28 +55,27 @@ SERIES_BLOCK_STEPS = 32
 
 
 class PQInvariants(Record):
-    """The linear invariant p and the squared radicand q^2 of a tuple.
+    """The sum p and product m of the two non-trivial eigenvalues of a tuple.
 
-    The pair determines the two non-trivial eigenvalues (p +- q) / 2 of the
-    states matrix; q itself is never materialised, keeping all arithmetic in
-    Z[x].
+    The states matrix's non-trivial eigenvalues are (p +- q) / 2, with the
+    paper's squared radicand q^2 = p^2 - 4m; q itself is never materialised,
+    keeping all arithmetic in Z[x].
     """
 
-    __slots__ = ("p", "q_squared")
+    __slots__ = ("p", "m")
 
-    def __init__(self, p: Polynomial, q_squared: Polynomial):
+    def __init__(self, p: Polynomial, m: Polynomial):
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q_squared", q_squared)
+        object.__setattr__(self, "m", m)
+
+    @property
+    def q_squared(self) -> Polynomial:
+        """The squared radicand q^2 = p^2 - 4m."""
+        return self.p * self.p - 4 * self.m
 
     def pair_product(self) -> Polynomial:
-        """The eigenvalue product (p^2 - q^2) / 4, an exact integer polynomial.
-
-        Raises ValueError if p^2 - q^2 is not divisible by 4 coefficient-wise.
-        Invariants derived from any tuple never raise, because p^2 - q^2 =
-        4m with m = (bc - de)x^2 + a(b+c)x + a^2 + a(d+e) + de - bc; only a
-        hand-built pair can.
-        """
-        return (self.p * self.p - self.q_squared).exact_div(4)
+        """The eigenvalue product m."""
+        return self.m
 
 
 class PolyMatrix(Record):
@@ -447,8 +446,7 @@ def power_cubic(v: BracketVector) -> tuple[Polynomial, Polynomial, Polynomial]:
     already annihilates every tuple: ``v^3 = s1 v^2 - s2 v + s3``.
     """
     pq = pq_invariants(v)
-    m = pq.pair_product()
-    return v.a + pq.p, v.a * pq.p + m, v.a * m
+    return v.a + pq.p, v.a * pq.p + pq.m, v.a * pq.m
 
 
 # Single-letter tangles: a crossing splits into the identity and a cup-cap,
@@ -512,13 +510,16 @@ def states_matrix(v: BracketVector) -> PolyMatrix:
 
 
 def pq_invariants(v: BracketVector) -> PQInvariants:
-    """The invariants p = (b+c)x + 2a + d + e and the squared radicand q^2."""
+    """The invariants p and m of ``v = [a, b, c, d, e]``::
+
+        p = (b+c)x + 2a + d + e
+        m = (bc - de)x^2 + a(b+c)x + a(a+d+e) + de - bc
+    """
     a, b, c, d, e = v.entries()
     p = (b + c) * X + 2 * a + d + e
-    q_squared = ((b * b - 2 * b * c + c * c + 4 * d * e) * (X * X)
-                 + (2 * b * d + 2 * c * d + 2 * b * e + 2 * c * e) * X
-                 + (4 * b * c + d * d - 2 * d * e + e * e))
-    return PQInvariants(p, q_squared)
+    cross = b * c - d * e
+    m = cross * (X * X) + a * (b + c) * X + a * (a + d + e) - cross
+    return PQInvariants(p, m)
 
 
 def gf_from_tuple(v: BracketVector) -> RationalGF:
@@ -527,14 +528,11 @@ def gf_from_tuple(v: BracketVector) -> RationalGF:
         x(2 - p y) / (1 - p y + m y^2)   +   x(x^2 - 2) / (1 - a y)
 
     The first term sums ``x lam^n`` over the eigenvalue pair with sum p and
-    product m = (p^2 - q^2)/4; the second comes from the identity slot a.
-
-    Never raises: p^2 - q^2 is divisible by 4 for every tuple (see
-    :meth:`PQInvariants.pair_product`); only a hand-built PQInvariants can
-    fail that check.
+    product m (:func:`pq_invariants`); the second comes from the identity
+    slot a.
     """
     pq = pq_invariants(v)
-    return RationalGF(RationalTerm((2 * X, -(pq.p * X)), (ONE, -pq.p, pq.pair_product())),
+    return RationalGF(RationalTerm((2 * X, -(pq.p * X)), (ONE, -pq.p, pq.m)),
                       RationalTerm((X * (X * X - 2),), (ONE, -v.a)))
 
 
@@ -566,9 +564,8 @@ def charpoly_factored(v: BracketVector) -> LambdaPolynomial:
     the verification suite compares the two routes.
     """
     pq = pq_invariants(v)
-    m = pq.pair_product()
     linear = LambdaPolynomial((-v.a, 1))
-    quadratic = LambdaPolynomial((m, -pq.p, 1))
+    quadratic = LambdaPolynomial((pq.m, -pq.p, 1))
     return -(linear * quadratic * quadratic)
 
 

@@ -295,13 +295,18 @@ def _cmd_charpoly(args) -> int:
         _emit_json(args, {"coefficients": [list(c.coefficients) for c in chi.coefficients]})
     else:
         pq = pq_invariants(v)
-        factored = (f"-(L - ({v.a})) * (L^2 - ({pq.p})L + ({pq.pair_product()}))^2")
+        factored = (f"-(L - ({v.a})) * (L^2 - ({pq.p})L + ({pq.m}))^2")
         _emit(args, [f"factored: {factored}", f"expanded: {chi}"])
     return 0
 
 
 def _cmd_export(args) -> int:
     from .series import coefficient_column, compare_bfiles, row_lines, table_rows
+    if (args.compare and args.out and os.path.exists(args.out)
+            and os.path.samefile(args.out, args.compare)):
+        # Writing --out would replace the reference before it is compared.
+        raise ValueError(f"--out {args.out} is the --compare reference; "
+                         "write to another file")
     if args.column is None:
         values = chain.from_iterable(table_rows(args.generator, args.rows))
     else:

@@ -105,16 +105,6 @@ class Polynomial:
             result = result * value + c
         return result
 
-    def exact_div(self, divisor: int) -> "Polynomial":
-        """Divide every coefficient by ``divisor``; raise if any remainder."""
-        out = []
-        for c in self._coeffs:
-            q, r = divmod(c, divisor)
-            if r:
-                raise ValueError(f"coefficient {c} is not divisible by {divisor}")
-            out.append(q)
-        return Polynomial(out)
-
     def truncate(self, length: int) -> "Polynomial":
         """The remainder modulo ``x**length``: the terms below that power."""
         if length < 0:

@@ -271,17 +271,17 @@ class TestPQInvariants:
         assert pq_invariants(E).pair_product() == P("4x^4+24x^3+52x^2+48x+16")
 
     def test_difference_always_divisible_by_four(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            pq = pq_invariants(rand_tuple(rng, max_degree=2))
-            four_m = pq.p * pq.p - pq.q_squared
-            assert four_m.exact_div(4) * 4 == four_m
-
-    def test_guard_rejects_odd_polynomials(self):
-        from shadowbracket.bracket import PQInvariants
-        bad = PQInvariants(P("x"), P("1"))
-        with pytest.raises(ValueError):
-            bad.pair_product()
+        # p^2 - q^2 = 4m, with the paper's q^2 typed out.  Each side has
+        # degree at most 2 in each of a..e, so agreeing on {0,1,2}^5 proves
+        # the identity for every tuple.
+        for entries in product(range(3), repeat=5):
+            v = BracketVector.of(*entries)
+            a, b, c, d, e = v.entries()
+            q2 = ((b * b - 2 * b * c + c * c + 4 * d * e) * (X * X)
+                  + (2 * b * d + 2 * c * d + 2 * b * e + 2 * c * e) * X
+                  + (4 * b * c + d * d - 2 * d * e + e * e))
+            pq = pq_invariants(v)
+            assert pq.p * pq.p - q2 == 4 * pq.m
 
 
 class TestClosedForm:
@@ -370,8 +370,12 @@ class TestCharpoly:
 
     def test_random_tuples_factor(self):
         rng = random.Random(17)
-        for _ in range(25):
-            v = rand_tuple(rng)
+        tuples = [rand_tuple(rng) for _ in range(25)]
+        # Entries of high degree, which exercise m at scale: those of the
+        # 40-crossing word reach degree 19.
+        tuples += [rand_tuple(rng, max_degree=4) for _ in range(4)]
+        tuples.append(word_tuple(("X1", "X2") * 20))
+        for v in tuples:
             assert charpoly(states_matrix(v)) == charpoly_factored(v)
 
     def test_degree_and_leading_coefficient(self):

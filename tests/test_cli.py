@@ -927,6 +927,17 @@ class TestFilesReadBeforeOutput:
             assert "absent.txt" in err
             assert not out_file.exists()
 
+    def test_out_naming_the_compare_file_is_refused(self, capsys, tmp_path):
+        (tmp_path / "sub").mkdir()
+        reference = tmp_path / "reference.txt"
+        reference.write_text("0 0\n1 1\n2 999\n")
+        for out_file in (reference, tmp_path / "sub" / ".." / "reference.txt"):
+            code, out, err = run(capsys, "export", "--generator", "T", "--rows", "2",
+                                 "--column", "1", "--compare", str(reference),
+                                 "--out", str(out_file))
+            assert _refused(code, out, err)
+            assert reference.read_text() == "0 0\n1 1\n2 999\n"
+
     def test_malformed_compare_file_writes_nothing(self, capsys, tmp_path):
         reference = tmp_path / "reference.txt"
         reference.write_text("0 0\n1 one\n")

@@ -198,8 +198,8 @@ RECORDS = [
     (lambda: BracketVector.of(1, 0, [0, 1], 0, -2), "abcde",
      "BracketVector(a=Polynomial([1]), b=Polynomial([]), c=Polynomial([0, 1]), "
      "d=Polynomial([]), e=Polynomial([-2]))"),
-    (lambda: pq_invariants(generator_tuple("T")), ("p", "q_squared"),
-     "PQInvariants(p=Polynomial([3, 2]), q_squared=Polynomial([5, 4]))"),
+    (lambda: pq_invariants(generator_tuple("T")), ("p", "m"),
+     "PQInvariants(p=Polynomial([3, 2]), m=Polynomial([1, 2, 1]))"),
     (lambda: compile_word(("X1",)), ("crossings", "boundary", "free_loops"),
      "ShadowDiagram(crossings=(('e0', 'e1', 'e2', 'e3'),), boundary=Boundary("
      "left=('e0', 'e3', 'e4'), right=('e1', 'e2', 'e4')), free_loops=0)"),

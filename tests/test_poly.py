@@ -248,11 +248,6 @@ class TestMisc:
         with pytest.raises(ValueError):
             X ** -1
 
-    def test_exact_div(self):
-        assert Polynomial([4, 8]).exact_div(4) == Polynomial([1, 2])
-        with pytest.raises(ValueError):
-            Polynomial([4, 9]).exact_div(4)
-
     def test_integer_coefficients_required(self):
         with pytest.raises(TypeError):
             Polynomial([1.5])
