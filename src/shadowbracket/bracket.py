@@ -40,7 +40,8 @@ from itertools import count, islice
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
-from .poly import ONE, X, ZERO, Polynomial, PolynomialLike, power_by_squaring
+from .poly import (ONE, X, ZERO, Polynomial, PolynomialLike, _product, _sum,
+                   power_by_squaring)
 from .record import Record
 from .tl3 import ELEMENTS, WORD_LETTERS, BracketVector, closure_loops, multiply
 
@@ -64,10 +65,6 @@ class PQInvariants(Record):
 
     __slots__ = ("p", "m")
 
-    def __init__(self, p: Polynomial, m: Polynomial):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-
     @property
     def q_squared(self) -> Polynomial:
         """The squared radicand q^2 = p^2 - 4m."""
@@ -88,7 +85,7 @@ class PolyMatrix(Record):
         size = len(built)
         if any(len(row) != size for row in built):
             raise ValueError("matrix rows must all have the same length")
-        object.__setattr__(self, "rows", built)
+        super().__init__(built)
 
     @classmethod
     def identity(cls, size: int = 5) -> "PolyMatrix":
@@ -134,7 +131,7 @@ class LambdaPolynomial(Record):
         coeffs = [Polynomial.coerce(c) for c in coefficients]
         while coeffs and coeffs[-1].is_zero:
             coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        super().__init__(tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -150,13 +147,7 @@ class LambdaPolynomial(Record):
         return ZERO
 
     def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return LambdaPolynomial(out)
+        return LambdaPolynomial(_sum(self.coefficients, other.coefficients))
 
     def __neg__(self) -> "LambdaPolynomial":
         return LambdaPolynomial(tuple(-c for c in self.coefficients))
@@ -165,16 +156,7 @@ class LambdaPolynomial(Record):
         return self + (-other)
 
     def __mul__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return LambdaPolynomial()
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return LambdaPolynomial(out)
+        return LambdaPolynomial(_product(self.coefficients, other.coefficients))
 
     def __repr__(self) -> str:
         return f"LambdaPolynomial({[list(c.coefficients) for c in self.coefficients]!r})"
@@ -211,8 +193,7 @@ class RationalTerm(Record):
                  denominator: tuple[Polynomial, ...]):
         if not denominator or denominator[0] != ONE:
             raise ValueError("denominator must have constant term 1")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+        super().__init__(numerator, denominator)
 
     def terms(self, precision: int | None = None) -> Iterator[Polynomial]:
         """The series coefficients t_0, t_1, ..., walked one at a time.
@@ -359,10 +340,6 @@ class RationalGF(Record):
     """Generating function of the closure brackets of a tangle's powers."""
 
     __slots__ = ("pair_part", "geometric_part")
-
-    def __init__(self, pair_part: RationalTerm, geometric_part: RationalTerm):
-        object.__setattr__(self, "pair_part", pair_part)
-        object.__setattr__(self, "geometric_part", geometric_part)
 
     def terms(self, precision: int | None = None) -> Iterator[Polynomial]:
         """The closure brackets of powers 0, 1, ..., each summed as it is read."""

@@ -50,14 +50,11 @@ class ShadowDiagram(Record):
 
     def __init__(self, crossings: Sequence[Sequence[str]],
                  boundary: Boundary | None = None, free_loops: int = 0):
-        set_field = object.__setattr__
-        set_field(self, "crossings",
-                  tuple(tuple(str(e) for e in quad) for quad in crossings))
+        crossings = tuple(tuple(str(e) for e in quad) for quad in crossings)
         if boundary is not None:
             left, right = boundary
             boundary = Boundary(tuple(str(e) for e in left), tuple(str(e) for e in right))
-        set_field(self, "boundary", boundary)
-        set_field(self, "free_loops", free_loops)
+        super().__init__(crossings, boundary, free_loops)
         self.validate()
 
     @property

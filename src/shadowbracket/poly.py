@@ -13,13 +13,16 @@ for ``str`` (``sys.int_max_str_digits``) converts through ``Decimal``
 (:func:`int_text`, :func:`parse_int`).
 
 Every product is formed term by term, one pass over the shorter operand.
+The sum and product run on coefficient sequences (``_sum``, ``_product``),
+so the one route serves both :class:`Polynomial` and the polynomials over
+Z[x] of :mod:`shadowbracket.bracket` (``LambdaPolynomial``).
 """
 
 from __future__ import annotations
 
 import re
 from operator import add
-from typing import Callable, Iterable, TypeVar, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 # The text-form patterns, compiled (and cached by ``re``) at first use: only
 # :meth:`Polynomial.parse` and :func:`parse_int`'s long-integer fallback read
@@ -114,11 +117,7 @@ class Polynomial:
         return Polynomial._unchecked(list(self._coeffs[:length]))
 
     def __add__(self, other: PolynomialLike) -> "Polynomial":
-        other = Polynomial.coerce(other)
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial._unchecked([*map(add, a, b), *a[len(b):]])
+        return Polynomial._unchecked(_sum(self._coeffs, Polynomial.coerce(other)._coeffs))
 
     __radd__ = __add__
 
@@ -132,18 +131,7 @@ class Polynomial:
         return Polynomial.coerce(other) + (-self)
 
     def __mul__(self, other: PolynomialLike) -> "Polynomial":
-        other = Polynomial.coerce(other)
-        a, b = self._coeffs, other._coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    out[j] += ca * cb
-        return Polynomial._unchecked(out)
+        return Polynomial._unchecked(_product(self._coeffs, Polynomial.coerce(other)._coeffs))
 
     __rmul__ = __mul__
 
@@ -221,6 +209,32 @@ class Polynomial:
 ZERO = Polynomial()
 ONE = Polynomial((1,))
 X = Polynomial((0, 1))
+
+
+def _sum(a: Sequence[T], b: Sequence[T]) -> list[T]:
+    """The coefficients of the sum of two polynomials, lowest power first."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [*map(add, a, b), *a[len(b):]]
+
+
+def _product(a: Sequence[T], b: Sequence[T]) -> list[T]:
+    """The coefficients of the product of two polynomials, lowest power first.
+
+    Term by term, one pass over the shorter operand, skipping its zero
+    coefficients.  The coefficients may be ints or :class:`Polynomial`
+    values; a slot that no term reaches stays the int 0.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
 
 
 def int_text(value: int) -> str:

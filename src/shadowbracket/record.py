@@ -1,12 +1,14 @@
 """The immutable record that the package's small value classes build on.
 
-A record names its fields in ``__slots__`` and sets each one once, in its
-constructor, with ``object.__setattr__``; assigning or deleting a field
-afterwards raises AttributeError.  Two records are equal when their classes
-match and their fields are equal, a record hashes as the tuple of its
-fields, and it prints as ``Name(field=value, ...)``.  The base is plain
-Python, so defining a record costs nothing at import: no decorator
-generates code, and no introspection module is loaded.
+A record names its fields in ``__slots__``.  :meth:`Record.__init__` takes
+one positional value per field and is the one place that sets them; a class
+that coerces or checks its input does so in its own constructor and passes
+the results on.  Assigning or deleting a field afterwards raises
+AttributeError.  Two records are equal when their classes match and their
+fields are equal, a record hashes as the tuple of its fields, and it prints
+as ``Name(field=value, ...)``.  The base is plain Python, so defining a
+record costs nothing at import: no decorator generates code, and no
+introspection module is loaded.
 """
 
 from operator import attrgetter
@@ -23,6 +25,13 @@ class Record:
         # name, so a one-field record wraps it.
         get = attrgetter(*cls.__slots__)
         cls._fields = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *fields) -> None:
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} "
+                            f"fields, got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -36,19 +36,6 @@ class TLElement(Enum):
     R = "r"
     S = "s"
 
-    @property
-    def symbol(self) -> str:
-        """The textual name used by the CLI and JSON output."""
-        return self.value
-
-    @classmethod
-    def from_symbol(cls, name: str) -> "TLElement":
-        for element in cls:
-            if element.value == name:
-                return element
-        valid = ", ".join(e.value for e in cls)
-        raise ValueError(f"unknown monoid element {name!r} (expected one of: {valid})")
-
 
 class ScaledTL(NamedTuple):
     """A monoid element together with a count of detached loops."""
@@ -82,7 +69,7 @@ def _check_matching(element: TLElement, matching: tuple[int, ...]) -> None:
     every point closes the latest still-open one or opens a new one, as
     brackets do.
     """
-    name = f"tl3.MATCHINGS[{element.symbol!r}] = {matching}"
+    name = f"tl3.MATCHINGS[{element.value!r}] = {matching}"
     if (sorted(matching) != list(range(6))
             or any(matching[q] != p or p == q for p, q in enumerate(matching))):
         raise ValueError(f"{name} does not pair off the points 0-5")
@@ -103,8 +90,8 @@ def _index_matchings(matchings: dict[TLElement, tuple[int, ...]]
     for element, matching in matchings.items():
         _check_matching(element, matching)
         if matching in index:
-            raise ValueError(f"tl3.MATCHINGS[{element.symbol!r}] repeats the row of "
-                             f"{index[matching].symbol!r}")
+            raise ValueError(f"tl3.MATCHINGS[{element.value!r}] repeats the row of "
+                             f"{index[matching].value!r}")
         index[matching] = element
     return index
 
@@ -188,12 +175,8 @@ class BracketVector(Record):
 
     def __init__(self, a: PolynomialLike, b: PolynomialLike, c: PolynomialLike,
                  d: PolynomialLike, e: PolynomialLike):
-        coerce, set_field = Polynomial.coerce, object.__setattr__
-        set_field(self, "a", coerce(a))
-        set_field(self, "b", coerce(b))
-        set_field(self, "c", coerce(c))
-        set_field(self, "d", coerce(d))
-        set_field(self, "e", coerce(e))
+        coerce = Polynomial.coerce
+        super().__init__(coerce(a), coerce(b), coerce(c), coerce(d), coerce(e))
 
     @classmethod
     def of(cls, a: PolynomialLike, b: PolynomialLike, c: PolynomialLike,

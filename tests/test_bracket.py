@@ -341,8 +341,10 @@ class TestClosedForm:
 
     def test_state_sum_invariants_at_depth_on_both_readers(self):
         # A closed shadow of c crossings has 2^c states, so its bracket is
-        # 2^c at x = 1, and 0 at x = -1 once it has a crossing.  The depths
-        # cross three SERIES_BLOCK_STEPS blocks of the packed jump.
+        # 2^c at x = 1, and 0 at x = -1 once it has a crossing.  At x = -2 it
+        # is (-1)^c (-2)^mu, mu the shadow's number of components: 3 for T^n
+        # when 3 divides n, else 1.  The depths cross three
+        # SERIES_BLOCK_STEPS blocks of the packed jump.
         assert 250 > 3 * bracket.SERIES_BLOCK_STEPS
         depths = (1, 33, 100, 250)
         for v, crossings in ((T, 2), (C, 3), (E, 4)):
@@ -353,6 +355,8 @@ class TestClosedForm:
                 assert jump == walk[n], (v, n)
                 assert jump.evaluate(1) == 2 ** (crossings * n)
                 assert jump.evaluate(-1) == 0
+                components = 3 if v == T and n % 3 == 0 else 1
+                assert jump.evaluate(-2) == (-1) ** (crossings * n) * (-2) ** components
 
 
 class TestCharpoly:

@@ -1087,6 +1087,37 @@ def test_closed_stdout_exits_141_quietly():
     assert (proc.returncode, err) == (141, b"")
 
 
+def test_file_io_names_its_encoding(tmp_path):
+    # Under -X warn_default_encoding, a file opened without an encoding warns,
+    # and -W error makes the warning fail the command.  The suite itself opens
+    # files without one, so only the CLI runs under the flag.
+    import os
+    import subprocess
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    pd, tangle = tmp_path / "d.json", tmp_path / "t.json"
+    pd.write_text(json.dumps(generator_diagram("C").to_json()), encoding="utf-8")
+    tangle.write_text(json.dumps(generator_tuple("T").to_json()), encoding="utf-8")
+    column = tmp_path / "column.txt"
+    for argv in (("export", "--generator", "E", "--rows", "20", "--column", "1",
+                  "--out", column),
+                 ("export", "--generator", "E", "--rows", "20", "--column", "1",
+                  "--compare", column),
+                 ("table", "--generator", "T", "--rows", "5", "--format", "json",
+                  "--out", tmp_path / "table.json"),
+                 ("bracket", "--pd", pd),
+                 ("bracket", "--tuple", tangle, "--n", "3"),
+                 ("gf", "--tuple", tangle, "--terms", "4", "--out", tmp_path / "gf.txt"),
+                 ("charpoly", "--tuple", tangle, "--format", "json",
+                  "--out", tmp_path / "charpoly.json")):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error",
+             "-m", "shadowbracket.cli", *map(str, argv)],
+            capture_output=True, encoding="utf-8", env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+    assert column.read_text(encoding="utf-8").startswith("0 0\n1 1\n")
+
+
 class _CountingSink:
     """A stdout that keeps only the number of characters written (all ASCII)."""
 

@@ -232,6 +232,8 @@ class TestRecords:
         assert hash(record) == hash(twin) == hash(fields)
         assert record != fields
         assert type(record)(*fields) == record
+        with pytest.raises(TypeError):
+            type(record)(*fields, None)
 
     @pytest.mark.parametrize("build, names, text", RECORDS)
     def test_fields_cannot_change(self, build, names, text):
@@ -247,6 +249,15 @@ class TestRecords:
         for clone in (copy.copy(record), copy.deepcopy(record),
                       pickle.loads(pickle.dumps(record))):
             assert clone == record and repr(clone) == text
+
+    def test_only_the_base_sets_fields(self):
+        callers = []
+        for path in sorted((SRC / "shadowbracket").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                        and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                    callers.append(path.name)
+        assert set(callers) == {"record.py"}
 
     def test_classes_match_and_constructors_still_coerce_and_check(self):
         v = BracketVector(1, [0, 1], 0, 0, 0)

@@ -1,12 +1,13 @@
 import json
 import random
 import sys
-from itertools import islice, product
+from itertools import islice, product, zip_longest
 
 import pytest
 
 from conftest import P, rand_poly
-from shadowbracket.bracket import SERIES_BLOCK_STEPS, RationalTerm, _digit_width, _pack, _unpack
+from shadowbracket.bracket import (SERIES_BLOCK_STEPS, LambdaPolynomial, RationalTerm,
+                                   _digit_width, _pack, _unpack)
 from shadowbracket.poly import (ONE, Polynomial, X, ZERO, int_text, parse_int,
                                 power_by_squaring)
 
@@ -108,6 +109,19 @@ class TestProductRoutes:
             expected = _schoolbook(a, b)
             assert (Polynomial(a) * Polynomial(b)).coefficients == tuple(expected)
             assert (Polynomial(b) * Polynomial(a)).coefficients == tuple(expected)
+        # LambdaPolynomial runs the same sum and product on Z[x] coefficients,
+        # some of them zero, and on empty and all-zero operands.
+        operands = [[], [ZERO], [ZERO] * 3]
+        for _ in range(20):
+            operands.append([rng.choice((ZERO, rand_poly(rng, 3)))
+                             for _ in range(rng.randint(1, 6))])
+        for a in operands:
+            for b in operands:
+                got = LambdaPolynomial(a) * LambdaPolynomial(b)
+                assert got.coefficients == tuple(map(Polynomial.coerce, _schoolbook(a, b)))
+                total = LambdaPolynomial(a) + LambdaPolynomial(b)
+                assert total == LambdaPolynomial(
+                    [p + q for p, q in zip_longest(a, b, fillvalue=ZERO)])
 
     def test_largest_coefficients_fill_the_digit(self):
         # The middle product coefficient reaches min(len) max|a| max|b|, the

@@ -117,11 +117,11 @@ class TestClosureLoops:
 class TestSymbols:
     def test_round_trip(self):
         for element in ELEMENTS:
-            assert TLElement.from_symbol(element.symbol) is element
+            assert TLElement(element.value) is element
 
     def test_names(self):
-        assert [e.symbol for e in ELEMENTS] == ["1_3", "U1", "U2", "r", "s"]
+        assert [e.value for e in ELEMENTS] == ["1_3", "U1", "U2", "r", "s"]
 
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
-            TLElement.from_symbol("U3")
+            TLElement("U3")
