@@ -20,8 +20,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 # Only what every command needs is imported here; each handler imports the
 # rest, so a command loads no module it does not run.
@@ -164,11 +165,12 @@ def _resolve_input(args) -> BracketVector | Polynomial:
     return contract(ShadowDiagram.from_json(_load_json(args.pd)))
 
 
-def _read_text(path: str) -> str:
-    """The contents of a UTF-8 text file; a decoding error names the file."""
+@contextmanager
+def _text_file(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text file open for reading; a decoding error names the file."""
     with open(path, encoding="utf-8") as handle:
         try:
-            return handle.read()
+            yield handle
         except UnicodeDecodeError as exc:
             raise ValueError(
                 f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
@@ -176,9 +178,20 @@ def _read_text(path: str) -> str:
 
 def _load_json(path: str) -> dict:
     import json
-    text = _read_text(path)
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        # A repeated key would otherwise keep its last value silently.
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
+    with _text_file(path) as handle:
+        text = handle.read()
     try:
-        return json.loads(text, parse_int=parse_int)
+        return json.loads(text, parse_int=parse_int, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
@@ -193,7 +206,6 @@ def _require_tangle(value: BracketVector | Polynomial) -> BracketVector:
 
 def _emit(args, lines: Iterable[str], end: str = "\n") -> None:
     """Write each line and ``end`` to ``--out`` or stdout as the line arrives."""
-    from contextlib import nullcontext
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
         for line in lines:
             out.write(line)
@@ -316,7 +328,8 @@ def _cmd_export(args) -> int:
         # Compare before emitting: a missing, undecodable or malformed
         # reference leaves no output behind.
         entries = list(entries)
-        problem = compare_bfiles(entries, _read_text(args.compare))
+        with _text_file(args.compare) as reference:
+            problem = compare_bfiles(entries, reference)
     _emit(args, row_lines(entries))
     if args.compare:
         if problem:

@@ -31,7 +31,7 @@ the 4,862 of the 16 x 16 grid.  The crossing count itself is not limited.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from collections import Counter
 
 from .diagram import ShadowDiagram, _boundary_element, _number_edges, _SMOOTHINGS
 from .poly import Polynomial
@@ -57,41 +57,27 @@ def contract(diagram: ShadowDiagram) -> BracketVector | Polynomial:
     frontier: tuple[int, ...] = ()
     states: _States = {(): [1]}
     # The pick: the crossing with the most slots on open edges, ties to the
-    # lowest index.  A heap of (-open slots, index) entries gives it in
-    # O(log c).  An edge closes only when its second crossing is added, so
-    # the counts of the crossings still to add only grow: each growth pushes
-    # a fresh entry, and an entry whose count is out of date is skipped.
+    # lowest index.  Only a crossing on the frontier has an open slot; with
+    # none there, the pick is the lowest-index crossing left.
     crossings_of: dict[int, list[int]] = {}
     for i, quad in enumerate(quads):
         for e in quad:
             crossings_of.setdefault(e, []).append(i)
-    open_slots = [0] * len(quads)
-    heap = [(0, i) for i in range(len(quads))]
-    added = 0
-    while heap:
-        count, pick = heappop(heap)
-        if -count != open_slots[pick]:
-            continue
-        open_slots[pick] = -1  # added: no entry of it is current any more
-        added += 1
+    added = [False] * len(quads)
+    for count in range(1, len(quads) + 1):
+        slots = Counter(i for e in frontier for i in crossings_of[e] if not added[i])
+        pick = max(slots, key=lambda i: (slots[i], -i)) if slots else added.index(False)
+        added[pick] = True
         quad = quads[pick]
-        open_edges = set(frontier)
         # A once-listed edge closes if it was open and opens otherwise; an edge
         # listed twice runs from the crossing back to itself.
         once = [e for e in quad if quad.count(e) == 1]
-        after = tuple(sorted(open_edges.symmetric_difference(once)))
+        after = tuple(sorted(set(frontier).symmetric_difference(once)))
         states = _add_crossing(states, frontier, quad, after)
         frontier = after
         if len(states) > MAX_MATCHINGS:
             raise ValueError(f"{len(states)} frontier matchings exceed the frontier limit "
-                             f"of {MAX_MATCHINGS} after {added} crossings")
-        for e in once:
-            if e in open_edges:
-                continue
-            for i in crossings_of[e]:
-                if open_slots[i] >= 0:
-                    open_slots[i] += 1
-                    heappush(heap, (-open_slots[i], i))
+                             f"of {MAX_MATCHINGS} after {count} crossings")
 
     shift = diagram.free_loops
     if diagram.boundary is None:

@@ -179,8 +179,6 @@ class Polynomial:
         if not compact:
             raise ValueError("empty polynomial text")
         terms = re.findall(_SPLIT_RE, compact)
-        if "".join(terms) != compact:
-            raise ValueError(f"cannot parse polynomial: {text!r}")
         powers: dict[int, int] = {}
         for term in terms:
             sign = 1

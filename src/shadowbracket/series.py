@@ -14,7 +14,7 @@ series modulo x^(k+1), so :func:`coefficient_column` runs the recurrences
 with that truncation instead of building the triangle.  Rows render as
 lines of values; ``row_lines(enumerate(values, offset))`` is the OEIS-style
 b-file ("index value" per line), which :func:`compare_bfiles` checks value
-by value against a reference b-file.
+by value against a reference b-file, read one line at a time.
 
 The series is a lazy source, :meth:`RationalGF.terms`, and
 :func:`table_rows`, :func:`coefficient_column` and :func:`row_lines` render
@@ -25,7 +25,7 @@ holds one row, not the whole output.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .bracket import RationalGF, gf_from_tuple
@@ -83,28 +83,38 @@ def row_lines(rows: Iterable[Sequence[int]], sep: str = " ") -> Iterator[str]:
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
     """Parse b-file text, skipping blank lines and # comments."""
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    return list(_bfile_pairs([text]))
+
+
+def _bfile_pairs(chunks: Iterable[str]) -> Iterator[tuple[int, int]]:
+    """The (index, value) pairs of b-file text read in chunks, such as a file's lines."""
+    for lineno, line in enumerate(chain.from_iterable(map(str.splitlines, chunks)), start=1):
         body = line.strip()
         if not body or body.startswith("#"):
             continue
         fields = body.split()
         if len(fields) != 2 or not all(re.fullmatch(_INT_RE, f) for f in fields):
             raise ValueError(f"bad b-file line {lineno}: {line!r}")
-        entries.append((parse_int(fields[0]), parse_int(fields[1])))
-    return entries
+        yield parse_int(fields[0]), parse_int(fields[1])
 
 
-def compare_bfiles(entries: Sequence[tuple[int, int]], reference: str) -> str | None:
-    """Compare (index, value) pairs with b-file text; return None on match, else a message."""
-    theirs = parse_bfile(reference)
-    for i, (left, right) in enumerate(zip(entries, theirs)):
-        if left != right:
-            ours_line, reference_line = row_lines((left, right))
-            return f"mismatch at line {i + 1}: {ours_line} != {reference_line}"
-    if len(entries) != len(theirs):
-        return f"length mismatch: {len(entries)} lines versus {len(theirs)}"
-    return None
+def compare_bfiles(entries: Sequence[tuple[int, int]],
+                   reference: str | Iterable[str]) -> str | None:
+    """Compare (index, value) pairs with a b-file, given as text or as an open file.
+
+    Returns None on a match, else a message.  The reference is read one line
+    at a time and to its end, so a malformed line after a mismatch is still
+    refused.
+    """
+    problem, count = None, 0
+    for count, pair in enumerate(_bfile_pairs([reference] if isinstance(reference, str)
+                                              else reference), start=1):
+        if problem is None and count <= len(entries) and entries[count - 1] != pair:
+            ours_line, reference_line = row_lines((entries[count - 1], pair))
+            problem = f"mismatch at line {count}: {ours_line} != {reference_line}"
+    if problem is None and count != len(entries):
+        problem = f"length mismatch: {len(entries)} lines versus {count}"
+    return problem
 
 
 def render_gf(gf: RationalGF) -> str:

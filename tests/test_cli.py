@@ -360,13 +360,13 @@ class TestExportCommand:
         reference = tmp_path / "reference.txt"
         reference.write_text("0 0\n1 1\n2 5\n3 16\n")
         parsed = []
-        parse = series.parse_bfile
-        monkeypatch.setattr(series, "parse_bfile",
-                            lambda text: parsed.append(text) or parse(text))
+        pairs = series._bfile_pairs
+        monkeypatch.setattr(series, "_bfile_pairs",
+                            lambda lines: pairs(parsed.append(line) or line for line in lines))
         code, out, _ = run(capsys, "export", "--generator", "T", "--rows", "3",
                            "--column", "1", "--compare", str(reference))
         assert code == 0 and out.endswith(f"MATCH against {reference}\n")
-        assert parsed == [reference.read_text()]
+        assert parsed == ["0 0\n", "1 1\n", "2 5\n", "3 16\n"]
 
     def test_compare_names_a_reference_line_that_is_not_an_integer(self, capsys,
                                                                     tmp_path):
@@ -469,6 +469,13 @@ class TestBadInput:
         code, out, err = run(capsys, "bracket", "--tuple", str(path))
         assert _refused(code, out, err)
         assert "'f'" in err
+
+    def test_repeated_tuple_key_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "tuple.json"
+        path.write_text('{"a":[1],"a":[5],"b":[],"c":[],"d":[],"e":[]}')
+        code, out, err = run(capsys, "bracket", "--tuple", str(path))
+        assert _refused(code, out, err)
+        assert err == f"error: {path}: duplicate key 'a'\n"
 
     def test_negative_export_column(self, capsys):
         assert _refused(*run(capsys, "export", "--generator", "T", "--rows", "6",
@@ -895,6 +902,15 @@ class TestStrictDiagramJson:
             "boundary": {"L": ["e0", "e3", "e4"], "R": ["e1", "e2", "e4"], "T": []}})
         assert "'T'" in err and "boundary" in err
 
+    def test_repeated_crossings_key_is_named(self, capsys, tmp_path):
+        path = tmp_path / "diagram.json"
+        path.write_text('{"crossings": [["e0", "e1", "e2", "e3"]], '
+                        '"crossings": [["e1", "e2", "e3", "e0"]], '
+                        '"boundary": {"L": ["e0", "e3", "e4"], "R": ["e1", "e2", "e4"]}}')
+        code, out, err = run(capsys, "bracket", "--pd", str(path))
+        assert _refused(code, out, err), (code, out, err)
+        assert err == f"error: {path}: duplicate key 'crossings'\n"
+
     def test_number_edge_identifiers_are_not_merged_with_strings(self, capsys, tmp_path):
         err = self.refused(capsys, tmp_path, {"crossings": [["1", 1, "2", 2]],
                                               "boundary": None})
@@ -947,6 +963,16 @@ class TestFilesReadBeforeOutput:
                              "--out", str(out_file))
         assert _refused(code, out, err)
         assert not out_file.exists()
+
+    def test_malformed_line_after_a_mismatch_writes_nothing(self, capsys, tmp_path):
+        reference = tmp_path / "reference.txt"
+        reference.write_text("0 9\n1 1\n2 five\n")
+        out_file = tmp_path / "o.txt"
+        for extra in ((), ("--out", str(out_file))):
+            code, out, err = run(capsys, "export", "--generator", "T", "--rows", "2",
+                                 "--column", "1", "--compare", str(reference), *extra)
+            assert (code, out, err) == (2, "", "error: bad b-file line 3: '2 five'\n")
+            assert not out_file.exists()
 
     @pytest.mark.parametrize("argv", [
         ("bracket", "--pd"),

@@ -247,6 +247,16 @@ class TestCrossingOrder:
             for n in (1, 2, 5, 9):
                 yield generator_power(name, n)
                 yield close_diagram(generator_power(name, n))
+        # Wide frontiers and many ties; the last two have a frontier that
+        # empties part way through.
+        yield grid_shadow(4)
+        yield grid_shadow(6)
+        yield torus_shadow(4, 3)
+        yield torus_shadow(5, 3)
+        tangle = compile_word(("X1", "X2", "U2"))
+        for diagram in (tangle, close_diagram(tangle)):
+            yield ShadowDiagram((("k", "k", "m", "m"),) + diagram.crossings
+                                + (("p", "q", "q", "p"),), diagram.boundary, free_loops=1)
 
     def test_heap_pick_matches_the_plain_greedy_pick(self, monkeypatch):
         added = []
