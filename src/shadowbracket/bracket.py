@@ -24,17 +24,16 @@ A rational series in y over Z[x], :class:`RationalTerm`, is one linear
 recurrence with two readers, chosen by what the caller needs.
 :meth:`RationalTerm.terms` walks every term, one short-by-long product per
 feedback polynomial, for callers that print them all.
-:meth:`RationalTerm.term` jumps to one term: it runs the same recurrence on
-the terms packed into integers, one fixed-width digit per coefficient
-(Kronecker substitution), and reads the digits back only at block ends.
-Both :func:`power` and :func:`closed_form_bracket` jump to their n-th term
-with it.  :class:`RationalGF` is the sum of two such terms, the generating
-function of a tangle's closure brackets.
+:meth:`RationalTerm.term` jumps to the recurrence's window at one term: it
+runs the same recurrence on the terms packed into integers, one fixed-width
+digit per coefficient (Kronecker substitution), and reads the digits back
+only at block ends.  Both :func:`power` and :func:`closed_form_bracket` jump
+to their n-th term with it.  :class:`RationalGF` is the sum of two such
+terms, the generating function of a tangle's closure brackets.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import reduce
 from itertools import count, islice
 from operator import add, mul
@@ -46,7 +45,7 @@ from .record import Record
 from .tl3 import ELEMENTS, WORD_LETTERS, BracketVector, closure_loops, multiply
 
 # Recurrence steps :meth:`RationalTerm.term` runs between two readings of its
-# packed terms.  A block's digit width must hold its last terms, so a longer
+# packed terms.  A block's digit width must hold its largest term, so a longer
 # block carries wider digits through its early steps, and a shorter one
 # reads the digits back more often.  Of 8, 16, 32, 64 and 128 steps, 32 was
 # fastest for closed E^1000 (8 and 16 took 23% and 8% longer) and within
@@ -217,12 +216,13 @@ class RationalTerm(Record):
             yield term
             recent = [term, *recent][:len(feedback)]
 
-    def term(self, n: int, count: int = 1) -> list[Polynomial]:
-        """The terms t_(n-count+1), ..., t_n, fewer when n < count - 1.
+    def term(self, n: int) -> list[Polynomial]:
+        """The recurrence's window at t_n: its last max(order, 1) terms, t_n last.
 
-        They equal the terms of :meth:`terms`, which also gives every term up
-        to the last one the numerator touches.  From there the recurrence
-        runs on integers packed at x = 2**(8w), one digit per coefficient
+        Fewer when n is below the window (all of t_0, ..., t_n then).  They
+        equal the terms of :meth:`terms`, which also gives every term up to
+        the last one the numerator touches.  From there the recurrence runs
+        on integers packed at x = 2**(8w), one digit per coefficient
         (Kronecker substitution, :func:`_pack`): a product by a feedback
         polynomial is a few shifts and small-integer multiplies of one packed
         integer.
@@ -231,16 +231,13 @@ class RationalTerm(Record):
         Each block takes its digit width w from the exact l1 norms of the terms
         it starts from: the l1 norm of ``sum f_k t_(n-k)`` is at most
         ``sum |f_k| |t_(n-k)|``, so that recurrence run on the norms bounds
-        every coefficient the block reads back.
+        every coefficient of the block.
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if count < 1:
-            raise ValueError("count must be positive")
         order = len(self.denominator) - 1
         terms = list(islice(self.terms(),
                             min(n + 1, max(order, len(self.numerator)))))
-        keep = max(order, count)
         feedback = [(-c).coefficients for c in self.denominator[1:]]
         longest_feedback = max(map(len, feedback), default=0)
         # Horner rows, highest power of x first: row i holds (k, f_k[i]) for every
@@ -254,11 +251,9 @@ class RationalTerm(Record):
             start = terms[len(terms) - order:][::-1]  # newest first
             norms = [sum(map(abs, t.coefficients)) for t in start]
             top = max(norms, default=0)  # the start terms are packed at this width too
-            for step in range(steps):
-                bound = sum(map(mul, feedback_norms, norms))
-                norms = [bound, *norms[:-1]]
-                if step >= steps - keep:
-                    top = max(top, bound)
+            for _ in range(steps):
+                norms = [sum(map(mul, feedback_norms, norms)), *norms[:-1]]
+                top = max(top, norms[0])
             width = _digit_width(top)
             shift = 8 * width
             recent = [_pack(t.coefficients, width) for t in start]
@@ -275,7 +270,6 @@ class RationalTerm(Record):
             # longest feedback.
             longest = max((len(t.coefficients) for t in start), default=0)
             bytes(4 * width * (longest + longest_feedback * steps + 1))
-            packed = deque(maxlen=keep)
             for _ in range(steps):
                 value = 0
                 for row in rows:
@@ -288,13 +282,13 @@ class RationalTerm(Record):
                         term = recent[k] if c == 1 else c * recent[k]
                         value = value + term if value else term
                 recent = [value, *recent[:-1]]
-                packed.append(value)
-            terms += [Polynomial._unchecked(
-                          _unpack(value, width, value.bit_length() // shift + 1))
-                      for value in packed]
-            terms = terms[-keep:]
+            # The window, oldest first; a block shorter than the order leaves
+            # some of its start terms in it.
+            terms = [Polynomial._unchecked(
+                         _unpack(value, width, value.bit_length() // shift + 1))
+                     for value in reversed(recent)]
             done += steps
-        return terms[-count:]
+        return terms[-max(order, 1):]
 
 
 def _digit_width(bound: int) -> int:
@@ -302,38 +296,32 @@ def _digit_width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
+def _offset(width: int, digits: int) -> int:
+    """``digits`` digits of 2**(8 * width - 1) each, packed at x = 2**(8 * width)."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * digits, "little")
+
+
 def _pack(coeffs: Sequence[int], width: int) -> int:
     """The value at x = 2**(8 * width) of a polynomial with these coefficients.
 
-    The coefficients are written as two's-complement digits, so a negative
-    digit borrows one from the digit above; the packed value is corrected
-    for that.
+    Each coefficient c is written in offset binary, as the unsigned digit
+    c + 2**(8 * width - 1), and the packed offsets are taken off at once.
     """
-    if not coeffs:
-        return 0
-    packed = int.from_bytes(
-        b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs]), "little")
-    if min(coeffs) < 0:
-        one, zero = (1).to_bytes(width, "little"), bytes(width)
-        borrows = b"".join([one if c < 0 else zero for c in coeffs])
-        packed -= int.from_bytes(borrows, "little") << (8 * width)
-    return packed
+    half = 1 << (8 * width - 1)
+    return int.from_bytes(b"".join([(c + half).to_bytes(width, "little") for c in coeffs]),
+                          "little") - _offset(width, len(coeffs))
 
 
 def _unpack(packed: int, width: int, digits: int) -> list[int]:
     """The first ``digits`` coefficients of a value packed by :func:`_pack`.
 
-    Exact when every coefficient has size below ``2**(8 * width - 1)``: each
-    digit is read as a signed number plus the borrow of the digit below.
+    Exact when every coefficient has size below ``2**(8 * width - 1)``: with
+    the offsets added back every digit is unsigned, and read minus its offset.
     """
-    data = packed.to_bytes(width * digits, "little", signed=True)
-    out = []
-    borrow = 0
-    for start in range(0, len(data), width):
-        digit = int.from_bytes(data[start:start + width], "little", signed=True)
-        out.append(digit + borrow)
-        borrow = digit < 0
-    return out
+    half = 1 << (8 * width - 1)
+    data = (packed + _offset(width, digits)).to_bytes(width * digits, "little")
+    return [int.from_bytes(data[start:start + width], "little") - half
+            for start in range(0, len(data), width)]
 
 
 class RationalGF(Record):
@@ -348,7 +336,7 @@ class RationalGF(Record):
 
     def term(self, n: int) -> Polynomial:
         """The closure bracket of power n, by each part's jump to its n-th term."""
-        return self.pair_part.term(n)[0] + self.geometric_part.term(n)[0]
+        return self.pair_part.term(n)[-1] + self.geometric_part.term(n)[-1]
 
     def expand(self, count: int) -> list[Polynomial]:
         """The first ``count + 1`` of :meth:`terms`."""
@@ -409,7 +397,7 @@ def power(v: BracketVector, n: int) -> BracketVector:
         return compose(v, v)
     s1, s2, s3 = power_cubic(v)
     before, gamma, after = RationalTerm((ZERO, ZERO, ONE),
-                                        (ONE, -s1, s2, -s3)).term(n + 1, count=3)
+                                        (ONE, -s1, s2, -s3)).term(n + 1)
     return (BracketVector.unit().scaled(s3 * before) + v.scaled(after - s1 * gamma)
             + compose(v, v).scaled(gamma))
 

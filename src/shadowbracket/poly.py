@@ -9,8 +9,8 @@ Two interchange forms round-trip with each other: a text form like
 ``3x^3+8x^2+5x`` (descending powers, zero terms omitted, unit coefficients
 omitted except for constants) and a JSON array form like ``[0, 5, 8, 3]``
 whose index is the power of x.  Text is exact at any size: an int too long
-for ``str`` (``sys.int_max_str_digits``) converts through ``Decimal``
-(:func:`int_text`, :func:`parse_int`).
+for ``str`` (``sys.int_max_str_digits``) converts in two halves, split at a
+power of ten (:func:`int_text`, :func:`parse_int`).
 
 Every product is formed term by term, one pass over the shorter operand.
 The sum and product run on coefficient sequences (``_sum``, ``_product``),
@@ -240,24 +240,32 @@ def int_text(value: int) -> str:
 
     ``str`` refuses an int of more than ``sys.int_max_str_digits`` digits
     (4,300 by default), and a library must not raise that process-wide
-    limit; only such an int converts through ``Decimal``, which is exact.
+    limit.  Only such an int is split, by ``divmod`` at about half its
+    digits, and each half written the same way, the low one zero-filled.
     """
     try:
         return str(value)
     except ValueError:
-        from decimal import Decimal
-        return str(Decimal(value))
+        k = value.bit_length() * 3 // 20  # at most half the digits: log10(2) > 3/10
+        high, low = divmod(abs(value), 10 ** k)
+        return ("-" if value < 0 else "") + int_text(high) + int_text(low).zfill(k)
 
 
 def parse_int(text: str) -> int:
-    """``int(text)``, exact also past ``sys.int_max_str_digits`` digits."""
+    """``int(text)``, exact also past ``sys.int_max_str_digits`` digits.
+
+    Only text that ``int`` refuses for its length is split: its digits in
+    two halves, each parsed the same way.
+    """
     try:
         return int(text)
     except ValueError:
         if not re.fullmatch(_INT_RE, text):
             raise
-        from decimal import Decimal
-        return int(Decimal(text))
+        digits = text.lstrip("+-")
+        k = len(digits) // 2
+        value = parse_int(digits[:-k]) * 10 ** k + parse_int(digits[-k:])
+        return -value if text[0] == "-" else value
 
 
 def power_by_squaring(base: T, exponent: int, unit: T,

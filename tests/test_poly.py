@@ -1,10 +1,13 @@
 import json
+import os
 import random
+import subprocess
 import sys
 from itertools import islice, product, zip_longest
 
 import pytest
 
+import shadowbracket
 from conftest import P, rand_poly
 from shadowbracket.bracket import (SERIES_BLOCK_STEPS, LambdaPolynomial, RationalTerm,
                                    _digit_width, _pack, _unpack)
@@ -347,13 +350,14 @@ class TestSeriesTerm:
     # Every n up to here crosses three block boundaries of the packed route.
     LAST = 3 * SERIES_BLOCK_STEPS + 4
 
-    def _check(self, numerator, denominator, counts=(1, 2, 3)):
+    def _check(self, numerator, denominator):
+        # The window is the last max(order, 1) terms up to t_n.  The n up to
+        # LAST include final blocks shorter than the order.
         series = RationalTerm(tuple(numerator), tuple(denominator))
+        window = max(len(denominator) - 1, 1)
         walk = list(islice(series.terms(), self.LAST + 1))
         for n in range(self.LAST + 1):
-            for count in counts:
-                assert series.term(n, count) == \
-                    walk[max(0, n + 1 - count):n + 1], (n, count)
+            assert series.term(n) == walk[max(0, n + 1 - window):n + 1], n
         return walk
 
     def test_against_the_walk_on_random_series(self):
@@ -373,7 +377,7 @@ class TestSeriesTerm:
         numerator = [P("x^2-3"), P("5x")]
         walk = self._check(numerator, [ONE, ZERO, ZERO])
         assert walk[:2] == numerator and all(t == ZERO for t in walk[2:])
-        self._check([], [ONE, P("x+1")], counts=(1, 4))
+        self._check([], [ONE, P("x+1")])
         self._check([ZERO, ONE], [ONE])
 
     def test_coefficients_on_the_digit_limit(self):
@@ -383,8 +387,7 @@ class TestSeriesTerm:
             top = (1 << (8 * width - 1)) - 1
             for sign in (1, -1):
                 for feedback in (X, -X):
-                    walk = self._check([Polynomial([sign * top])], [ONE, -feedback],
-                                       counts=(1, 3))
+                    walk = self._check([Polynomial([sign * top])], [ONE, -feedback])
                     assert {abs(c) for t in walk for c in t.coefficients if c} == {top}
 
     def test_every_feedback_term_counts_in_the_width(self):
@@ -394,12 +397,12 @@ class TestSeriesTerm:
         square = X * X
         for first in (ONE, -ONE):
             for pair in ((-X, -square), (X, -square)):
-                walk = self._check([first], [ONE, *pair], counts=(1, 3))
+                walk = self._check([first], [ONE, *pair])
                 assert all(len(set(t.coefficients)) == 2 for t in walk[1:])
         fibonacci = [1, 1]
         while len(fibonacci) <= self.LAST:
             fibonacci.append(fibonacci[-1] + fibonacci[-2])
-        assert RationalTerm((ONE,), (ONE, -X, -square)).term(self.LAST)[0] == \
+        assert RationalTerm((ONE,), (ONE, -X, -square)).term(self.LAST)[-1] == \
             Polynomial.monomial(self.LAST, fibonacci[self.LAST])
 
     def test_jumps_to_deep_terms(self):
@@ -407,13 +410,11 @@ class TestSeriesTerm:
         series = RationalTerm((P("2x"), P("-3x^2-2x")), (ONE, P("-2x-3"), P("x^2+2x+1")))
         walk = list(islice(series.terms(), 401))
         for n in (150, 257, 400):
-            assert series.term(n, 2) == walk[n - 1:n + 1]
+            assert series.term(n) == walk[n - 1:n + 1]
 
-    def test_rejects_negative_index_and_empty_count(self):
+    def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             RationalTerm((ONE,), (ONE, X)).term(-1)
-        with pytest.raises(ValueError):
-            RationalTerm((ONE,), (ONE, X)).term(3, count=0)
 
 
 class TestPackedDigits:
@@ -446,8 +447,9 @@ class TestPackedDigits:
                 self._round_trip([value, -value, value], _digit_width(top + 1))
 
     def test_chained_borrows_of_negative_runs(self):
-        # Each negative digit borrows one from the digit above, so a run of
-        # negative digits chains its borrows up to the first digit after it.
+        # Runs of negative coefficients, alone and between other digits.  In
+        # offset binary every digit is read on its own, with no borrow from
+        # the digit below, so a run must round-trip like any other input.
         rng = random.Random(75)
         for width in self.WIDTHS:
             top = (1 << (8 * width - 1)) - 1
@@ -479,6 +481,37 @@ class TestLongIntegerText:
             assert text == ("-" if value < 0 else "") + (
                 "7" + "0" * 4999 + "3" if abs(value) == self.LONG else str(abs(value)))
         assert sys.get_int_max_str_digits() == limit
+
+    def test_round_trips_at_the_lowest_limit(self):
+        # 640 is the lowest limit Python allows.  The lengths sit around it,
+        # twice it, the default limit of 4,300 and well past both, so halves
+        # are split again; leading zeros and a low half that starts with
+        # zeros must survive.  Decimal, which has no such limit, is the
+        # reference.
+        script = """if True:
+            import random, sys
+            from decimal import Decimal
+            from shadowbracket.poly import int_text, parse_int
+            assert sys.get_int_max_str_digits() == 640
+            rng = random.Random(76)
+            for length in (639, 640, 641, 1281, 4299, 4300, 4301, 8601, 13000):
+                for digits in ("1" + "0" * (length - 1), "1" + "0" * (length - 2) + "1",
+                               "".join([rng.choice("123456789"),
+                                        *rng.choices("0123456789", k=length - 1)])):
+                    for sign in ("", "-", "+"):
+                        for zeros in ("", "000"):
+                            text = sign + zeros + digits
+                            value = parse_int(text)
+                            assert value == int(Decimal(text)), text[:20]
+                            assert int_text(value) == sign.strip("+") + digits, text[:20]
+            print("ok")
+        """
+        src = os.path.dirname(os.path.dirname(os.path.abspath(shadowbracket.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-W", "error", "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
     @pytest.mark.parametrize("text", ["1" * 5000 + ".5", "1" * 5000 + "e3", "x" + "1" * 5000,
                                       "1.5", "", "1" * 5000 + " 2"])
