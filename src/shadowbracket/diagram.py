@@ -6,7 +6,9 @@ additionally lists six boundary endpoints, three per side, top to bottom.
 Every edge identifier occurs exactly twice across the crossings and the
 boundary; crossingless circles are carried separately as ``free_loops``.
 A :class:`ShadowDiagram` checks all of this, planarity included, once, in
-its constructor.
+its constructor.  Planarity is Euler's formula on the faces traced from
+each crossing's cyclic order: first as listed, then, if that fails, read in
+the directions that Dehn's reading of a single-loop smoothing proposes.
 
 Smoothing a crossing ``(e1, e2, e3, e4)`` joins the adjacent pairs
 ``e1-e2, e3-e4`` (bit 0) or ``e2-e3, e4-e1`` (bit 1).  The two routes that
@@ -21,7 +23,7 @@ state sum and the diagram builders there.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
+from itertools import chain, count
 from typing import NamedTuple, Sequence
 
 from .record import Record
@@ -107,31 +109,16 @@ class ShadowDiagram(Record):
         # crossing either way).  An open tangle adds a vertex for the outside
         # of its disk, carrying the boundary edges in disk order; free loops
         # drop out.  When the orders as listed already trace a planar map,
-        # that is the drawing.  If not, a drawing exists exactly when the
-        # graph is planar with every vertex made a wheel: a hub plus a rim
-        # through its edge ends in order, which no drawing can reorder.  Each
-        # edge becomes a midpoint between rims.
-        rotations = list(self.crossings)
-        if self.boundary is not None:
-            rotations.append(self.boundary.left + self.boundary.right[::-1])
+        # that is the drawing: every diagram the package builds passes here.
+        # If not, Dehn's reading of a single-loop smoothing proposes a
+        # direction for each crossing, and the same face trace decides.
+        ring = None if self.boundary is None else self.boundary.left + self.boundary.right[::-1]
+        rotations = list(self.crossings) + ([] if ring is None else [ring])
         if _listed_order_is_planar(rotations):
             return
-        graph: dict[object, set] = defaultdict(set)
-        for vertex, rotation in enumerate(rotations):
-            for slot, edge in enumerate(rotation):
-                node, after = (vertex, slot), (vertex, (slot + 1) % len(rotation))
-                for a, b in ((vertex, node), (node, after), (node, edge)):
-                    graph[a].add(b)
-                    graph[b].add(a)
-        drawn: set = set()
-        for vertex, rotation in enumerate(rotations):
-            if vertex not in drawn:
-                rim = [(vertex, slot) for slot in range(len(rotation))]
-                component = _planar_component(graph, rim)
-                if component is None:
-                    raise MalformedDiagramError(
-                        "the crossings and boundary do not form a planar diagram")
-                drawn |= component
+        if not _listed_order_is_planar(_dehn_reading(self.crossings, ring)):
+            raise MalformedDiagramError(
+                "the crossings and boundary do not form a planar diagram")
 
     def to_json(self) -> dict:
         return {
@@ -237,75 +224,68 @@ def _listed_order_is_planar(rotations: list[tuple[str, ...]]) -> bool:
     return len(rotations) - len(ends) + faces == 2 * components
 
 
-def _planar_component(graph: dict[object, set], cycle: list) -> set | None:
-    """The nodes of the component holding ``cycle`` if it is planar, else None.
+def _dehn_reading(crossings: Sequence[tuple[str, ...]],
+                  ring: tuple[str, ...] | None) -> list[tuple]:
+    """The crossings, and an open tangle's frame, each read in the direction
+    a drawing gives it if the diagram has one.
 
-    The component must be simple and 2-connected.  This is the test of
-    Demoucron, Malgrange and Pertuiset: starting from ``cycle``, draw a path
-    of some undrawn fragment across a face that holds all the fragment's
-    drawn attachments, taking a fragment with the fewest such faces, until
-    every edge is drawn or some fragment fits no face.
+    The frame puts a crossing on each boundary edge, in disk order, where it
+    meets a new circle opposite an outer arc; the outer arcs join left k to
+    right k, so they nest, and the framed diagram has a drawing exactly when
+    the tangle has one (the frame stays: a drawing may flip part of it with
+    what hangs there, which the tangle's disk vertex would refuse).
+    Smoothing every crossing by bit 0, then switching each whose two joins
+    lie on different loops, leaves one loop per component (Dehn).  In a
+    drawing that loop is a Jordan curve, each crossing a band across one
+    side of it, and bands on one side do not interlace, so the bands
+    two-colour.  Counterclockwise around a band inside, its slots read (in1,
+    out1, in2, out2); outside, the reverse.  If a drawing exists, every such
+    colouring rebuilds one, so the face trace of the result decides.
     """
-    drawn = set(cycle)
-    used = {frozenset(pair) for pair in zip(cycle, cycle[1:] + cycle[:1])}
-    faces = [(cycle, drawn.copy()), (cycle[::-1], drawn.copy())]
-    while True:
-        best = None
-        for attachments, path in _fragments(graph, drawn, used):
-            homes = [face for face in faces if attachments <= face[1]]
-            if best is None or len(homes) < len(best[0]):
-                best = homes, path
-                if len(homes) <= 1:
-                    break
-        if best is None:
-            return drawn
-        homes, path = best
-        if not homes:
-            return None
-        faces = [face for face in faces if face is not homes[0]]
-        boundary = homes[0][0]
-        i = boundary.index(path[0])
-        boundary = boundary[i:] + boundary[:i]
-        j = boundary.index(path[-1])
-        for side in (boundary[:j + 1] + path[-2:0:-1],
-                     boundary[j:] + boundary[:1] + path[1:-1]):
-            faces.append((side, set(side)))
-        drawn.update(path)
-        used.update(frozenset(pair) for pair in zip(path, path[1:]))
-
-
-def _fragments(graph: dict[object, set], drawn: set, used: set):
-    """Each undrawn fragment's drawn attachments and a path through it.
-
-    A fragment is an undrawn edge between drawn nodes, or a component of
-    undrawn nodes with its edges to drawn nodes; the path joins two distinct
-    attachments.
-    """
-    edges: set = set()
-    inner: set = set()
-    for node in drawn:
-        for first in graph[node]:
-            if first in drawn:
-                edge = frozenset((node, first))
-                if edge not in used and edge not in edges:
-                    edges.add(edge)
-                    yield {node, first}, [node, first]
-            elif first not in inner:
-                parent, attachments, end = {first: None}, set(), None
-                queue = [first]
-                for step in queue:
-                    for other in graph[step]:
-                        if other in drawn:
-                            attachments.add(other)
-                            if end is None and other != node:
-                                end = [other, step]
-                        elif other not in parent:
-                            parent[other] = step
-                            queue.append(other)
-                inner.update(parent)
-                while parent[end[-1]] is not None:
-                    end.append(parent[end[-1]])
-                yield attachments, end + [node]
+    quads = list(crossings)
+    if ring is not None:
+        # Tuple names cannot collide with the diagram's string edge names.
+        quads += [(edge, ("ring", k), ("arc", min(k, 5 - k)), ("ring", (k - 1) % 6))
+                  for k, edge in enumerate(ring)]
+    # Darts are 4 * crossing + slot; an edge joins its two darts.
+    ends: dict[object, list[int]] = defaultdict(list)
+    for dart, edge in enumerate(chain(*quads)):
+        ends[edge].append(dart)
+    mate = [0] * (4 * len(quads))
+    loops = list(range(len(mate)))
+    for a, b in ends.values():
+        mate[a], mate[b] = b, a
+        _union(loops, a, b)
+    for crossing in range(len(quads)):
+        for a, b in _SMOOTHINGS[0]:
+            _union(loops, 4 * crossing + a, 4 * crossing + b)
+    # Switching to bit 1 where the joins lie on two loops merges them.
+    bits = [_union(loops, 4 * crossing, 4 * crossing + 2) for crossing in range(len(quads))]
+    turn = [{a: b for pair in pairs for a, b in (pair, pair[::-1])} for pairs in _SMOOTHINGS]
+    passes: list[list[tuple[int, int, int]]] = [[] for _ in quads]
+    walked = [False] * len(mate)
+    position = count()
+    for dart in range(len(mate)):
+        while not walked[dart]:
+            crossing, enter = divmod(dart, 4)
+            out = turn[bits[crossing]][enter]
+            walked[dart] = walked[4 * crossing + out] = True
+            passes[crossing].append((next(position), enter, out))
+            dart = mate[4 * crossing + out]
+    # Two bands interlace when one pass of one lies between the other's.
+    outside: list[int | None] = [None] * len(quads)
+    for root in range(len(quads)):
+        if outside[root] is None:
+            outside[root], queue = 0, [root]
+            for crossing in queue:
+                (a, _, _), (b, _, _) = passes[crossing]
+                for other, ((p, _, _), (q, _, _)) in enumerate(passes):
+                    if outside[other] is None and (a < p < b) != (a < q < b):
+                        outside[other] = 1 - outside[crossing]
+                        queue.append(other)
+    # As listed where the first pass turns up the slots inside, or down outside.
+    return [quad if ((out - enter) % 4 == 1) != side else quad[::-1]
+            for quad, side, ((_, enter, out), _) in zip(quads, outside, passes)]
 
 
 # The slot pairs each smoothing of a crossing (e1, e2, e3, e4) joins: bit 0

@@ -344,7 +344,7 @@ class TestPlanarity:
     def test_generator_powers_and_closures_are_planar_as_listed(self):
         # The generators list every crossing in compile_word's direction, so
         # the O(c) face trace accepts them and their glued powers and
-        # closures without the wheel-graph fallback.
+        # closures without the fallback to Dehn's reading.
         def listed_order_planar(diagram: ShadowDiagram) -> bool:
             rotations = list(diagram.crossings)
             if diagram.boundary is not None:
@@ -369,10 +369,12 @@ class TestPlanarity:
                                      "boundary": None})
 
     def test_agrees_with_reflection_search_on_random_diagrams(self):
+        # Up to six crossings, open and closed: boundary-to-boundary edges,
+        # kinks and several components all reach the frame and the loop merge.
         rng = random.Random(92)
         verdicts = set()
-        for _ in range(400):
-            crossings = rng.randint(1, 4)
+        for _ in range(1000):
+            crossings = rng.randint(0, 6)
             closed = rng.random() < 0.5
             slots = 4 * crossings + (0 if closed else 6)
             order = list(range(slots))
@@ -395,6 +397,47 @@ class TestPlanarity:
             flipped = tuple(quad[::-1] if rng.random() < 0.5 else quad
                             for quad in diagram.crossings)
             ShadowDiagram(flipped, diagram.boundary).validate()
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_long_diagram_with_random_directions_is_accepted_quickly(self, closed):
+        diagram = compile_word(("X1", "X2") * 160)
+        if closed:
+            diagram = close_diagram(diagram)
+        rng = random.Random(94)
+        flipped = [quad[::-1] if rng.random() < 0.5 else quad for quad in diagram.crossings]
+        start = time.perf_counter()
+        ShadowDiagram(flipped, diagram.boundary)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("crossings", [40, 100, 200])
+    def test_curve_breaking_gauss_parity_is_refused(self, crossings):
+        # The Gauss word 1 2 1 2 with kinks k k inserted: the two occurrences
+        # of 1 enclose an odd number of symbols, which no plane curve allows.
+        rng = random.Random(crossings)
+        word = [0, 1, 0, 1]
+        for kink in range(2, crossings):
+            at = rng.randint(0, len(word))
+            word[at:at] = [kink, kink]
+        # The curve runs along edge i from symbol i to symbol i + 1 and goes
+        # straight through each crossing.
+        visits: dict[int, list[int]] = {}
+        for i, symbol in enumerate(word):
+            visits.setdefault(symbol, []).append(i)
+        quads = [(f"g{(i - 1) % len(word)}", f"g{j - 1}", f"g{i}", f"g{j}")
+                 for i, j in visits.values()]
+        with pytest.raises(MalformedDiagramError, match="do not form a planar diagram"):
+            ShadowDiagram(quads)
+
+    def test_edge_names_like_frame_names_are_accepted(self):
+        diagram = compile_word(("X1", "X2", "U1", "X2", "X1", "U2", "X1"))
+        edges = dict.fromkeys(itertools.chain(*diagram.crossings, diagram.boundary_edges()))
+        names = {edge: str((("ring", "arc", 0)[n % 3], n // 3)) for n, edge in enumerate(edges)}
+        crossings = [tuple(map(names.get, quad if i % 2 else quad[::-1]))
+                     for i, quad in enumerate(diagram.crossings)]
+        boundary = Boundary(*(tuple(map(names.get, side)) for side in diagram.boundary))
+        rotations = crossings + [boundary.left + boundary.right[::-1]]
+        assert "(0, 1)" in names.values() and not _listed_order_is_planar(rotations)
+        assert ShadowDiagram(crossings, boundary).crossings == tuple(crossings)
 
     @pytest.mark.parametrize("free_loops", [True, "3", 2.7])
     def test_free_loops_must_be_an_integer(self, free_loops):
