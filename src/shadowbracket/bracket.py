@@ -5,7 +5,7 @@ The shadow bracket of a 3-tangle is a formal combination
 here with the tuple ``[a, b, c, d, e]``.  Gluing tangles corresponds to a
 bilinear product on tuples (:func:`compose`), extended from the monoid
 multiplication table by converting each detached loop into a factor of x.
-A tangle word over ``X1 X2 U1 U2`` is the product of its letters' tuples
+A tangle word over ``X1 X2 U1 U2 H M`` is the product of its letters' tuples
 (:func:`word_tuple`).
 
 Repeated gluing is linear: ``states_matrix(v)`` is the 5x5 matrix of the
@@ -415,12 +415,15 @@ def power_cubic(v: BracketVector) -> tuple[Polynomial, Polynomial, Polynomial]:
 
 
 # Single-letter tangles: a crossing splits into the identity and a cup-cap,
-# while the cup-cap letters are monoid basis elements outright.
+# the cup-cap letters are monoid basis elements outright, and a hitch's four
+# states are (x+2) identities and the cup-cap of the strands it threads.
 _LETTER_TUPLES = {
     "X1": BracketVector.of(1, 1, 0, 0, 0),
     "X2": BracketVector.of(1, 0, 1, 0, 0),
     "U1": BracketVector.of(0, 1, 0, 0, 0),
     "U2": BracketVector.of(0, 0, 1, 0, 0),
+    "H": BracketVector.of([2, 1], 0, 1, 0, 0),
+    "M": BracketVector.of([2, 1], 1, 0, 0, 0),
 }
 
 

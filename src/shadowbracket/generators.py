@@ -8,9 +8,9 @@ bracket tuples are::
     C:  [x+2, x+2, 1, 0, 1]                  3 crossings
     E:  [x^2+4x+4, x+2, x+2, 0, 1]           4 crossings
 
-The tuples are the normative data, and this module holds nothing else.  The
-shadow diagram of each generator, whose state-sum bracket must reproduce its
-tuple, is built by :func:`shadowbracket.oracle.generator_diagram`.
+The tuples are the normative data, typed out so that reading one imports no
+``bracket``.  The shadow diagram of each generator is its word in :data:`WORDS`,
+compiled and self-checked by :func:`shadowbracket.oracle.generator_diagram`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 from .tl3 import BracketVector
 
 NAMES = ("T", "C", "E")
+
+WORDS = {"T": ("X1", "X2"), "C": ("X1", "H"), "E": ("M", "H")}
 
 _TUPLES = {
     "T": BracketVector.of(1, 1, 1, 0, 1),

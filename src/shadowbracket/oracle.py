@@ -8,8 +8,9 @@ of its boundary pattern gives the bracket by plain summation, one
 tuple algebra in :mod:`shadowbracket.bracket` and the frontier contraction
 in :mod:`shadowbracket.contraction` are tested against, so it imports
 neither.  The builders that compile, glue, close and mirror diagrams live
-here too, with the shadow diagram of each built-in generator built from
-them.
+here too; the shadow diagram of each built-in generator is the compiled
+word of :data:`shadowbracket.generators.WORDS`, self-checked against its
+tuple.
 
 One smoothing routine serves :func:`smooth` and :func:`enumerate_states`:
 the edges are numbered once, each crossing's two smoothings become a row of
@@ -37,7 +38,7 @@ from typing import Sequence
 from .diagram import (MAX_FREE_LOOPS, Boundary, MalformedDiagramError,  # noqa: F401
                       ShadowDiagram, _SMOOTHINGS, _boundary_element, _find, _number_edges,
                       _Roots, _union)
-from .generators import generator_tuple
+from .generators import WORDS, generator_tuple
 from .poly import Polynomial
 from .tl3 import ELEMENTS, BracketVector, TLElement
 
@@ -53,7 +54,10 @@ def compile_word(letters: Sequence[str]) -> ShadowDiagram:
 
     Crossing letters spend one crossing each; cup-cap letters join the two
     current strands (extracting a free loop when they are already the same
-    arc) and open a fresh arc in their place.
+    arc) and open a fresh arc in their place.  The hitch ``H`` threads a
+    bight through a closed turn of the lower two strands, its two crossings
+    turning as the crossing letters' do, so the face trace accepts them as
+    listed; its mirror ``M`` lists the same on the upper two strands reversed.
     """
     state = _Builder()
     strands = [state.fresh() for _ in range(3)]
@@ -69,6 +73,14 @@ def compile_word(letters: Sequence[str]) -> ShadowDiagram:
             state.join(strands[i], strands[i + 1])
             bridge = state.fresh()
             strands[i] = strands[i + 1] = bridge
+        elif letter in ("H", "M"):
+            first, second = (1, 2) if letter == "H" else (1, 0)
+            turn, b0, b1, b2 = (state.fresh() for _ in range(4))
+            hitch = [(turn, b1, strands[first], b0), (turn, b2, strands[second], b1)]
+            if letter == "M":
+                hitch = [quad[::-1] for quad in hitch]
+            state.crossings += hitch
+            strands[first], strands[second] = b0, b2
         else:
             raise ValueError(f"unknown tangle letter {letter!r}")
     return state.finish(Boundary(left, tuple(strands)))
@@ -147,41 +159,6 @@ def mirror_diagram(diagram: ShadowDiagram) -> ShadowDiagram:
     if boundary is not None:
         boundary = Boundary(boundary.left[::-1], boundary.right[::-1])
     return builder.finish(boundary, extra_loops=diagram.free_loops)
-
-
-# The shadows of the built-in generators.  T compiles directly from the word
-# ``X1 X2``.  C and E are assembled from a two-crossing hitch gadget (a bight
-# of new line pulled through a closed turn of the lower two strands) whose
-# bracket is ``(x+2)<1_3> + <U2>``: gluing a single crossing of the top two
-# strands in front yields C, and gluing the flipped gadget to the plain one
-# yields E.
-def _turn_hitch() -> ShadowDiagram:
-    """Two-crossing gadget with bracket (x+2)<1_3> + <U2>.
-
-    The top strand passes straight through; a bight enters from the right and
-    threads the closed turn formed by the two lower strands.  Two of its four
-    states resolve to the identity, one to the identity with a detached loop,
-    and one to the lower cup-cap.  Each crossing is listed in the rotational
-    direction of :func:`compile_word`'s crossings, so glued and closed
-    diagrams pass the listed-order planarity check.
-    """
-    return ShadowDiagram(
-        crossings=(
-            ("turn", "bight1", "leg1", "bight0"),
-            ("turn", "bight2", "leg2", "bight1"),
-        ),
-        boundary=Boundary(("pass", "leg1", "leg2"), ("pass", "bight0", "bight2")),
-    )
-
-
-@lru_cache(maxsize=None)
-def _unchecked_diagram(name: str) -> ShadowDiagram:
-    """The shadow diagram of the built-in generator ``name``, not self-checked."""
-    if name == "T":
-        return compile_word(("X1", "X2"))
-    hitch = _turn_hitch()
-    front = compile_word(("X1",)) if name == "C" else mirror_diagram(hitch)
-    return glue(front, hitch)
 
 
 # Per smoothing, a getter of the four joined slots of a crossing, pair by pair.
@@ -278,13 +255,13 @@ def enumerate_states(diagram: ShadowDiagram) -> BracketVector | Polynomial:
 
 @lru_cache(maxsize=None)
 def generator_diagram(name: str) -> ShadowDiagram:
-    """The shadow diagram of a built-in generator, self-checked on first use.
+    """The compiled word of a built-in generator, self-checked on first use.
 
     Raises ValueError for an unknown name, and RuntimeError if the diagram's
     state-sum bracket does not reproduce the generator's tuple.
     """
     expected = generator_tuple(name)
-    diagram = _unchecked_diagram(name)
+    diagram = compile_word(WORDS[name])
     found = enumerate_states(diagram)
     if found != expected:
         raise RuntimeError(

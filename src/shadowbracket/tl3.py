@@ -163,9 +163,10 @@ def mirror(element: TLElement) -> TLElement:
     return _MIRROR[element]
 
 
-# The letters of a tangle word: the crossings of strands 1-2 and 2-3, and the
-# two cup-cap insertions.
-WORD_LETTERS = ("X1", "X2", "U1", "U2")
+# The letters of a tangle word: the crossings of strands 1-2 and 2-3, the
+# two cup-cap insertions, and the two-crossing hitch H (a bight threaded
+# through a closed turn of the lower two strands) with its top-bottom mirror M.
+WORD_LETTERS = ("X1", "X2", "U1", "U2", "H", "M")
 
 
 class BracketVector(Record):

@@ -9,7 +9,8 @@ from shadowbracket import bracket
 from shadowbracket.bracket import (BracketVector, LambdaPolynomial, PolyMatrix,
                                    charpoly, charpoly_factored, closed_form_bracket,
                                    closure, compose, gf_from_tuple, power, power_cubic,
-                                   pq_invariants, states_matrix, word_tuple)
+                                   letter_tuple, parse_word, pq_invariants, states_matrix,
+                                   word_tuple)
 from shadowbracket.generators import generator_tuple
 from shadowbracket.oracle import compile_word, enumerate_states
 from shadowbracket.poly import ONE, Polynomial, X, ZERO, power_by_squaring
@@ -322,6 +323,15 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_bracket(T, -2)
 
+    def test_full_precision_walk_at_depth(self):
+        # Closed T^800 has 1,600 crossings: its bracket is 4^800 at x = 1 and
+        # 0 at x = -1, and the walk must reach the jump's term.
+        gf = gf_from_tuple(T)
+        walked = next(islice(gf.terms(), 800, None))
+        assert walked == gf.term(800)
+        assert walked.evaluate(1) == 4 ** 800
+        assert walked.evaluate(-1) == 0
+
     def test_component_three_term_recurrence(self):
         # Every tuple component of the powers satisfies the cubic recurrence
         # with characteristic polynomial (lam - a)(lam^2 - p lam + m).
@@ -391,6 +401,15 @@ class TestCharpoly:
         # (p^2 - q^2)/4 for the two-crossing generator is the y^2 denominator
         # coefficient of its generating function.
         assert pq_invariants(T).pair_product() == P("x^2+2x+1")
+
+
+class TestHitchLetters:
+    def test_mirror_letter_is_the_mirrored_hitch(self):
+        assert letter_tuple("H") == BracketVector.of(P("x+2"), 0, 1, 0, 0)
+        assert letter_tuple("M") == letter_tuple("H").mirrored()
+
+    def test_words_accept_the_hitch_letters(self):
+        assert parse_word("X1 H M") == ("X1", "H", "M")
 
 
 class TestBracketVector:

@@ -9,7 +9,7 @@ from shadowbracket import cli, contraction, oracle, series, verify
 from shadowbracket.bracket import (BracketVector, LambdaPolynomial, charpoly, closure,
                                    gf_from_tuple, parse_word, power, states_matrix,
                                    word_tuple)
-from shadowbracket.generators import generator_tuple
+from shadowbracket.generators import WORDS, generator_tuple
 from shadowbracket.oracle import (ShadowDiagram, close_diagram, compile_word,
                                   enumerate_states, generator_diagram)
 from shadowbracket.poly import Polynomial, int_text
@@ -672,10 +672,9 @@ class TestContractionRoute:
         assert "FAIL  oracle T^1: contraction" in out
 
     def test_verify_oracle_reports_a_wrong_generator_diagram(self, capsys, monkeypatch):
-        # The suite reads the unchecked diagram, so a wrong one gives FAIL
-        # rows instead of the self-check's RuntimeError.
-        monkeypatch.setattr(oracle, "_unchecked_diagram",
-                            lambda name: compile_word(("X1", "X2", "X1")))
+        # The suite compiles the powers' words itself, so a wrong word gives
+        # FAIL rows instead of the self-check's RuntimeError.
+        monkeypatch.setitem(WORDS, "C", ("X1", "X2", "X1"))
         code, out, _ = run(capsys, "verify", "--oracle", "--generator", "C",
                            "--words", "1", "--max-n", "2")
         assert code == 1

@@ -1,10 +1,19 @@
 import pytest
 
 from conftest import P
-from shadowbracket import oracle
-from shadowbracket.bracket import BracketVector, closure, power
-from shadowbracket.generators import NAMES, generator_tuple
-from shadowbracket.oracle import compile_word, enumerate_states, generator_diagram
+from shadowbracket.bracket import BracketVector, closure, power, word_tuple
+from shadowbracket.generators import NAMES, WORDS, generator_tuple
+from shadowbracket.oracle import (Boundary, ShadowDiagram, compile_word, enumerate_states,
+                                  generator_diagram, glue, mirror_diagram)
+
+# The two-crossing hitch typed out crossing by crossing, the reference for
+# the letters H and M: the top strand passes straight through, and a bight
+# entering from the right threads the closed turn of the two lower strands.
+HITCH = ShadowDiagram(
+    crossings=(("turn", "bight1", "leg1", "bight0"),
+               ("turn", "bight2", "leg2", "bight1")),
+    boundary=Boundary(("pass", "leg1", "leg2"), ("pass", "bight0", "bight2")),
+)
 
 
 class TestTuples:
@@ -19,6 +28,10 @@ class TestTuples:
         assert generator_tuple("E") == \
             BracketVector.of(P("x^2+4x+4"), P("x+2"), P("x+2"), 0, 1)
 
+    def test_each_tuple_is_its_words_tuple(self):
+        for name in NAMES:
+            assert word_tuple(WORDS[name]) == generator_tuple(name)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             generator_tuple("Q")
@@ -31,8 +44,14 @@ class TestDiagrams:
         for name, count in (("T", 2), ("C", 3), ("E", 4)):
             assert generator_diagram(name).crossing_count == count
 
-    def test_t_diagram_is_the_compiled_word(self):
+    def test_every_diagram_is_the_compiled_word(self):
         assert generator_diagram("T") == compile_word(("X1", "X2"))
+        assert generator_diagram("C") == compile_word(("X1", "H"))
+        assert generator_diagram("E") == compile_word(("M", "H"))
+
+    def test_hitch_letters_compile_to_the_typed_gadget(self):
+        assert glue(compile_word(("X1",)), HITCH) == compile_word(("X1", "H"))
+        assert glue(mirror_diagram(HITCH), HITCH) == compile_word(("M", "H"))
 
     def test_state_sums_reproduce_the_tuples(self):
         for name in NAMES:
@@ -43,13 +62,12 @@ class TestDiagrams:
         generator_diagram.cache_clear()
         try:
             for name in NAMES:
-                assert generator_diagram(name) == oracle._unchecked_diagram(name)
+                assert generator_diagram(name) == compile_word(WORDS[name])
         finally:
             generator_diagram.cache_clear()
 
     def test_self_check_rejects_a_corrupted_diagram(self, monkeypatch):
-        broken = compile_word(("X1", "X2", "X1"))
-        monkeypatch.setattr(oracle, "_unchecked_diagram", lambda name: broken)
+        monkeypatch.setitem(WORDS, "C", ("X1", "X2", "X1"))
         generator_diagram.cache_clear()
         try:
             with pytest.raises(RuntimeError):

@@ -16,7 +16,7 @@ from shadowbracket.oracle import (MAX_FREE_LOOPS, Boundary, CrossingLimitError,
                                   mirror_diagram, smooth)
 from shadowbracket.diagram import _boundary_element, _listed_order_is_planar
 from shadowbracket.poly import Polynomial
-from shadowbracket.tl3 import TLElement
+from shadowbracket.tl3 import WORD_LETTERS, TLElement
 
 BOUNDARY_LABELS = ("L1", "L2", "L3", "R1", "R2", "R3")
 
@@ -283,6 +283,23 @@ class TestWords:
         assert letter_tuple("U2") == BracketVector.of(0, 0, 1, 0, 0)
         with pytest.raises(ValueError):
             letter_tuple("Z9")
+
+
+class TestMixedAlphabet:
+    def test_words_over_every_letter(self):
+        # Words mixing the hitch letters with the rest: the contraction, the
+        # state sum and the tuple algebra agree, open and closed.  H and M
+        # list their crossings in the crossing letters' rotational direction,
+        # so every closed word passes the face trace as listed.
+        rng = random.Random(26)
+        for _ in range(300):
+            word = tuple(rng.choice(WORD_LETTERS) for _ in range(rng.randint(0, 6)))
+            diagram, v = compile_word(word), word_tuple(word)
+            assert contract(diagram) == enumerate_states(diagram) == v, word
+            closed = close_diagram(diagram)
+            assert contract(closed) == enumerate_states(closed) == closure(v), word
+            assert _listed_order_is_planar(list(closed.crossings)), word
+            assert enumerate_states(mirror_diagram(diagram)) == v.mirrored(), word
 
 
 def _planar_by_reflections(crossings, boundary: Boundary | None) -> bool:
