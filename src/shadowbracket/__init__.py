@@ -30,9 +30,8 @@ _MODULE_OF = {
     "closed_form_bracket": "bracket", "closure": "bracket", "closure_loops": "tl3",
     "coefficient_table": "series", "column": "series", "compare_bfiles": "series",
     "compile_word": "oracle", "compose": "bracket", "contract": "contraction",
-    "enumerate_states": "oracle", "expand": "series", "generator_diagram": "oracle",
-    "generator_tuple": "generators", "gf_from_tuple": "bracket", "glue": "oracle",
-    "letter_tuple": "bracket", "mirror": "tl3", "mirror_diagram": "oracle",
+    "enumerate_states": "oracle", "expand": "series", "generator_tuple": "generators",
+    "gf_from_tuple": "bracket", "letter_tuple": "bracket", "mirror": "tl3",
     "multiply": "tl3", "parse_bfile": "series", "parse_word": "bracket",
     "power": "bracket", "pq_invariants": "bracket", "render_gf": "series",
     "smooth": "oracle", "states_matrix": "bracket", "word_tuple": "bracket",

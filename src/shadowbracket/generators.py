@@ -9,8 +9,9 @@ bracket tuples are::
     E:  [x^2+4x+4, x+2, x+2, 0, 1]           4 crossings
 
 The tuples are the normative data, typed out so that reading one imports no
-``bracket``.  The shadow diagram of each generator is its word in :data:`WORDS`,
-compiled and self-checked by :func:`shadowbracket.oracle.generator_diagram`.
+``bracket``.  The shadow diagram of each generator's n-th power is its word in
+:data:`WORDS` repeated n times, compiled by :func:`shadowbracket.oracle.compile_word`;
+``verify --oracle`` checks those diagrams against the tuples' powers.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ of its boundary pattern gives the bracket by plain summation, one
 ``x**loops`` per state.  This is the independent ground truth that the
 tuple algebra in :mod:`shadowbracket.bracket` and the frontier contraction
 in :mod:`shadowbracket.contraction` are tested against, so it imports
-neither.  The builders that compile, glue, close and mirror diagrams live
-here too; the shadow diagram of each built-in generator is the compiled
-word of :data:`shadowbracket.generators.WORDS`, self-checked against its
-tuple.
+neither.  The two diagram builders live here too: :func:`compile_word`
+turns a tangle word into an open diagram and :func:`close_diagram` closes
+it, so the shadow of a generator's n-th power is the closed compiled word
+``WORDS[name] * n`` of :data:`shadowbracket.generators.WORDS`.
 
 One smoothing routine serves :func:`smooth` and :func:`enumerate_states`:
 the edges are numbered once, each crossing's two smoothings become a row of
@@ -29,16 +29,13 @@ fold exactly.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
 # The diagram model lives in its own module and is re-exported here.
-from .diagram import (MAX_FREE_LOOPS, Boundary, MalformedDiagramError,  # noqa: F401
-                      ShadowDiagram, _SMOOTHINGS, _boundary_element, _find, _number_edges,
-                      _Roots, _union)
-from .generators import WORDS, generator_tuple
+from .diagram import (Boundary, MalformedDiagramError, ShadowDiagram, _SMOOTHINGS,
+                      _boundary_element, _find, _number_edges, _Roots, _union)
 from .poly import Polynomial
 from .tl3 import ELEMENTS, BracketVector, TLElement
 
@@ -136,31 +133,6 @@ def close_diagram(diagram: ShadowDiagram) -> ShadowDiagram:
     return builder.finish(None, extra_loops=diagram.free_loops)
 
 
-def glue(first: ShadowDiagram, second: ShadowDiagram) -> ShadowDiagram:
-    """The tangle product: glue the right boundary of ``first`` to the left of ``second``."""
-    if first.boundary is None or second.boundary is None:
-        raise MalformedDiagramError("tangle product requires two open tangles")
-    # Namespace the two edge sets before joining the shared boundary.
-    builder = _Builder()
-    builder.crossings = [tuple(f"a.{e}" for e in quad) for quad in first.crossings]
-    builder.crossings += [tuple(f"b.{e}" for e in quad) for quad in second.crossings]
-    for a, b in zip(first.boundary.right, second.boundary.left):
-        builder.join(f"a.{a}", f"b.{b}")
-    boundary = Boundary(tuple(f"a.{e}" for e in first.boundary.left),
-                        tuple(f"b.{e}" for e in second.boundary.right))
-    return builder.finish(boundary, extra_loops=first.free_loops + second.free_loops)
-
-
-def mirror_diagram(diagram: ShadowDiagram) -> ShadowDiagram:
-    """Flip the diagram top to bottom; cyclic orders reverse, sides keep their role."""
-    builder = _Builder()
-    builder.crossings = [quad[::-1] for quad in diagram.crossings]
-    boundary = diagram.boundary
-    if boundary is not None:
-        boundary = Boundary(boundary.left[::-1], boundary.right[::-1])
-    return builder.finish(boundary, extra_loops=diagram.free_loops)
-
-
 # Per smoothing, a getter of the four joined slots of a crossing, pair by pair.
 _JOIN_SLOTS = tuple(itemgetter(*chain(*pairs)) for pairs in _SMOOTHINGS)
 
@@ -251,20 +223,3 @@ def enumerate_states(diagram: ShadowDiagram) -> BracketVector | Polynomial:
         return Polynomial(loop_counts.get(None, [0]))
     return BracketVector(*(Polynomial(loop_counts.get(element, []))
                            for element in ELEMENTS))
-
-
-@lru_cache(maxsize=None)
-def generator_diagram(name: str) -> ShadowDiagram:
-    """The compiled word of a built-in generator, self-checked on first use.
-
-    Raises ValueError for an unknown name, and RuntimeError if the diagram's
-    state-sum bracket does not reproduce the generator's tuple.
-    """
-    expected = generator_tuple(name)
-    diagram = compile_word(WORDS[name])
-    found = enumerate_states(diagram)
-    if found != expected:
-        raise RuntimeError(
-            f"generator {name}: diagram self-check failed; state sum gave "
-            f"{found}, expected {expected}")
-    return diagram

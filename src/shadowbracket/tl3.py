@@ -99,7 +99,7 @@ def _index_matchings(matchings: dict[TLElement, tuple[int, ...]]
 _BY_MATCHING = _index_matchings(MATCHINGS)
 
 
-def _glue(left: tuple[int, ...], right: tuple[int, ...]) -> ScaledTL:
+def _matching_product(left: tuple[int, ...], right: tuple[int, ...]) -> ScaledTL:
     """The product of two matchings: ``left``'s point 3 + k is ``right``'s k.
 
     Each outer point's path alternates between the two diagrams through the
@@ -142,7 +142,8 @@ def _closure_loops(matching: tuple[int, ...]) -> int:
 _FLIP = (2, 1, 0, 5, 4, 3)
 
 # Row = left factor, column = right factor; entries are (loops, element).
-_TABLE = {a: {b: _glue(MATCHINGS[a], MATCHINGS[b]) for b in ELEMENTS} for a in ELEMENTS}
+_TABLE = {a: {b: _matching_product(MATCHINGS[a], MATCHINGS[b]) for b in ELEMENTS}
+          for a in ELEMENTS}
 _CLOSURE_LOOPS = {element: _closure_loops(m) for element, m in MATCHINGS.items()}
 _MIRROR = {element: _BY_MATCHING[tuple(_FLIP[m[_FLIP[i]]] for i in range(6))]
            for element, m in MATCHINGS.items()}

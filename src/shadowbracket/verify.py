@@ -89,7 +89,7 @@ def _verify_words(count: int, seed: int) -> Iterator[tuple]:
 
 def _verify_generator_oracle(name: str, max_n: int) -> Iterator[tuple]:
     from .oracle import DEFAULT_MAX_CROSSINGS, close_diagram, compile_word
-    # Not the self-checked generator_diagram: a wrong word shows as FAIL rows.
+    # Each power's word is compiled here, so a wrong word shows as FAIL rows.
     crossings = compile_word(WORDS[name]).crossing_count
     for n in range(1, max_n + 1):
         if crossings * n > DEFAULT_MAX_CROSSINGS:

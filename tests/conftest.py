@@ -1,6 +1,7 @@
 import random
 
 from shadowbracket.bracket import BracketVector
+from shadowbracket.diagram import Boundary, ShadowDiagram
 from shadowbracket.poly import Polynomial
 
 
@@ -22,6 +23,38 @@ def rand_tuple(rng: random.Random, max_degree: int = 1,
 def rand_word(rng: random.Random, max_length: int = 8) -> tuple[str, ...]:
     letters = ("X1", "X2", "U1", "U2")
     return tuple(rng.choice(letters) for _ in range(rng.randint(0, max_length)))
+
+
+# Each letter's top-bottom mirror image.
+MIRROR_LETTER = {"X1": "X2", "X2": "X1", "U1": "U2", "U2": "U1", "H": "M", "M": "H"}
+
+
+def mirrored_word(word: tuple[str, ...]) -> tuple[str, ...]:
+    """The word of the tangle flipped top to bottom."""
+    return tuple(MIRROR_LETTER[letter] for letter in word)
+
+
+def reflected(diagram: ShadowDiagram) -> ShadowDiagram:
+    """The diagram flipped top to bottom: every cyclic order reversed, each
+    boundary side read bottom to top, and the sides keeping their role."""
+    boundary = diagram.boundary
+    if boundary is not None:
+        boundary = Boundary(boundary.left[::-1], boundary.right[::-1])
+    return ShadowDiagram(tuple(quad[::-1] for quad in diagram.crossings), boundary,
+                         diagram.free_loops)
+
+
+def relabelled(diagram: ShadowDiagram) -> ShadowDiagram:
+    """The diagram with its edges renamed e0, e1, ... in first-seen order,
+    crossings first, as compile_word names them."""
+    names: dict[str, str] = {}
+    for edge in (*(e for quad in diagram.crossings for e in quad), *diagram.boundary_edges()):
+        names.setdefault(edge, f"e{len(names)}")
+    boundary = diagram.boundary
+    if boundary is not None:
+        boundary = Boundary(*(tuple(map(names.get, side)) for side in boundary))
+    return ShadowDiagram(tuple(tuple(map(names.get, quad)) for quad in diagram.crossings),
+                         boundary, diagram.free_loops)
 
 
 # The reference states matrices of the three built-in generators, row by row.

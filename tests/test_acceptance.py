@@ -11,9 +11,8 @@ from conftest import P, reference_matrix, rand_tuple, rand_word
 from shadowbracket.bracket import (RationalGF, RationalTerm, charpoly, charpoly_factored,
                                    closed_form_bracket, closure, gf_from_tuple, power,
                                    pq_invariants, states_matrix, word_tuple)
-from shadowbracket.generators import generator_tuple
-from shadowbracket.oracle import (close_diagram, compile_word, enumerate_states,
-                                  generator_diagram)
+from shadowbracket.generators import WORDS, generator_tuple
+from shadowbracket.oracle import close_diagram, compile_word, enumerate_states
 from shadowbracket.poly import ONE, Polynomial
 from shadowbracket.reference import TABLE_ROWS
 from shadowbracket.series import coefficient_table, column, compare_bfiles, expand, row_lines
@@ -145,7 +144,7 @@ def test_criterion_10_alternate_lucas_column():
 def test_criterion_11_state_count_invariant():
     for name, crossings in (("T", 2), ("C", 3), ("E", 4)):
         v = generator_tuple(name)
-        assert generator_diagram(name).crossing_count == crossings
+        assert compile_word(WORDS[name]).crossing_count == crossings
         for n in range(7):
             assert closure(power(v, n)).evaluate(1) == 2 ** (crossings * n)
     _passed(11, "closure brackets at x=1 count 2^(crossings*n) states")

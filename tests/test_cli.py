@@ -10,8 +10,7 @@ from shadowbracket.bracket import (BracketVector, LambdaPolynomial, charpoly, cl
                                    gf_from_tuple, parse_word, power, states_matrix,
                                    word_tuple)
 from shadowbracket.generators import WORDS, generator_tuple
-from shadowbracket.oracle import (ShadowDiagram, close_diagram, compile_word,
-                                  enumerate_states, generator_diagram)
+from shadowbracket.oracle import ShadowDiagram, close_diagram, compile_word, enumerate_states
 from shadowbracket.poly import Polynomial, int_text
 from shadowbracket.series import (coefficient_column, coefficient_table, column, expand,
                                   render_gf, row_lines)
@@ -56,7 +55,7 @@ class TestBracketCommand:
 
     def test_pd_file_input(self, capsys, tmp_path):
         path = tmp_path / "three_crossing.json"
-        path.write_text(json.dumps(generator_diagram("C").to_json()))
+        path.write_text(json.dumps(compile_word(WORDS["C"]).to_json()))
         code, out, _ = run(capsys, "bracket", "--pd", str(path))
         assert code == 0
         assert out == "[x+2, x+2, 1, 0, 1]\n"
@@ -657,7 +656,7 @@ class TestContractionRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("state sum called")
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(generator_diagram("C").to_json()))
+        path.write_text(json.dumps(compile_word(WORDS["C"]).to_json()))
         monkeypatch.setattr(oracle, "enumerate_states", refuse)
         code, out, _ = run(capsys, "bracket", "--pd", str(path))
         assert (code, out) == (0, "[x+2, x+2, 1, 0, 1]\n")
@@ -673,7 +672,7 @@ class TestContractionRoute:
 
     def test_verify_oracle_reports_a_wrong_generator_diagram(self, capsys, monkeypatch):
         # The suite compiles the powers' words itself, so a wrong word gives
-        # FAIL rows instead of the self-check's RuntimeError.
+        # FAIL rows, not an exception.
         monkeypatch.setitem(WORDS, "C", ("X1", "X2", "X1"))
         code, out, _ = run(capsys, "verify", "--oracle", "--generator", "C",
                            "--words", "1", "--max-n", "2")
@@ -1121,7 +1120,7 @@ def test_file_io_names_its_encoding(tmp_path):
     src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     pd, tangle = tmp_path / "d.json", tmp_path / "t.json"
-    pd.write_text(json.dumps(generator_diagram("C").to_json()), encoding="utf-8")
+    pd.write_text(json.dumps(compile_word(WORDS["C"]).to_json()), encoding="utf-8")
     tangle.write_text(json.dumps(generator_tuple("T").to_json()), encoding="utf-8")
     column = tmp_path / "column.txt"
     for argv in (("export", "--generator", "E", "--rows", "20", "--column", "1",

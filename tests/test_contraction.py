@@ -4,14 +4,13 @@ import time
 
 import pytest
 
-from conftest import rand_word
+from conftest import rand_word, reflected
 from shadowbracket import cli, contraction
 from shadowbracket.bracket import BracketVector, closure, power
 from shadowbracket.contraction import MAX_MATCHINGS, contract
-from shadowbracket.generators import NAMES, generator_tuple
+from shadowbracket.generators import NAMES, WORDS, generator_tuple
 from shadowbracket.oracle import (Boundary, MalformedDiagramError, ShadowDiagram,
-                                  close_diagram, compile_word, enumerate_states,
-                                  generator_diagram, glue, mirror_diagram)
+                                  close_diagram, compile_word, enumerate_states)
 from shadowbracket.poly import Polynomial
 
 
@@ -20,19 +19,6 @@ def shuffled(diagram: ShadowDiagram, rng: random.Random) -> ShadowDiagram:
     order = list(diagram.crossings)
     rng.shuffle(order)
     return ShadowDiagram(tuple(order), diagram.boundary, diagram.free_loops)
-
-
-def generator_power(name: str, n: int) -> ShadowDiagram:
-    # By squaring: each glue validates its inputs, and few large ones cost
-    # less than many growing ones.
-    result, square = compile_word(()), generator_diagram(name)
-    while n:
-        if n & 1:
-            result = glue(result, square)
-        n >>= 1
-        if n:
-            square = glue(square, square)
-    return result
 
 
 def curve_components(diagram: ShadowDiagram) -> int:
@@ -90,7 +76,7 @@ class TestAgreesWithStateSum:
         rng = random.Random(301)
         for _ in range(150):
             tangle = compile_word(rand_word(rng, 10))
-            for diagram in (tangle, close_diagram(tangle), mirror_diagram(tangle)):
+            for diagram in (tangle, close_diagram(tangle), reflected(tangle)):
                 diagram = shuffled(diagram, rng)
                 assert contract(diagram) == enumerate_states(diagram)
 
@@ -108,7 +94,7 @@ class TestAgreesWithStateSum:
     def test_generator_powers_and_closures(self, name):
         rng = random.Random(303)
         for n in range(4):
-            diagram = generator_power(name, n)
+            diagram = compile_word(WORDS[name] * n)
             expected = power(generator_tuple(name), n)
             assert contract(shuffled(diagram, rng)) == \
                 enumerate_states(diagram) == expected
@@ -163,7 +149,7 @@ class TestSpecialCases:
 class TestBeyondTheStateSum:
     @pytest.mark.parametrize("name, n", [("T", 50), ("C", 30), ("E", 25)])
     def test_closed_powers(self, name, n):
-        closed = close_diagram(generator_power(name, n))
+        closed = close_diagram(compile_word(WORDS[name] * n))
         bracket = contract(shuffled(closed, random.Random(304)))
         assert bracket == closure(power(generator_tuple(name), n))
         assert_special_values(closed, bracket)
@@ -176,7 +162,7 @@ class TestBeyondTheStateSum:
 
     def test_cli_bracket_of_closed_t50(self, capsys, tmp_path):
         path = tmp_path / "t50.json"
-        path.write_text(json.dumps(close_diagram(generator_power("T", 50)).to_json()))
+        path.write_text(json.dumps(close_diagram(compile_word(WORDS["T"] * 50)).to_json()))
         start = time.perf_counter()
         code = cli.main(["bracket", "--pd", str(path)])
         elapsed = time.perf_counter() - start
@@ -245,8 +231,8 @@ class TestCrossingOrder:
             yield close_diagram(diagram)
         for name in NAMES:
             for n in (1, 2, 5, 9):
-                yield generator_power(name, n)
-                yield close_diagram(generator_power(name, n))
+                yield compile_word(WORDS[name] * n)
+                yield close_diagram(compile_word(WORDS[name] * n))
         # Wide frontiers and many ties; the last two have a frontier that
         # empties part way through.
         yield grid_shadow(4)

@@ -5,16 +5,15 @@ import time
 
 import pytest
 
-from conftest import P, rand_word
+from conftest import P, mirrored_word, rand_word, reflected
 from shadowbracket.bracket import (BracketVector, closure, letter_tuple, parse_word, power,
                                    word_tuple)
 from shadowbracket.contraction import contract
-from shadowbracket.generators import NAMES
-from shadowbracket.oracle import (MAX_FREE_LOOPS, Boundary, CrossingLimitError,
-                                  MalformedDiagramError, ShadowDiagram, close_diagram,
-                                  compile_word, enumerate_states, generator_diagram, glue,
-                                  mirror_diagram, smooth)
-from shadowbracket.diagram import _boundary_element, _listed_order_is_planar
+from shadowbracket.generators import NAMES, WORDS
+from shadowbracket.oracle import (Boundary, CrossingLimitError, MalformedDiagramError,
+                                  ShadowDiagram, close_diagram, compile_word,
+                                  enumerate_states, smooth)
+from shadowbracket.diagram import MAX_FREE_LOOPS, _boundary_element, _listed_order_is_planar
 from shadowbracket.poly import Polynomial
 from shadowbracket.tl3 import WORD_LETTERS, TLElement
 
@@ -215,10 +214,6 @@ class TestValidation:
         with pytest.raises(MalformedDiagramError):
             close_diagram(ShadowDiagram((), None))
 
-    def test_gluing_needs_open_tangles(self):
-        with pytest.raises(MalformedDiagramError):
-            glue(compile_word(()), ShadowDiagram((), None))
-
 
 class TestJsonForm:
     def test_round_trip(self):
@@ -242,28 +237,17 @@ class TestJsonForm:
 
 
 class TestCombinators:
-    def test_glue_matches_word_concatenation(self):
-        left = compile_word(("X1",))
-        right = compile_word(("X2",))
-        assert enumerate_states(glue(left, right)) == word_tuple(("X1", "X2"))
-
-    def test_glue_identity_is_neutral(self):
-        identity = compile_word(())
-        t = compile_word(("X1", "X2"))
-        assert enumerate_states(glue(identity, t)) == enumerate_states(t)
-        assert enumerate_states(glue(t, identity)) == enumerate_states(t)
-
     def test_close_identity_gives_three_loops(self):
         assert enumerate_states(close_diagram(compile_word(()))) == P("x^3")
 
     def test_mirror_mirrors_the_bracket(self):
         word = ("X1", "X2", "X1")
-        diagram = compile_word(word)
-        mirrored = enumerate_states(mirror_diagram(diagram))
-        assert mirrored == word_tuple(word).mirrored()
+        mirrored = word_tuple(word).mirrored()
+        assert enumerate_states(reflected(compile_word(word))) == mirrored
+        assert enumerate_states(compile_word(mirrored_word(word))) == mirrored
 
     def test_mirror_swaps_the_cupcap_letters(self):
-        assert enumerate_states(mirror_diagram(compile_word(("X1",)))) == \
+        assert enumerate_states(reflected(compile_word(("X1",)))) == \
             word_tuple(("X2",))
 
 
@@ -288,9 +272,10 @@ class TestWords:
 class TestMixedAlphabet:
     def test_words_over_every_letter(self):
         # Words mixing the hitch letters with the rest: the contraction, the
-        # state sum and the tuple algebra agree, open and closed.  H and M
-        # list their crossings in the crossing letters' rotational direction,
-        # so every closed word passes the face trace as listed.
+        # state sum and the tuple algebra agree, open and closed, and so do
+        # they on the mirrored word, which ties the compiled M to H.  H and
+        # M list their crossings in the crossing letters' rotational
+        # direction, so every closed word passes the face trace as listed.
         rng = random.Random(26)
         for _ in range(300):
             word = tuple(rng.choice(WORD_LETTERS) for _ in range(rng.randint(0, 6)))
@@ -299,7 +284,10 @@ class TestMixedAlphabet:
             closed = close_diagram(diagram)
             assert contract(closed) == enumerate_states(closed) == closure(v), word
             assert _listed_order_is_planar(list(closed.crossings)), word
-            assert enumerate_states(mirror_diagram(diagram)) == v.mirrored(), word
+            mirror = compile_word(mirrored_word(word))
+            assert contract(mirror) == enumerate_states(mirror) == v.mirrored(), word
+            closed = close_diagram(mirror)
+            assert contract(closed) == enumerate_states(closed) == closure(v), word
 
 
 def _planar_by_reflections(crossings, boundary: Boundary | None) -> bool:
@@ -348,20 +336,20 @@ def _is_accepted(crossings, boundary: Boundary | None) -> bool:
 class TestPlanarity:
     def test_constructed_diagrams_pass(self):
         rng = random.Random(91)
-        diagrams = [generator_diagram(name) for name in NAMES]
+        diagrams = [compile_word(WORDS[name]) for name in NAMES]
         for _ in range(100):
-            first = compile_word(rand_word(rng))
-            second = compile_word(rand_word(rng))
-            glued = glue(first, second)
-            diagrams += [first, glued, close_diagram(glued), mirror_diagram(glued),
-                         glue(generator_diagram(rng.choice(NAMES)), first)]
+            first, second = rand_word(rng), rand_word(rng)
+            glued = compile_word(first + second)
+            diagrams += [compile_word(first), glued, close_diagram(glued),
+                         compile_word(mirrored_word(first + second)), reflected(glued),
+                         compile_word(WORDS[rng.choice(NAMES)] + first)]
         for diagram in diagrams:
             diagram.validate()
 
     def test_generator_powers_and_closures_are_planar_as_listed(self):
         # The generators list every crossing in compile_word's direction, so
-        # the O(c) face trace accepts them and their glued powers and
-        # closures without the fallback to Dehn's reading.
+        # the O(c) face trace accepts their powers, closures and mirror
+        # images without the fallback to Dehn's reading.
         def listed_order_planar(diagram: ShadowDiagram) -> bool:
             rotations = list(diagram.crossings)
             if diagram.boundary is not None:
@@ -369,15 +357,14 @@ class TestPlanarity:
             return _listed_order_is_planar(rotations)
 
         for name in NAMES:
-            base = generator_diagram(name)
-            power_diagram = base
             for n in range(1, 7):
+                word = WORDS[name] * n
+                power_diagram = compile_word(word)
                 assert listed_order_planar(power_diagram), (name, n)
                 assert listed_order_planar(close_diagram(power_diagram)), (name, n)
-                assert listed_order_planar(mirror_diagram(power_diagram)), (name, n)
-                power_diagram = glue(power_diagram, base)
-        mixed = glue(generator_diagram("C"), glue(compile_word(("X2", "U1")),
-                                                  generator_diagram("E")))
+                assert listed_order_planar(reflected(power_diagram)), (name, n)
+                assert listed_order_planar(compile_word(mirrored_word(word))), (name, n)
+        mixed = compile_word(WORDS["C"] + ("X2", "U1") + WORDS["E"])
         assert listed_order_planar(close_diagram(mixed))
 
     def test_virtual_crossing_rejected(self):
@@ -483,8 +470,7 @@ class TestValidateOnce:
                 smooth(ShadowDiagram(crossings, boundary), [0])
 
     def test_repeated_smoothing_of_mixed_direction_diagram(self):
-        base = generator_diagram("C")
-        cubed = glue(glue(base, base), base)
+        cubed = compile_word(WORDS["C"] * 3)
         start = time.perf_counter()
         for mask in range(200):
             smooth(cubed, [(mask >> i) & 1 for i in range(9)])
@@ -511,15 +497,13 @@ class TestValidatedOnConstruction:
             ShadowDiagram((), None, free_loops=free_loops)
 
     def test_each_route_validates_its_result_once(self, monkeypatch):
-        first, second = compile_word(("X1", "U2")), compile_word(("X2",))
+        first = compile_word(("X1", "U2"))
         data = first.to_json()
         calls = count_validations(monkeypatch)
         routes = {
             "from_json": lambda: ShadowDiagram.from_json(data),
             "compile_word": lambda: compile_word(("X1", "X2", "U1")),
-            "glue": lambda: glue(first, second),
             "close_diagram": lambda: close_diagram(first),
-            "mirror_diagram": lambda: mirror_diagram(first),
         }
         counts = {}
         for name, route in routes.items():

@@ -30,8 +30,7 @@ PUBLIC_NAMES = [
     "close_diagram", "closed_form_bracket", "closure", "closure_loops",
     "coefficient_table", "column", "compare_bfiles",
     "compile_word", "compose", "contract", "enumerate_states", "expand",
-    "generator_diagram", "generator_tuple", "gf_from_tuple", "glue",
-    "letter_tuple", "mirror", "mirror_diagram", "multiply", "parse_bfile",
+    "generator_tuple", "gf_from_tuple", "letter_tuple", "mirror", "multiply", "parse_bfile",
     "parse_word", "power", "pq_invariants", "render_gf", "smooth",
     "states_matrix", "word_tuple",
 ]
@@ -141,12 +140,21 @@ class TestImportFootprint:
 
     def test_the_oracle_loads_no_tuple_algebra(self, baseline):
         # The ground truth shares no code with the algebra it checks, and
-        # building a generator's diagram does not reach for it either.
-        loaded = loaded_modules("-c", "import shadowbracket, shadowbracket.oracle; "
-                                      "[shadowbracket.generator_diagram(n) for n in 'TCE']")
+        # building and summing a generator's diagram does not reach for it
+        # either.
+        loaded = loaded_modules("-c", "from shadowbracket.generators import WORDS; "
+                                      "from shadowbracket.oracle import compile_word, "
+                                      "enumerate_states; [enumerate_states(compile_word(w)) "
+                                      "for w in WORDS.values()]")
         loaded -= baseline
         assert "shadowbracket.oracle" in loaded
         assert "shadowbracket.bracket" not in loaded
+
+    def test_the_oracle_imports_only_what_it_uses(self, baseline):
+        loaded = loaded_modules("-c", "import shadowbracket.oracle") - baseline
+        assert {m for m in loaded if m.startswith("shadowbracket.")} == {
+            "shadowbracket.diagram", "shadowbracket.oracle", "shadowbracket.poly",
+            "shadowbracket.record", "shadowbracket.tl3"}
 
     def test_generators_hold_data_only(self, baseline):
         # Every public function of generators, called on every name, loads
@@ -174,8 +182,7 @@ class TestTracedSurface:
     WRAPPED = {
         bracket: ("power", "closed_form_bracket", "charpoly", "compose", "closure",
                   "word_tuple", "states_matrix", "pq_invariants"),
-        oracle: ("enumerate_states", "compile_word", "glue", "close_diagram",
-                 "mirror_diagram", "smooth"),
+        oracle: ("enumerate_states", "compile_word", "close_diagram", "smooth"),
         series: ("expand", "coefficient_table"),
         tl3: ("multiply",),
     }

@@ -7,8 +7,8 @@ from conftest import P, rand_tuple
 from shadowbracket.bracket import (BracketVector, RationalGF, RationalTerm,
                                    closed_form_bracket, closure, gf_from_tuple, power,
                                    pq_invariants)
-from shadowbracket.generators import generator_tuple
-from shadowbracket.oracle import generator_diagram
+from shadowbracket.generators import WORDS, generator_tuple
+from shadowbracket.oracle import compile_word
 from shadowbracket.poly import ONE, Polynomial, X
 from shadowbracket.reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
 from shadowbracket.series import (coefficient_column, coefficient_table, column,
@@ -84,7 +84,7 @@ class TestCoefficientTable:
 
     def test_row_sums_count_all_states(self):
         for name in ("T", "C", "E"):
-            crossings = generator_diagram(name).crossing_count
+            crossings = compile_word(WORDS[name]).crossing_count
             table = coefficient_table(name, 6)
             assert [sum(row) for row in table] == [2 ** (crossings * n) for n in range(7)]
 
