@@ -140,11 +140,6 @@ class LambdaPolynomial(Record):
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def coefficient(self, power: int) -> Polynomial:
-        if 0 <= power < len(self.coefficients):
-            return self.coefficients[power]
-        return ZERO
-
     def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
         return LambdaPolynomial(_sum(self.coefficients, other.coefficients))
 

@@ -109,8 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
         verify_cmd.add_argument(f"--{suite}", action="store_true")
     verify_cmd.add_argument("--generator", choices=NAMES, default=None,
                             help="restrict to one generator (default: all)")
-    verify_cmd.add_argument("--rows", type=int, default=None,
-                            help="table rows to check (default: all reference rows)")
     verify_cmd.add_argument("--max-n", type=int, default=3,
                             help="largest tangle power for the oracle suite")
     verify_cmd.add_argument("--words", type=int, default=200,

@@ -5,12 +5,12 @@ Polynomials are stored densely: ``coefficients[k]`` is the coefficient of
 stores nothing.  Coefficients are plain Python ints, so everything here is
 exact at any size; there is deliberately no float path and no division.
 
-Two interchange forms round-trip with each other: a text form like
+A polynomial is read from a JSON array like ``[0, 5, 8, 3]``, whose index
+is the power of x, and written both that way and as text like
 ``3x^3+8x^2+5x`` (descending powers, zero terms omitted, unit coefficients
-omitted except for constants) and a JSON array form like ``[0, 5, 8, 3]``
-whose index is the power of x.  Text is exact at any size: an int too long
-for ``str`` (``sys.int_max_str_digits``) converts in two halves, split at a
-power of ten (:func:`int_text`, :func:`parse_int`).
+omitted except for constants).  Integers are exact at any size: one too long
+for ``str`` or ``int`` (``sys.int_max_str_digits``) converts in two halves,
+split at a power of ten (:func:`int_text`, :func:`parse_int`).
 
 Every product is formed term by term, one pass over the shorter operand.
 The sum and product run on coefficient sequences (``_sum``, ``_product``),
@@ -24,11 +24,8 @@ import re
 from operator import add
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-# The text-form patterns, compiled (and cached by ``re``) at first use: only
-# :meth:`Polynomial.parse` and :func:`parse_int`'s long-integer fallback read
-# them, so no other command pays for compiling them.
-_TERM_RE = r"^([0-9]+)?(x(?:\^([0-9]+))?)?$"
-_SPLIT_RE = r"[+-][^+-]*|^[^+-]+"
+# The integer text read: ASCII digits and an optional sign (``int`` alone
+# would also take digit-group underscores and other scripts' digits).
 _INT_RE = r"[+-]?[0-9]+"
 
 PolynomialLike = Union["Polynomial", int, Iterable[int]]
@@ -62,16 +59,6 @@ class Polynomial:
         result = object.__new__(cls)
         result._coeffs = tuple(coeffs)
         return result
-
-    @classmethod
-    def constant(cls, value: int) -> "Polynomial":
-        return cls((value,))
-
-    @classmethod
-    def monomial(cls, power: int, coefficient: int = 1) -> "Polynomial":
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coefficient,))
 
     @classmethod
     def coerce(cls, value: PolynomialLike) -> "Polynomial":
@@ -142,7 +129,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self._coeffs == other._coeffs
         if isinstance(other, int):
-            return self._coeffs == (Polynomial.constant(other))._coeffs
+            return self._coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -171,37 +158,6 @@ class Polynomial:
                 body = var if mag == 1 else int_text(mag) + var
             parts.append(sign + body)
         return "".join(parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "Polynomial":
-        """Parse the text form produced by ``str``; inverse of rendering."""
-        compact = text.replace(" ", "")
-        if not compact:
-            raise ValueError("empty polynomial text")
-        terms = re.findall(_SPLIT_RE, compact)
-        powers: dict[int, int] = {}
-        for term in terms:
-            sign = 1
-            body = term
-            if body[0] in "+-":
-                sign = -1 if body[0] == "-" else 1
-                body = body[1:]
-            match = re.match(_TERM_RE, body)
-            if not match or (match.group(1) is None and match.group(2) is None):
-                raise ValueError(f"cannot parse polynomial term: {term!r}")
-            coeff = parse_int(match.group(1)) if match.group(1) is not None else 1
-            if match.group(2) is None:
-                power = 0
-            elif match.group(3) is None:
-                power = 1
-            else:
-                power = int(match.group(3))
-            powers[power] = powers.get(power, 0) + sign * coeff
-        size = max(powers) + 1 if powers else 0
-        out = [0] * size
-        for power, coeff in powers.items():
-            out[power] = coeff
-        return cls(out)
 
 
 ZERO = Polynomial()

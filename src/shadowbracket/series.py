@@ -61,7 +61,7 @@ def coefficient_column(name: str, rows: int, k: int) -> Iterator[int]:
 def _series(name: str, rows: int, precision: int | None = None) -> Iterator[Polynomial]:
     """Series coefficients 0..rows of a built-in generator, reduced modulo x^precision."""
     if rows < 0:
-        raise ValueError("count must be nonnegative")
+        raise ValueError(f"rows must be nonnegative, got {rows}")
     return islice(gf_from_tuple(generator_tuple(name)).terms(precision), rows + 1)
 
 
@@ -79,11 +79,6 @@ def _check_column_index(k: int) -> None:
 def row_lines(rows: Iterable[Sequence[int]], sep: str = " ") -> Iterator[str]:
     """Each row as one line of its values, written exactly and joined by ``sep``."""
     return (sep.join(map(int_text, row)) for row in rows)
-
-
-def parse_bfile(text: str) -> list[tuple[int, int]]:
-    """Parse b-file text, skipping blank lines and # comments."""
-    return list(_bfile_pairs([text]))
 
 
 def _bfile_pairs(chunks: Iterable[str]) -> Iterator[tuple[int, int]]:

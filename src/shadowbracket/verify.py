@@ -34,18 +34,10 @@ if TYPE_CHECKING:
 
 
 def run_suites(suites: Collection[str], names: Collection[str], args) -> Iterator[tuple]:
-    """The (label, ok, detail) rows of the selected suites.
-
-    Raises ValueError before the first row if ``args.rows`` runs past the
-    reference rows of a selected generator.
-    """
+    """The (label, ok, detail) rows of the selected suites."""
     if "tables" in suites:
         for name in names:
-            last = len(TABLE_ROWS[name]) - 1
-            if args.rows is not None and args.rows > last:
-                raise ValueError(f"no reference rows beyond n = {last} for generator {name}")
-        for name in names:
-            yield from _verify_tables(name, args.rows)
+            yield from _verify_tables(name)
     if "oracle" in suites:
         yield from _verify_words(args.words, args.seed)
         for name in names:
@@ -61,11 +53,10 @@ def run_suites(suites: Collection[str], names: Collection[str], args) -> Iterato
     yield from _verify_column_identity()
 
 
-def _verify_tables(name: str, rows: int | None) -> Iterator[tuple]:
+def _verify_tables(name: str) -> Iterator[tuple]:
     reference = TABLE_ROWS[name]
-    last = len(reference) - 1 if rows is None else rows
-    computed = coefficient_table(name, last)
-    for n in range(last + 1):
+    computed = coefficient_table(name, len(reference) - 1)
+    for n in range(len(reference)):
         ok = computed[n] == reference[n]
         detail = "" if ok else f"computed {computed[n]}, reference {reference[n]}"
         yield (f"tables {name} row {n}", ok, detail)

@@ -1,12 +1,33 @@
 import random
+import re
 
 from shadowbracket.bracket import BracketVector
 from shadowbracket.diagram import Boundary, ShadowDiagram
-from shadowbracket.poly import Polynomial
+from shadowbracket.poly import Polynomial, parse_int
 
 
 def P(text: str) -> Polynomial:
-    return Polynomial.parse(text)
+    """The polynomial written as ``str`` writes it, such as ``3x^3-x+5``.
+
+    The coefficient list is filled in term by term, with no Polynomial
+    arithmetic, so that an expected value does not share a fault with the
+    product or sum under test.
+    """
+    compact = text.replace(" ", "")
+    terms = re.findall(r"[+-]?[^+-]+", compact)
+    if not compact or "".join(terms) != compact:
+        raise ValueError(f"cannot read polynomial {text!r}")
+    coefficients: list[int] = []
+    for term in terms:
+        match = re.fullmatch(r"([+-]?)([0-9]*)(x(?:\^([0-9]+))?)?", term)
+        if not match or not (match[2] or match[3]):
+            raise ValueError(f"cannot read polynomial term {term!r}")
+        sign, digits, var, exponent = match.groups()
+        power = int(exponent) if exponent else int(bool(var))
+        coefficients += [0] * (power + 1 - len(coefficients))
+        value = parse_int(digits) if digits else 1
+        coefficients[power] += -value if sign == "-" else value
+    return Polynomial(coefficients)
 
 
 def rand_poly(rng: random.Random, max_degree: int = 6,

@@ -395,7 +395,7 @@ class TestCharpoly:
     def test_degree_and_leading_coefficient(self):
         chi = charpoly(states_matrix(C))
         assert chi.degree == 5
-        assert chi.coefficient(5) == P("-1")
+        assert chi.coefficients[5] == P("-1")
 
     def test_quadratic_factor_matches_series_denominator(self):
         # (p^2 - q^2)/4 for the two-crossing generator is the y^2 denominator
@@ -445,7 +445,7 @@ class TestLambdaPolynomial:
 
     def test_arithmetic(self):
         lam = LambdaPolynomial([0, 1])
-        assert (lam * lam).coefficient(2) == P("1")
+        assert (lam * lam).coefficients[2] == P("1")
         assert (lam - lam).is_zero
 
     def test_str(self):

@@ -30,9 +30,8 @@ PUBLIC_NAMES = [
     "close_diagram", "closed_form_bracket", "closure", "closure_loops",
     "coefficient_table", "column", "compare_bfiles",
     "compile_word", "compose", "contract", "enumerate_states", "expand",
-    "generator_tuple", "gf_from_tuple", "letter_tuple", "mirror", "multiply", "parse_bfile",
-    "parse_word", "power", "pq_invariants", "render_gf", "smooth",
-    "states_matrix", "word_tuple",
+    "generator_tuple", "gf_from_tuple", "letter_tuple", "mirror", "multiply", "parse_word",
+    "power", "pq_invariants", "render_gf", "smooth", "states_matrix", "word_tuple",
 ]
 
 
@@ -124,12 +123,12 @@ class TestImportFootprint:
                      ("gf", "--generator", "E", "--terms", "2", "--format", "json"),
                      ("charpoly", "--word", "X1 U2"),
                      ("export", "--generator", "T", "--rows", "3"),
-                     ("verify", "--tables", "--generator", "T", "--rows", "1")]:
+                     ("verify", "--tables", "--generator", "T")]:
             loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
             assert "shadowbracket" in loaded, argv
             assert not loaded & {"dataclasses", "inspect"}, argv
 
-    @pytest.mark.parametrize("argv", [("verify", "--tables", "--generator", "T", "--rows", "1"),
+    @pytest.mark.parametrize("argv", [("verify", "--tables", "--generator", "T"),
                                       ("verify", "--charpoly", "--generator", "T"),
                                       ("verify", "--recurrence", "--generator", "T")])
     def test_verify_loads_diagram_code_for_the_oracle_only(self, baseline, argv):
@@ -312,11 +311,16 @@ class TestReadmeExamples:
         assert checked == 6
 
     def test_cli_lines_print_what_their_comments_say(self, capsys):
-        checked = 0
-        for line in _readme_block("CLI", "sh"):
+        # Every command that needs no file runs; a bracket line's comment is its output.
+        ran = checked = 0
+        for line in "\n".join(_readme_block("CLI", "sh")).replace("\\\n", " ").splitlines():
+            argv = shlex.split(line.partition("#")[0])[1:]
+            if {"--pd", "--tuple", "--out", "--compare"} & set(argv):
+                continue
+            assert cli.main(argv) == 0, line
+            out = capsys.readouterr().out
+            ran += 1
             if line.startswith("shadowbracket bracket ") and "#" in line:
-                argv = shlex.split(line.partition("#")[0])[1:]
-                assert cli.main(argv) == 0, line
-                assert capsys.readouterr().out == _stated(line) + "\n", line
+                assert out == _stated(line) + "\n", line
                 checked += 1
-        assert checked == 2
+        assert (ran, checked) == (7, 2)

@@ -1,3 +1,4 @@
+import io
 import random
 from itertools import chain, islice
 
@@ -12,8 +13,7 @@ from shadowbracket.oracle import compile_word
 from shadowbracket.poly import ONE, Polynomial, X
 from shadowbracket.reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
 from shadowbracket.series import (coefficient_column, coefficient_table, column,
-                                  compare_bfiles, expand, parse_bfile, render_gf, row_lines,
-                                  table_rows)
+                                  compare_bfiles, expand, render_gf, row_lines, table_rows)
 
 T = generator_tuple("T")
 C = generator_tuple("C")
@@ -123,6 +123,12 @@ class TestTruncatedColumns:
         with pytest.raises(ValueError):
             coefficient_column("T", -1, 2)
 
+    def test_negative_rows_are_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^rows must be nonnegative, got -1$"):
+            table_rows("T", -1)
+        with pytest.raises(ValueError, match=r"^rows must be nonnegative, got -1$"):
+            coefficient_column("T", -1, 1)
+
 
 class TestFormRegressions:
     def test_dropping_the_x_factor_breaks_row_zero(self):
@@ -162,21 +168,25 @@ class TestExportForms:
         assert list(chain.from_iterable(table_rows("T", 2))) == [0, 0, 0, 1, 0, 1, 2, 1, 0, 5, 8, 3]
 
     def test_bfile_lines_and_parse(self):
-        lines = list(row_lines(enumerate([7, 8, 9], 2)))
-        assert lines == ["2 7", "3 8", "4 9"]
+        entries = [(2, 7), (3, 8), (4, 9)]
+        lines = list(row_lines(entries))
+        assert lines == list(row_lines(enumerate([7, 8, 9], 2))) == ["2 7", "3 8", "4 9"]
+        # Comments and blank lines are skipped wherever they stand.
         text = "# comment\n\n" + "\n".join(lines) + "\n"
-        assert parse_bfile(text) == [(2, 7), (3, 8), (4, 9)]
+        assert compare_bfiles(entries, text) is None
+        assert compare_bfiles(entries, "2 7\n  \n# 3 0\n3 8\n\n4 9\n# end") is None
+        assert compare_bfiles(entries, io.StringIO(text)) is None
 
     def test_parse_bfile_rejects_junk(self):
         with pytest.raises(ValueError):
-            parse_bfile("1 2 3")
+            compare_bfiles([(1, 2)], "1 2 3")
 
     # int() alone would also read digit-group underscores and non-ASCII digits.
     @pytest.mark.parametrize("line", ["1 x", "1 2 3", "1", "x 1", "1 2.0", "1 0_1",
                                       "3 \u0663", "\u0661 1"])
     def test_parse_bfile_names_the_bad_line(self, line):
         with pytest.raises(ValueError) as refused:
-            parse_bfile(f"# head\n0 0\n{line}\n3 4")
+            compare_bfiles([(0, 0), (3, 4)], f"# head\n0 0\n{line}\n3 4")
         assert str(refused.value) == f"bad b-file line 3: {line!r}"
 
     def test_compare_bfiles(self):
@@ -213,5 +223,7 @@ class TestLongIntegerExport:
         assert list(row_lines([[1, long], [2]], ",")) == [f"1,{digits}", "2"]
         lines = list(row_lines(enumerate([5, long], 3)))
         assert lines == ["3 5", f"4 {digits}"]
-        assert parse_bfile("\n".join(lines)) == [(3, 5), (4, long)]
+        assert compare_bfiles([(3, 5), (4, long)], "\n".join(lines)) is None
+        assert compare_bfiles([(3, 5), (4, long + 1)], "\n".join(lines)) == \
+            f"mismatch at line 2: 4 -1{'0' * 6000} != 4 {digits}"
         assert compare_bfiles([(0, long)], "0 1") == f"mismatch at line 1: 0 {digits} != 0 1"
