@@ -75,41 +75,36 @@ class PQInvariants(Record):
 
 
 class PolyMatrix(Record):
-    """A square matrix of integer polynomials."""
+    """A 5x5 matrix of integer polynomials, one row and column per basis diagram.
+
+    It is the states matrix (:func:`states_matrix`) or a product of such;
+    anything but five rows of five entries is refused.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[PolynomialLike]]):
         built = tuple(tuple(Polynomial.coerce(v) for v in row) for row in rows)
-        size = len(built)
-        if any(len(row) != size for row in built):
-            raise ValueError("matrix rows must all have the same length")
+        if len(built) != 5 or any(len(row) != 5 for row in built):
+            raise ValueError("a PolyMatrix must have 5 rows of 5 entries")
         super().__init__(built)
 
     @classmethod
-    def identity(cls, size: int = 5) -> "PolyMatrix":
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(size))
-                         for i in range(size)))
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
+    def identity(cls) -> "PolyMatrix":
+        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(5))
+                         for i in range(5)))
 
     def __getitem__(self, index: int) -> tuple[Polynomial, ...]:
         return self.rows[index]
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.size != other.size:
-            raise ValueError("matrix sizes differ")
-        n = self.size
         return PolyMatrix(tuple(
-            tuple(sum((self.rows[i][k] * other.rows[k][j] for k in range(n)), ZERO)
-                  for j in range(n))
-            for i in range(n)))
+            tuple(sum((row[k] * other.rows[k][j] for k in range(5)), ZERO)
+                  for j in range(5))
+            for row in self.rows))
 
     def power(self, n: int) -> "PolyMatrix":
-        return power_by_squaring(self, n, PolyMatrix.identity(self.size),
-                                 PolyMatrix.__matmul__)
+        return power_by_squaring(self, n, PolyMatrix.identity(), PolyMatrix.__matmul__)
 
     def apply(self, vector: BracketVector) -> BracketVector:
         entries = vector.entries()
@@ -511,12 +506,9 @@ def closed_form_bracket(v: BracketVector, n: int) -> Polynomial:
 
 def charpoly(matrix: PolyMatrix) -> LambdaPolynomial:
     """det(M - lambda I), computed by division-free cofactor expansion."""
-    shifted = [
-        [LambdaPolynomial((matrix[i][j], -1)) if i == j
-         else LambdaPolynomial((matrix[i][j],))
-         for j in range(matrix.size)]
-        for i in range(matrix.size)
-    ]
+    shifted = [[LambdaPolynomial((entry, -1) if i == j else (entry,))
+                for j, entry in enumerate(row)]
+               for i, row in enumerate(matrix.rows)]
     return _determinant(shifted)
 
 

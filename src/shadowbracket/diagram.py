@@ -143,7 +143,9 @@ class ShadowDiagram(Record):
                 boundary = Boundary(*(_edge_list(sides[side], f"boundary side {side!r}")
                                       for side in ("L", "R")))
             return cls(crossings, boundary, data.get("free_loops", 0))
-        except (KeyError, TypeError) as exc:
+        except KeyError as missing:
+            raise MalformedDiagramError(f"bad diagram JSON: missing key {missing}") from None
+        except TypeError as exc:
             raise MalformedDiagramError(f"bad diagram JSON: {exc}") from None
 
 

@@ -3,7 +3,9 @@
 Row n lists s(n, k) for k = 0..deg: the number of Kauffman states of the
 closed n-th tangle power having exactly k loops.  The verification suite and
 the regression tests compare freshly computed triangles against these frozen
-values; row sums are 2**(crossings * n).
+values; row sums are 2**(crossings * n).  Column k = 1 of the T triangle is
+stored only here: ``verify`` checks it against the alternate Lucas numbers
+minus 2, which it computes.
 """
 
 TABLE_ROWS: dict[str, list[list[int]]] = {
@@ -38,7 +40,3 @@ TABLE_ROWS: dict[str, list[list[int]]] = {
         [0, 10201, 59660, 156624, 244280, 252460, 182544, 94960, 35904, 9800, 1880, 242, 20, 1],
     ],
 }
-
-# Column k = 1 of the T triangle: the alternate Lucas numbers minus 2
-# (OEIS A004146), which is also the determinant of the (3, n) Turk's head.
-ALTERNATE_LUCAS_MINUS_2 = [0, 1, 5, 16, 45, 121, 320, 841, 2205, 5776, 15125]

@@ -9,8 +9,10 @@ together with one detached loop, so a product is a ``(loops, element)`` pair.
 Each element is defined once, as a planar matching of the strip's six
 boundary points (Kauffman, *State models and the Jones polynomial*, Topology
 26, 1987); the product, closure and flip tables are derived from the
-matchings at import.  The test suite checks the products against the full
-loop-weighted associativity law and the Temperley-Lieb relations.
+matchings at import.  The rows are fixed data and are not re-checked there:
+the test suite pins every derived table (all 25 products, the closure loops
+and the flip) and checks the products against the full loop-weighted
+associativity law and the Temperley-Lieb relations.
 
 A tangle bracket is a :class:`BracketVector`, one integer polynomial per
 element.  It lives here, beside the basis it is written in, so that reading,
@@ -44,7 +46,7 @@ class ScaledTL(NamedTuple):
     element: TLElement
 
 
-ELEMENTS = (TLElement.ID3, TLElement.U1, TLElement.U2, TLElement.R, TLElement.S)
+ELEMENTS = tuple(TLElement)
 
 _E = TLElement
 
@@ -58,45 +60,7 @@ MATCHINGS: dict[TLElement, tuple[int, ...]] = {
     _E.R: (5, 2, 1, 4, 3, 0),
     _E.S: (1, 0, 3, 2, 5, 4),
 }
-
-
-def _check_matching(element: TLElement, matching: tuple[int, ...]) -> None:
-    """Raise ValueError, naming ``element``, unless ``matching`` is a planar pairing.
-
-    That is a fixed-point-free involution of the points 0-5 whose strands do
-    not cross.  Around the strip the points run 0, 1, 2 down the left side
-    and 5, 4, 3 up the right; the strands cross unless, read in that order,
-    every point closes the latest still-open one or opens a new one, as
-    brackets do.
-    """
-    name = f"tl3.MATCHINGS[{element.value!r}] = {matching}"
-    if (sorted(matching) != list(range(6))
-            or any(matching[q] != p or p == q for p, q in enumerate(matching))):
-        raise ValueError(f"{name} does not pair off the points 0-5")
-    open_points: list[int] = []
-    for point in (0, 1, 2, 5, 4, 3):
-        if open_points and open_points[-1] == matching[point]:
-            open_points.pop()
-        else:
-            open_points.append(point)
-    if open_points:
-        raise ValueError(f"{name} has crossing strands")
-
-
-def _index_matchings(matchings: dict[TLElement, tuple[int, ...]]
-                     ) -> dict[tuple[int, ...], TLElement]:
-    """The element of each matching, once every row is checked and distinct."""
-    index: dict[tuple[int, ...], TLElement] = {}
-    for element, matching in matchings.items():
-        _check_matching(element, matching)
-        if matching in index:
-            raise ValueError(f"tl3.MATCHINGS[{element.value!r}] repeats the row of "
-                             f"{index[matching].value!r}")
-        index[matching] = element
-    return index
-
-
-_BY_MATCHING = _index_matchings(MATCHINGS)
+_BY_MATCHING = {m: element for element, m in MATCHINGS.items()}
 
 
 def _matching_product(left: tuple[int, ...], right: tuple[int, ...]) -> ScaledTL:

@@ -218,6 +218,16 @@ class TestStatesMatrix:
     def test_unit_gives_identity_matrix(self):
         assert states_matrix(UNIT) == PolyMatrix.identity()
 
+    @pytest.mark.parametrize("rows", [
+        [[1] * 4] * 4,
+        [[1] * 6] * 6,
+        [[1] * 5] * 4 + [[1] * 4],
+        [[1] * 5] * 4 + [[1] * 6],
+    ], ids=["4x4", "6x6", "short-row", "long-row"])
+    def test_only_five_by_five_is_accepted(self, rows):
+        with pytest.raises(ValueError, match="5 rows of 5 entries"):
+            PolyMatrix(rows)
+
     def test_matrix_acts_as_right_gluing(self):
         rng = random.Random(9)
         for _ in range(200):
@@ -451,6 +461,8 @@ class TestLambdaPolynomial:
     def test_str(self):
         chi = LambdaPolynomial([P("x+1"), P("-2"), 1])
         assert str(chi) == "(1)L^2 + (-2)L + (x+1)"
+        assert str(LambdaPolynomial([P("x"), 0, 0, 3])) == "(3)L^3 + (x)"
+        assert str(LambdaPolynomial()) == "0"
 
 
 class TestPoweringKernel:

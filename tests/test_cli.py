@@ -173,8 +173,9 @@ class TestCharpolyCommand:
         # as the cofactor determinant of the states matrix would.
         rng = random.Random(62)
         path = tmp_path / "v.json"
-        for _ in range(10):
-            v = rand_tuple(rng, max_degree=2)
+        # The zero tuple's polynomial is -L^5, printed without its five zero terms.
+        zero = BracketVector.of(0, 0, 0, 0, 0)
+        for v in [zero] + [rand_tuple(rng, max_degree=2) for _ in range(10)]:
             chi = charpoly(states_matrix(v))
             path.write_text(json.dumps(v.to_json()))
             code, out, _ = run(capsys, "charpoly", "--tuple", str(path))
@@ -940,6 +941,18 @@ class TestStrictDiagramJson:
         assert "'L'" in err and "list" in err
         err = self.refused(capsys, tmp_path, {"crossings": "abcd"})
         assert "crossings" in err and "list" in err
+
+    def test_missing_key_is_named(self, capsys, tmp_path):
+        err = self.refused(capsys, tmp_path, {"boundary": None})
+        assert err == "error: bad diagram JSON: missing key 'crossings'\n"
+        err = self.refused(capsys, tmp_path, {"crossings": [],
+                                              "boundary": {"L": ["a", "b", "c"]}})
+        assert err == "error: bad diagram JSON: missing key 'R'\n"
+
+    @pytest.mark.parametrize("quad", [["a", "a", "b"], ["a", "a", "b", "b", "c"]])
+    def test_crossing_without_four_edges(self, capsys, tmp_path, quad):
+        err = self.refused(capsys, tmp_path, {"crossings": [quad]})
+        assert err.endswith(" does not have 4 edges\n")
 
     def test_optional_keys_may_be_left_out(self, capsys, tmp_path):
         path = tmp_path / "diagram.json"

@@ -226,8 +226,16 @@ class TestJsonForm:
         assert ShadowDiagram.from_json(closed.to_json()) == closed
 
     def test_bad_json(self):
-        with pytest.raises(MalformedDiagramError):
+        with pytest.raises(MalformedDiagramError,
+                           match="^bad diagram JSON: missing key 'crossings'$"):
             ShadowDiagram.from_json({"boundary": None})
+        with pytest.raises(MalformedDiagramError, match="^bad diagram JSON: missing key 'R'$"):
+            ShadowDiagram.from_json({"crossings": [], "boundary": {"L": ["a", "b", "c"]}})
+
+    @pytest.mark.parametrize("quad", [["a", "a", "b"], ["a", "a", "b", "b", "c"]])
+    def test_crossing_without_four_edges(self, quad):
+        with pytest.raises(MalformedDiagramError, match=r"^crossing \(.*\) does not have 4 edges$"):
+            ShadowDiagram.from_json({"crossings": [quad]})
 
     def test_validates_on_load(self):
         with pytest.raises(MalformedDiagramError):

@@ -11,7 +11,7 @@ from shadowbracket.bracket import (BracketVector, RationalGF, RationalTerm,
 from shadowbracket.generators import WORDS, generator_tuple
 from shadowbracket.oracle import compile_word
 from shadowbracket.poly import ONE, Polynomial, X
-from shadowbracket.reference import ALTERNATE_LUCAS_MINUS_2, TABLE_ROWS
+from shadowbracket.reference import TABLE_ROWS
 from shadowbracket.series import (coefficient_column, coefficient_table, column,
                                   compare_bfiles, expand, render_gf, row_lines, table_rows)
 
@@ -95,8 +95,11 @@ class TestCoefficientTable:
                 assert all(value >= 0 for value in row)
 
     def test_alternate_lucas_column(self):
+        lucas = [2, 1]  # L_0, L_1, then L_n = L_(n-1) + L_(n-2)
+        while len(lucas) < 21:
+            lucas.append(lucas[-1] + lucas[-2])
         table = coefficient_table("T", 10)
-        assert column(table, 1) == ALTERNATE_LUCAS_MINUS_2
+        assert column(table, 1) == [value - 2 for value in lucas[::2]]
 
 
 class TestTruncatedColumns:

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from shadowbracket import tl3
 from shadowbracket.tl3 import (ELEMENTS, MATCHINGS, ScaledTL, TLElement,
                                closure_loops, mirror, multiply)
 
@@ -48,34 +47,6 @@ class TestTable:
 def test_matchings_pair_the_six_points():
     for matching in MATCHINGS.values():
         assert all(matching[i] != i and matching[matching[i]] == i for i in range(6))
-
-
-class TestMatchingCheck:
-    """Each row of MATCHINGS is checked at import; a bad row names its element."""
-
-    def test_the_five_rows_pass(self):
-        assert tl3._index_matchings(MATCHINGS) == {m: e for e, m in MATCHINGS.items()}
-
-    def test_a_swapped_row_is_named(self):
-        with pytest.raises(ValueError, match=r"MATCHINGS\['r'\] = \(2, 5, 1, 4, 3, 0\) "
-                                             "does not pair off"):
-            tl3._check_matching(E.R, (2, 5, 1, 4, 3, 0))
-
-    @pytest.mark.parametrize("matching", [(0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5),
-                                          (1, 0, 3, 2, 5, 6), (3, 4, 5, 0, 1, 1)])
-    def test_rows_that_are_not_pairings(self, matching):
-        with pytest.raises(ValueError, match="does not pair off the points 0-5"):
-            tl3._check_matching(E.S, matching)
-
-    @pytest.mark.parametrize("matching", [(2, 3, 0, 1, 5, 4), (4, 2, 1, 5, 0, 3),
-                                          (1, 0, 4, 5, 2, 3)])
-    def test_crossing_matchings(self, matching):
-        with pytest.raises(ValueError, match=r"MATCHINGS\['U1'\] .* has crossing strands"):
-            tl3._check_matching(E.U1, matching)
-
-    def test_a_repeated_row_is_named(self):
-        with pytest.raises(ValueError, match=r"MATCHINGS\['s'\] repeats the row of 'U1'"):
-            tl3._index_matchings({**MATCHINGS, E.S: MATCHINGS[E.U1]})
 
 
 def test_loop_weighted_associativity_all_125_triples():
