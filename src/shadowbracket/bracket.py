@@ -21,15 +21,16 @@ generating function built from the invariants ``p`` and ``m``
 forming the radical ``q``.
 
 A rational series in y over Z[x], :class:`RationalTerm`, is one linear
-recurrence with two readers, chosen by what the caller needs.
-:meth:`RationalTerm.terms` walks every term, one short-by-long product per
-feedback polynomial, for callers that print them all.
-:meth:`RationalTerm.term` jumps to the recurrence's window at one term: it
-runs the same recurrence on the terms packed into integers, one fixed-width
-digit per coefficient (Kronecker substitution), and reads the digits back
-only at block ends.  Both :func:`power` and :func:`closed_form_bracket` jump
-to their n-th term with it.  :class:`RationalGF` is the sum of two such
-terms, the generating function of a tangle's closure brackets.
+recurrence, listed once as (k, i, c) steps, with two readers chosen by
+what the caller needs.  :meth:`RationalTerm.terms` walks every term, adding
+each step's multiple of a recent term to one coefficient list, for callers
+that print them all.  :meth:`RationalTerm.term` jumps to the recurrence's
+window at one term: it runs the same steps on the terms packed into
+integers, one fixed-width digit per coefficient (Kronecker substitution),
+and reads the digits back only at block ends.  Both :func:`power` and
+:func:`closed_form_bracket` jump to their n-th term with it.
+:class:`RationalGF` is the sum of two such terms, the generating function
+of a tangle's closure brackets.
 """
 
 from __future__ import annotations
@@ -172,8 +173,9 @@ class RationalTerm(Record):
 
     Numerator and denominator list their coefficients lowest power of y
     first, and the denominator starts with 1, so the series t_0, t_1, ...
-    satisfies ``t_n = num_n - sum_k den_k t_(n-k)``.  The recurrence has two
-    readers: :meth:`terms` walks every term, :meth:`term` jumps to one.
+    satisfies ``t_n = num_n - sum_k den_k t_(n-k)``.  The recurrence, stated
+    once by :meth:`_steps`, has two readers: :meth:`terms` walks every term,
+    :meth:`term` jumps to one.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -184,27 +186,36 @@ class RationalTerm(Record):
             raise ValueError("denominator must have constant term 1")
         super().__init__(numerator, denominator)
 
+    def _steps(self) -> list[tuple[int, int, int]]:
+        """(k, i, c) for each nonzero coefficient c of x**i in -denominator[k + 1]:
+        t_n gains c x**i t_(n-1-k).  Listed by k, then by i."""
+        return [(k, i, -c) for k, d in enumerate(self.denominator[1:])
+                for i, c in enumerate(d.coefficients) if c]
+
     def terms(self, precision: int | None = None) -> Iterator[Polynomial]:
         """The series coefficients t_0, t_1, ..., walked one at a time.
 
-        Each term costs one short-by-long product per feedback polynomial,
-        and only the last ``len(denominator) - 1`` terms are kept.
-
-        With ``precision``, every t_n is reduced modulo ``x**precision``.
-        Reduction is a ring homomorphism, so reducing the inputs and each new
-        term gives exactly the reduced series while every product stays short.
+        Each of :meth:`_steps` adds its multiple of a recent term to the new
+        term's coefficient list.  With ``precision``, every t_n is reduced
+        modulo ``x**precision``, exactly, as reduction is a ring homomorphism.
         """
-        def cut(p: Polynomial) -> Polynomial:
-            return p if precision is None else p.truncate(precision)
-
-        numerator = [cut(c) for c in self.numerator]
-        feedback = [cut(-c) for c in self.denominator[1:]]
-        recent: list[Polynomial] = []  # newest first
+        if precision is not None and precision < 0:
+            raise ValueError(f"precision must be nonnegative, got {precision}")
+        # room: how many of t_(n-1-k)'s coefficients land below the precision.
+        steps = [(k, i, c, None if precision is None else precision - i)
+                 for k, i, c in self._steps() if precision is None or i < precision]
+        numerator = [p.coefficients[:precision] for p in self.numerator]
+        recent: list[tuple[int, ...]] = [()] * (len(self.denominator) - 1)  # newest first
         for n in count():
-            term = cut(sum((c * t for c, t in zip(feedback, recent)),
-                           numerator[n] if n < len(numerator) else ZERO))
-            yield term
-            recent = [term, *recent][:len(feedback)]
+            term = list(numerator[n]) if n < len(numerator) else []
+            for k, i, c, room in steps:
+                t = recent[k][:room]
+                term += [0] * (i + len(t) - len(term))  # nothing if long enough
+                for j, v in enumerate(t, i):
+                    term[j] += c * v
+            poly = Polynomial._unchecked(term)
+            yield poly
+            recent = [poly.coefficients, *recent[:-1]]
 
     def term(self, n: int) -> list[Polynomial]:
         """The recurrence's window at t_n: its last max(order, 1) terms, t_n last.
@@ -226,22 +237,19 @@ class RationalTerm(Record):
         if n < 0:
             raise ValueError("n must be nonnegative")
         order = len(self.denominator) - 1
-        terms = list(islice(self.terms(),
-                            min(n + 1, max(order, len(self.numerator)))))
-        feedback = [(-c).coefficients for c in self.denominator[1:]]
-        longest_feedback = max(map(len, feedback), default=0)
-        # Horner rows, highest power of x first: row i holds (k, f_k[i]) for every
-        # nonzero coefficient of x**i in the feedback polynomials f_k.
-        rows = [[(k, f[i]) for k, f in enumerate(feedback) if i < len(f) and f[i]]
-                for i in reversed(range(longest_feedback))]
-        feedback_norms = [sum(map(abs, f)) for f in feedback]
+        terms = list(islice(self.terms(), min(n + 1, max(order, len(self.numerator)))))
+        steps = self._steps()
+        # Horner rows, highest power of x first: row i holds (k, c) of each step (k, i, c).
+        rows = [[(k, c) for k, j, c in steps if j == i]
+                for i in reversed(range(max((j + 1 for _, j, _ in steps), default=0)))]
+        feedback_norms = [sum(abs(c) for j, _, c in steps if j == k) for k in range(order)]
         done = len(terms)
         while done <= n:
-            steps = min(SERIES_BLOCK_STEPS, n + 1 - done)
+            block = min(SERIES_BLOCK_STEPS, n + 1 - done)
             start = terms[len(terms) - order:][::-1]  # newest first
             norms = [sum(map(abs, t.coefficients)) for t in start]
             top = max(norms, default=0)  # the start terms are packed at this width too
-            for _ in range(steps):
+            for _ in range(block):
                 norms = [sum(map(mul, feedback_norms, norms)), *norms[:-1]]
                 top = max(top, norms[0])
             width = _digit_width(top)
@@ -259,8 +267,8 @@ class RationalTerm(Record):
             # costs its allocation.  A step lengthens a term by less than the
             # longest feedback.
             longest = max((len(t.coefficients) for t in start), default=0)
-            bytes(4 * width * (longest + longest_feedback * steps + 1))
-            for _ in range(steps):
+            bytes(4 * width * (longest + len(rows) * block + 1))
+            for _ in range(block):
                 value = 0
                 for row in rows:
                     value <<= shift
@@ -277,7 +285,7 @@ class RationalTerm(Record):
             terms = [Polynomial._unchecked(
                          _unpack(value, width, value.bit_length() // shift + 1))
                      for value in reversed(recent)]
-            done += steps
+            done += block
         return terms[-max(order, 1):]
 
 

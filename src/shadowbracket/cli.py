@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence, TextIO
 
 # Only what every command needs is imported here; each handler imports the
@@ -279,10 +279,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    from itertools import islice
+    v = _require_tangle(_resolve_input(args))  # a refused input loads no series code
     from .bracket import gf_from_tuple
     from .series import render_gf
-    gf = gf_from_tuple(_require_tangle(_resolve_input(args)))
+    gf = gf_from_tuple(v)
     terms = islice(gf.terms(), 0 if args.terms is None else args.terms + 1)
     if args.format == "text":
         _emit(args, chain([render_gf(gf)],
@@ -296,8 +296,8 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    from .bracket import charpoly_factored, pq_invariants
     v = _require_tangle(_resolve_input(args))
+    from .bracket import charpoly_factored, pq_invariants
     # Equal to the cofactor determinant of states_matrix(v), which verify
     # --charpoly and the tests compare it against.
     chi = charpoly_factored(v)

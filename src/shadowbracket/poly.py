@@ -95,14 +95,6 @@ class Polynomial:
             result = result * value + c
         return result
 
-    def truncate(self, length: int) -> "Polynomial":
-        """The remainder modulo ``x**length``: the terms below that power."""
-        if length < 0:
-            raise ValueError("length must be nonnegative")
-        if length >= len(self._coeffs):
-            return self
-        return Polynomial._unchecked(list(self._coeffs[:length]))
-
     def __add__(self, other: PolynomialLike) -> "Polynomial":
         return Polynomial._unchecked(_sum(self._coeffs, Polynomial.coerce(other)._coeffs))
 

@@ -334,13 +334,16 @@ class TestClosedForm:
             closed_form_bracket(T, -2)
 
     def test_full_precision_walk_at_depth(self):
-        # Closed T^800 has 1,600 crossings: its bracket is 4^800 at x = 1 and
-        # 0 at x = -1, and the walk must reach the jump's term.
+        # Closed T^n has 2n crossings: its bracket is 4^n at x = 1 and, once
+        # n >= 1, 0 at x = -1 (its even and odd coefficients sum alike).  The
+        # walk must meet both on every row up to closed T^800, 1,600
+        # crossings, and reach the jump's term there.
         gf = gf_from_tuple(T)
-        walked = next(islice(gf.terms(), 800, None))
+        for n, walked in enumerate(islice(gf.terms(), 801)):
+            coefficients = walked.coefficients
+            assert sum(coefficients) == 4 ** n, n
+            assert n == 0 or sum(coefficients[::2]) == sum(coefficients[1::2]), n
         assert walked == gf.term(800)
-        assert walked.evaluate(1) == 4 ** 800
-        assert walked.evaluate(-1) == 0
 
     def test_component_three_term_recurrence(self):
         # Every tuple component of the powers satisfies the cubic recurrence

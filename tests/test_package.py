@@ -67,10 +67,10 @@ class TestLazyPackage:
             shadowbracket.no_such_name  # noqa: B018
 
 
-def loaded_modules(*args: str) -> set[str]:
-    """The modules that ``python -X importtime ARGS`` imports."""
+def loaded_modules(*args: str, returncode: int = 0) -> set[str]:
+    """The modules that ``python -X importtime ARGS`` imports, exiting ``returncode``."""
     done = python("-X", "importtime", *args)
-    assert done.returncode == 0, (args, done.stderr[-500:])
+    assert done.returncode == returncode, (args, done.stderr[-500:])
     return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
             if line.startswith("import time:") and "|" in line}
 
@@ -103,6 +103,18 @@ class TestImportFootprint:
         assert {"shadowbracket.diagram", "shadowbracket.contraction"} <= loaded
         assert not loaded & {"shadowbracket.bracket", "shadowbracket.oracle",
                              "shadowbracket.series"}
+
+    @pytest.mark.parametrize("command", ["gf", "charpoly"])
+    def test_a_refused_closed_diagram_loads_no_tuple_algebra(self, baseline, tmp_path,
+                                                             command):
+        # Both commands need an open tangle: a closed --pd file is refused
+        # (exit 2) once contracted, before any bracket or series code loads.
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(close_diagram(compile_word(("X1", "X2"))).to_json()))
+        loaded = loaded_modules("-m", "shadowbracket.cli", command, "--pd", str(path),
+                                returncode=2) - baseline
+        assert "shadowbracket.contraction" in loaded
+        assert not loaded & {"shadowbracket.bracket", "shadowbracket.series"}
 
     def test_first_powers_load_no_tuple_algebra(self, baseline, tmp_path):
         tangle = tmp_path / "t.json"

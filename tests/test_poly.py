@@ -269,17 +269,6 @@ class TestMisc:
         with pytest.raises(TypeError):
             Polynomial([1.5])
 
-    def test_truncate_is_the_remainder_mod_a_power_of_x(self):
-        p = P("3x^4+2x^2+x+5")
-        assert p.truncate(0) == ZERO
-        assert p.truncate(2) == P("x+5")
-        assert p.truncate(4) == P("2x^2+x+5")
-        assert p.truncate(9) is p
-        # Trailing zeros left by the cut are trimmed.
-        assert P("x^3+7").truncate(3).coefficients == (7,)
-        with pytest.raises(ValueError):
-            p.truncate(-1)
-
     def test_int_coercion_in_arithmetic(self):
         assert X + 1 == P("x+1")
         assert 2 - X == P("-x+2")
@@ -339,7 +328,9 @@ class TestKernels:
             for precision in (0, 1, 2, 5, 40):
                 reduced = series.terms(precision)
                 for (_, term), cut in zip(full, reduced):
-                    assert cut == term.truncate(precision)
+                    assert cut == Polynomial(term.coefficients[:precision])
+        with pytest.raises(ValueError, match="precision must be nonnegative"):
+            next(series.terms(-1))
 
 
 class TestSeriesTerm:

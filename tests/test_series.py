@@ -110,7 +110,7 @@ class TestTruncatedColumns:
             full = gf.expand(25)
             for precision in (1, 2, 4, 9, 200):
                 assert list(islice(gf.terms(precision), 26)) == \
-                    [p.truncate(precision) for p in full]
+                    [Polynomial(p.coefficients[:precision]) for p in full]
 
     def test_column_route_equals_the_table_column(self):
         for name in ("T", "C", "E"):
