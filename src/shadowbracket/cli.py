@@ -122,8 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     export_cmd.add_argument("--rows", type=int, required=True)
     export_cmd.add_argument("--column", type=int, default=None,
                             help="export one column k (default: whole triangle)")
-    export_cmd.add_argument("--offset", type=int, default=0,
-                            help="first index for b-file lines")
     export_cmd.add_argument("--out", default=None, help="write to a file instead of stdout")
     export_cmd.add_argument("--compare", default=None, metavar="FILE",
                             help="compare b-file output against a reference file")
@@ -321,7 +319,7 @@ def _cmd_export(args) -> int:
         values = chain.from_iterable(table_rows(args.generator, args.rows))
     else:
         values = coefficient_column(args.generator, args.rows, args.column)
-    entries = enumerate(values, args.offset)
+    entries = enumerate(values)
     if args.compare:
         # Compare before emitting: a missing, undecodable or malformed
         # reference leaves no output behind.

@@ -6,9 +6,11 @@ additionally lists six boundary endpoints, three per side, top to bottom.
 Every edge identifier occurs exactly twice across the crossings and the
 boundary; crossingless circles are carried separately as ``free_loops``.
 A :class:`ShadowDiagram` checks all of this, planarity included, once, in
-its constructor.  Planarity is Euler's formula on the faces traced from
-each crossing's cyclic order: first as listed, then, if that fails, read in
-the directions that Dehn's reading of a single-loop smoothing proposes.
+its constructor; its JSON reader first applies the strict-JSON rule of
+:mod:`shadowbracket.tl3` that the tuple reader also uses.  Planarity is
+Euler's formula on the faces traced from each crossing's cyclic order: first
+as listed, then, if that fails, read in the directions that Dehn's reading
+of a single-loop smoothing proposes.
 
 Smoothing a crossing ``(e1, e2, e3, e4)`` joins the adjacent pairs
 ``e1-e2, e3-e4`` (bit 0) or ``e2-e3, e4-e1`` (bit 1).  The two routes that
@@ -27,7 +29,7 @@ from itertools import chain, count
 from typing import NamedTuple, Sequence
 
 from .record import Record
-from .tl3 import MATCHINGS, TLElement
+from .tl3 import MATCHINGS, TLElement, _json_list, _json_object
 
 # Each free loop multiplies the bracket by x, so one number in diagram JSON
 # could ask for a polynomial of any size; a diagram is refused above this.
@@ -135,45 +137,18 @@ class ShadowDiagram(Record):
         ``boundary`` and ``free_loops`` may be left out."""
         try:
             data = _json_object(data, ("crossings", "boundary", "free_loops"), "the diagram")
-            crossings = tuple(_edge_list(quad, f"crossing {i}") for i, quad
-                              in enumerate(_json_list(data["crossings"], "crossings")))
+            crossings = [_json_list(quad, f"crossing {i}", str) for i, quad
+                         in enumerate(_json_list(data["crossings"], "crossings"))]
             boundary = data.get("boundary")
             if boundary is not None:
                 sides = _json_object(boundary, ("L", "R"), "boundary")
-                boundary = Boundary(*(_edge_list(sides[side], f"boundary side {side!r}")
+                boundary = Boundary(*(_json_list(sides[side], f"boundary side {side!r}", str)
                                       for side in ("L", "R")))
-            return cls(crossings, boundary, data.get("free_loops", 0))
         except KeyError as missing:
             raise MalformedDiagramError(f"bad diagram JSON: missing key {missing}") from None
-        except TypeError as exc:
+        except ValueError as exc:
             raise MalformedDiagramError(f"bad diagram JSON: {exc}") from None
-
-
-def _json_object(value: object, keys: tuple[str, ...], name: str) -> dict:
-    """``value`` if it is a JSON object with no key outside ``keys``."""
-    if not isinstance(value, dict):
-        raise MalformedDiagramError(
-            f"bad diagram JSON: {name} must be an object, got {type(value).__name__}")
-    unknown = sorted(set(value) - set(keys))
-    if unknown:
-        raise MalformedDiagramError(f"bad diagram JSON: {name} has unknown key {unknown[0]!r}")
-    return value
-
-
-def _json_list(value: object, name: str) -> list:
-    if not isinstance(value, list):
-        raise MalformedDiagramError(
-            f"bad diagram JSON: {name} must be a list, got {type(value).__name__}")
-    return value
-
-
-def _edge_list(value: object, name: str) -> tuple[str, ...]:
-    """``value`` as a tuple if it is a JSON list of edge identifiers (strings)."""
-    for edge in _json_list(value, name):
-        if not isinstance(edge, str):
-            raise MalformedDiagramError(f"bad diagram JSON: {name} has an edge identifier "
-                                        f"of type {type(edge).__name__}, not a string")
-    return tuple(value)
+        return cls(crossings, boundary, data.get("free_loops", 0))
 
 
 # The one union-find of the package, with path halving.  ``parent`` is a list

@@ -41,7 +41,8 @@ class Polynomial:
     def __init__(self, coefficients: Iterable[int] = ()):
         coeffs = list(coefficients)
         for c in coeffs:
-            if not isinstance(c, int):
+            # bool is a subclass of int, so test the exact type.
+            if type(c) is not int:
                 raise TypeError(f"integer coefficient required, got {c!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -65,8 +66,10 @@ class Polynomial:
         """Build a polynomial from an int, a coefficient list, or pass one through."""
         if isinstance(value, Polynomial):
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             return cls._unchecked([value])
+        if isinstance(value, int):
+            raise TypeError(f"integer coefficient required, got {value!r}")
         return cls(value)
 
     @property

@@ -12,9 +12,9 @@ Kauffman states of the closure with exactly k loops; row n is just the
 coefficient list of the n-th series coefficient.  Column k needs only the
 series modulo x^(k+1), so :func:`coefficient_column` runs the recurrences
 with that truncation instead of building the triangle.  Rows render as
-lines of values; ``row_lines(enumerate(values, offset))`` is the OEIS-style
-b-file ("index value" per line), which :func:`compare_bfiles` checks value
-by value against a reference b-file, read one line at a time.
+lines of values; ``row_lines(enumerate(values))`` is the OEIS-style b-file
+("index value" per line, from index 0), which :func:`compare_bfiles` checks
+value by value against a reference b-file, read one line at a time.
 
 The series is a lazy source, :meth:`RationalGF.terms`, and
 :func:`table_rows`, :func:`coefficient_column` and :func:`row_lines` render

@@ -17,7 +17,8 @@ associativity law and the Temperley-Lieb relations.
 A tangle bracket is a :class:`BracketVector`, one integer polynomial per
 element.  It lives here, beside the basis it is written in, so that reading,
 printing or passing on a tuple needs none of the tuple algebra of
-:mod:`shadowbracket.bracket`.
+:mod:`shadowbracket.bracket`.  Its JSON reader and the shadow diagram's
+share one strict-JSON rule, ``_json_object`` and ``_json_list``.
 """
 
 from __future__ import annotations
@@ -180,22 +181,40 @@ class BracketVector(Record):
 
     @classmethod
     def from_json(cls, data: object) -> "BracketVector":
-        """Read the :meth:`to_json` form; raise ValueError for anything else."""
-        if not isinstance(data, dict):
-            raise ValueError("bracket tuple JSON must be an object")
+        """Read the :meth:`to_json` form; raise ValueError for anything else,
+        unknown keys and items that are not exact ints included."""
         try:
-            entries = [data[name] for name in "abcde"]
+            data = _json_object(data, "abcde", "the tuple")
+            entries = [_json_list(data[name], f"key {name!r}", int) for name in "abcde"]
         except KeyError as missing:
-            raise ValueError(f"bracket tuple JSON is missing key {missing}") from None
-        extra = sorted(set(data) - set("abcde"))
-        if extra:
-            raise ValueError(f"bracket tuple JSON has unknown key {extra[0]!r}")
-        for name, coeffs in zip("abcde", entries):
-            # bool is a subclass of int, so test the exact type.
-            if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
-                raise ValueError(
-                    f"bracket tuple JSON key {name!r} must be a list of integers")
+            raise ValueError(f"bad tuple JSON: missing key {missing}") from None
+        except ValueError as exc:
+            raise ValueError(f"bad tuple JSON: {exc}") from None
         return cls.of(*entries)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.entries()) + "]"
+
+
+# The strict-JSON rule of both input files; ``name`` says where the value sits.
+def _json_object(value: object, keys: str | tuple[str, ...], name: str) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"{name} has unknown key {unknown[0]!r}")
+    return value
+
+
+def _json_list(value: object, name: str, item: type | None = None) -> list:
+    """``value`` if it is a JSON list, each item of exactly type ``item`` if
+    one is given (so a bool is not an int)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {type(value).__name__}")
+    if item is not None:
+        for i, x in enumerate(value):
+            if type(x) is not item:
+                raise ValueError(f"{name} has item {i} of type {type(x).__name__}, "
+                                 f"not {item.__name__}")
+    return value

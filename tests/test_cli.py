@@ -264,10 +264,10 @@ class TestExportCommand:
         assert code == 0
         assert out == "0 0\n1 1\n2 5\n3 16\n"
 
-    def test_triangle_bfile_with_offset(self, capsys):
-        code, out, _ = run(capsys, "export", "--generator", "T", "--rows", "0",
-                           "--offset", "1")
-        assert out == "1 0\n2 0\n3 0\n4 1\n"
+    # A b-file's index is the value's position, counted from 0 across the rows.
+    def test_triangle_bfile(self, capsys):
+        code, out, _ = run(capsys, "export", "--generator", "T", "--rows", "1")
+        assert (code, out) == (0, "0 0\n1 0\n2 0\n3 1\n4 0\n5 1\n6 2\n7 1\n")
 
     def test_compare_match(self, capsys, tmp_path):
         reference = tmp_path / "reference.txt"
@@ -310,11 +310,13 @@ class TestExportCommand:
         assert _refused(code, out, err)
         assert "--format csv" in err
 
+    # export has no --offset either: a b-file's index always starts at 0, and
+    # an old command line with both flags is refused naming both.
     def test_csv_with_offset_is_usage_error(self, capsys):
         code, out, err = run_usage_error(capsys, "export", "--generator", "T", "--rows", "4",
                                          "--format", "csv", "--offset", "3")
         assert _refused(code, out, err)
-        assert "--format csv" in err
+        assert "--format csv" in err and "--offset 3" in err
 
     # The triangle export --format csv printed is now table --format csv's, byte for byte.
     def test_csv_with_offset_zero_prints_the_triangle(self, capsys):
@@ -331,20 +333,21 @@ class TestExportCommand:
         assert run(capsys, "table", "--generator", "T", "--rows", "2", "--format", "csv") == (
             0, "0,0,0,1\n0,1,2,1\n0,5,8,3\n", "")
 
-    @pytest.mark.parametrize("offset, reference, problem", [
-        (0, "# column 1\n0 0\n1 1\n2 5\n3 16\n", None),
-        (2, "2 0\n3 1\n\n4 5\n5 16", None),
-        (0, "0 0\n1 1\n2 999\n3 16\n", "mismatch at line 3: 2 5 != 2 999"),
-        (2, "2 0\n3 1\n4 5\n", "length mismatch: 4 lines versus 3"),
-        (0, "0 0\n1 1\n2 5\n3 16\n4 45\n", "length mismatch: 4 lines versus 5"),
+    @pytest.mark.parametrize("reference, problem", [
+        ("# column 1\n0 0\n1 1\n2 5\n3 16\n", None),
+        ("0 0\n1 1\n\n2 5\n3 16", None),
+        ("0 0\n1 1\n2 999\n3 16\n", "mismatch at line 3: 2 5 != 2 999"),
+        ("0 0\n1 1\n2 5\n", "length mismatch: 4 lines versus 3"),
+        ("0 0\n1 1\n2 5\n3 16\n4 45\n", "length mismatch: 4 lines versus 5"),
+        ("2 0\n3 1\n4 5\n5 16\n", "mismatch at line 1: 0 0 != 2 0"),
     ])
-    def test_compare_output_is_exact(self, capsys, tmp_path, offset, reference, problem):
+    def test_compare_output_is_exact(self, capsys, tmp_path, reference, problem):
         path = tmp_path / "reference.txt"
         path.write_text(reference)
         out_file = tmp_path / "column.txt"
         argv = ("export", "--generator", "T", "--rows", "3", "--column", "1",
-                "--offset", str(offset), "--compare", str(path))
-        lines = "".join(f"{offset + n} {v}\n" for n, v in enumerate([0, 1, 5, 16]))
+                "--compare", str(path))
+        lines = "".join(f"{n} {v}\n" for n, v in enumerate([0, 1, 5, 16]))
         code, verdict = ((0, f"MATCH against {path}\n") if problem is None
                          else (1, f"MISMATCH against {path}: {problem}\n"))
         assert run(capsys, *argv) == (code, lines + verdict, "")
@@ -387,12 +390,10 @@ class TestExportCommand:
     @pytest.mark.parametrize("name", ["T", "C", "E"])
     def test_column_output_matches_the_table_column(self, capsys, name):
         # k = 0, k beyond the degree of every row, and rows = 0.
-        for rows, k, offset in ((0, 0, 0), (0, 3, 0), (0, 9, 2), (9, 0, 0),
-                                (9, 4, 1), (9, 60, 0), (30, 5, 0)):
+        for rows, k in ((0, 0), (0, 3), (0, 9), (9, 0), (9, 4), (9, 60), (30, 5)):
             code, out, _ = run(capsys, "export", "--generator", name,
-                               "--rows", str(rows), "--column", str(k),
-                               "--offset", str(offset))
-            expected = row_lines(enumerate(column(coefficient_table(name, rows), k), offset))
+                               "--rows", str(rows), "--column", str(k))
+            expected = row_lines(enumerate(column(coefficient_table(name, rows), k)))
             assert (code, out) == (0, "\n".join(expected) + "\n")
 
 
@@ -483,7 +484,7 @@ class TestBadInput:
         ("export", "--generator", "T", "--rows", "-1"),
         ("export", "--generator", "C", "--rows", "-2", "--column", "1"),
         ("export", "--generator", "E", "--rows", "-1", "--column", "0"),
-        ("export", "--generator", "T", "--rows", "-1", "--offset", "2"),
+        ("export", "--generator", "T", "--rows", "-1", "--compare", "absent.txt"),
     ])
     def test_negative_rows(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -653,7 +654,7 @@ OPTIONS = {
     "charpoly": ["--generator", "--word", "--pd", "--tuple", "--format", "--out"],
     "verify": ["--tables", "--oracle", "--charpoly", "--recurrence", "--generator",
                "--max-n", "--words", "--seed"],
-    "export": ["--generator", "--rows", "--column", "--offset", "--out", "--compare"],
+    "export": ["--generator", "--rows", "--column", "--out", "--compare"],
 }
 
 
@@ -958,6 +959,40 @@ class TestStrictDiagramJson:
         path = tmp_path / "diagram.json"
         path.write_text(json.dumps({"crossings": [["a", "a", "b", "b"]]}))
         assert run(capsys, "bracket", "--pd", str(path)) == (0, "x^2+x\n", "")
+
+
+_GOOD_TUPLE = {"a": [1], "b": [0, 1], "c": [], "d": [0], "e": [1]}
+_GOOD_DIAGRAM = {"crossings": [["e0", "e1", "e2", "e3"]],
+                 "boundary": {"L": ["e0", "e3", "e4"], "R": ["e1", "e2", "e4"]}}
+
+
+# Malformed --tuple and --pd files, each with the words its one stderr line
+# must hold: where the fault sits and the type found or wanted.
+@pytest.mark.parametrize("flag, data, words", [
+    ("--tuple", [_GOOD_TUPLE], ("the tuple", "object", "list")),
+    ("--tuple", dict(_GOOD_TUPLE, f=[2]), ("the tuple", "unknown key 'f'")),
+    ("--tuple", {k: v for k, v in _GOOD_TUPLE.items() if k != "c"}, ("missing key 'c'",)),
+    ("--tuple", dict(_GOOD_TUPLE, d=7), ("key 'd'", "list", "int")),
+    ("--tuple", dict(_GOOD_TUPLE, b=[0, "1"]), ("key 'b'", "item 1", "str", "int")),
+    ("--tuple", dict(_GOOD_TUPLE, e=[1.0]), ("key 'e'", "item 0", "float", "int")),
+    ("--tuple", dict(_GOOD_TUPLE, a=[True]), ("key 'a'", "item 0", "bool", "int")),
+    ("--pd", "abcd", ("the diagram", "object", "str")),
+    ("--pd", dict(_GOOD_DIAGRAM, loops=0), ("the diagram", "unknown key 'loops'")),
+    ("--pd", {"boundary": None}, ("missing key 'crossings'",)),
+    ("--pd", dict(_GOOD_DIAGRAM, crossings={"0": []}), ("crossings", "list", "dict")),
+    ("--pd", dict(_GOOD_DIAGRAM, crossings=[["e0", "e1", 2.5, "e3"]]),
+     ("crossing 0", "item 2", "float", "str")),
+    ("--pd", dict(_GOOD_DIAGRAM, crossings=[["e0", "e1", "e2", True]]),
+     ("crossing 0", "item 3", "bool", "str")),
+    ("--pd", dict(_GOOD_DIAGRAM, boundary={"L": ["e0", "e3", "e4"], "R": ["e1", "e2", 4]}),
+     ("boundary side 'R'", "item 2", "int", "str")),
+])
+def test_malformed_input_file_names_the_fault(capsys, tmp_path, flag, data, words):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "bracket", flag, str(path))
+    assert _refused(code, out, err), (code, out, err)
+    assert all(word in err for word in words), err
 
 
 class TestFilesReadBeforeOutput:

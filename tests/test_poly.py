@@ -9,8 +9,8 @@ import pytest
 
 import shadowbracket
 from conftest import P, rand_poly
-from shadowbracket.bracket import (SERIES_BLOCK_STEPS, LambdaPolynomial, RationalTerm,
-                                   _digit_width, _pack, _unpack)
+from shadowbracket.bracket import (SERIES_BLOCK_STEPS, BracketVector, LambdaPolynomial,
+                                   RationalTerm, _digit_width, _pack, _unpack)
 from shadowbracket.poly import (ONE, Polynomial, X, ZERO, int_text, parse_int,
                                 power_by_squaring)
 
@@ -268,6 +268,18 @@ class TestMisc:
     def test_integer_coefficients_required(self):
         with pytest.raises(TypeError):
             Polynomial([1.5])
+
+    # bool is an int subclass; kept, True would be written out as invalid JSON.
+    @pytest.mark.parametrize("build", [
+        lambda: Polynomial([True, 0, True]),
+        lambda: Polynomial([1, False]),
+        lambda: Polynomial.coerce(True),
+        lambda: X + False,
+        lambda: BracketVector.of(True, 0, 0, 0, 0),
+    ])
+    def test_bool_coefficients_are_refused(self, build):
+        with pytest.raises(TypeError, match="^integer coefficient required, got (True|False)$"):
+            build()
 
     def test_int_coercion_in_arithmetic(self):
         assert X + 1 == P("x+1")
