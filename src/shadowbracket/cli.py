@@ -13,15 +13,19 @@ Exactly one input source per invocation: --generator, --word, --pd or
 --tuple.
 Exit codes: 0 success, 1 verification or comparison failure, 2 usage or
 parse error, 141 a closed stdout (the status of a writer killed by SIGPIPE).
+
+Every option is stated once, in ``_COMMANDS``.  A well-formed command line
+is read straight from it without importing ``argparse``; any other (``-h``,
+every usage error) goes to the argparse parser built from the same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import contextmanager, nullcontext
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence, TextIO
 
 # Only what every command needs is imported here; each handler imports the
@@ -37,10 +41,62 @@ _COUNT_FLAGS = ("--n", "--terms", "--words", "--max-n", "--rows", "--column")
 # The verify suites, each selected by its own flag; none selected runs them all.
 _SUITES = ("tables", "oracle", "charpoly", "recurrence")
 
+# Each option is a flag and its ``add_argument`` keywords, of which the exact
+# parser reads ``dest``, ``type`` (int or, left out, str), ``choices``,
+# ``action="store_true"``, ``default`` and ``required``.
+_INPUT = (  # the required one-of input group
+    ("--generator", dict(choices=NAMES, help="a built-in generator")),
+    ("--word", dict(metavar="LETTERS", help=f"tangle word over {' '.join(WORD_LETTERS)}")),
+    ("--pd", dict(metavar="FILE", help="shadow diagram JSON file")),
+    ("--tuple", dict(metavar="FILE", dest="tuple_file", help="bracket tuple JSON file")),
+)
+_OUT = ("--out", dict(default=None, help="write to a file instead of stdout"))
+
+
+def _format(*formats: str) -> tuple[str, dict]:
+    return ("--format", dict(choices=formats, default=formats[0]))
+
+
+# Each command, in the order of the top-level --help: its help, its input
+# group (or none), and its other options in the order of its own --help.
+_COMMANDS = {
+    "bracket": ("tuple or closure bracket of a tangle power", _INPUT, (
+        ("--n", dict(type=int, default=1, help="tangle power (default 1)")),
+        ("--closure", dict(action="store_true",
+                           help="print the closure bracket instead of the tuple")),
+        _format("text", "json"), _OUT)),
+    "table": ("coefficient triangle of a built-in generator", (), (
+        ("--generator", dict(required=True, choices=NAMES)),
+        ("--rows", dict(type=int, required=True, help="last row index n to produce")),
+        _format("text", "csv", "json"), _OUT)),
+    "gf": ("rational generating function of the closure brackets", _INPUT, (
+        ("--terms", dict(type=int, default=None,
+                         help="also print series coefficients 0..TERMS")),
+        _format("text", "json"), _OUT)),
+    "charpoly": ("characteristic polynomial of the states matrix", _INPUT, (
+        _format("text", "json"), _OUT)),
+    "verify": ("run the self-check suites", (), (
+        *((f"--{suite}", dict(action="store_true")) for suite in _SUITES),
+        ("--generator", dict(choices=NAMES, default=None,
+                             help="restrict to one generator (default: all)")),
+        ("--max-n", dict(type=int, default=3,
+                         help="largest tangle power for the oracle suite")),
+        ("--words", dict(type=int, default=200, help="random words for the oracle suite")),
+        ("--seed", dict(type=int, default=7)))),
+    "export": ("triangle or column data as a b-file", (), (
+        ("--generator", dict(required=True, choices=NAMES)),
+        ("--rows", dict(type=int, required=True)),
+        ("--column", dict(type=int, default=None,
+                          help="export one column k (default: whole triangle)")),
+        _OUT,
+        ("--compare", dict(default=None, metavar="FILE",
+                           help="compare b-file output against a reference file")))),
+}
+
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_exact(argv) or _build_parser().parse_args(argv)
     try:
         for flag in _COUNT_FLAGS:
             value = getattr(args, flag[2:].replace("-", "_"), None)
@@ -58,93 +114,73 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a usage error on one stderr line."""
+def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_build_parser().parse_args(argv)`` returns, if ``argv`` is plain.
 
-    def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+    Plain is a command, then exact flags of it, each at most once, a value
+    flag followed by one value that does not start with ``-``, every int
+    read by ``int``, every choice among its choices, every required flag
+    and exactly one input source given.  Anything else is None.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, sources, options = _COMMANDS[argv[0]]
+    specs = dict(chain(sources, options))
+    dests = {flag: spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in specs.items()}
+    # Every command writes through _emit, which reads --out; verify has none.
+    values = {"out": None}
+    for flag, spec in specs.items():
+        values[dests[flag]] = spec.get("default", False if spec.get("action") else None)
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None or flag in seen:
+            return None
+        seen.add(flag)
+        value = True
+        if not spec.get("action"):
+            value = next(tokens, "-")
+            # Only str options have choices.
+            if value.startswith("-") or value not in spec.get("choices", (value,)):
+                return None
+            if spec.get("type") is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+        values[dests[flag]] = value
+    if (any(spec.get("required") and flag not in seen for flag, spec in options)
+            or sources and len(seen.intersection(dict(sources))) != 1):
+        return None
+    values["handler"] = globals()[f"_cmd_{argv[0]}"]
+    return SimpleNamespace(**values)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``; it writes every help and usage error."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """An argument parser that reports a usage error on one stderr line."""
+
+        def error(self, message: str):
+            self.exit(2, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
         prog="shadowbracket",
         description="Exact bracket polynomials of 3-tangle shadow diagrams.")
     commands = parser.add_subparsers(required=True, metavar="command")
-
-    bracket_cmd = commands.add_parser(
-        "bracket", help="tuple or closure bracket of a tangle power")
-    _add_input_flags(bracket_cmd)
-    bracket_cmd.add_argument("--n", type=int, default=1,
-                             help="tangle power (default 1)")
-    bracket_cmd.add_argument("--closure", action="store_true",
-                             help="print the closure bracket instead of the tuple")
-    _add_output_flags(bracket_cmd, ("text", "json"))
-    bracket_cmd.set_defaults(handler=_cmd_bracket)
-
-    table_cmd = commands.add_parser(
-        "table", help="coefficient triangle of a built-in generator")
-    table_cmd.add_argument("--generator", required=True, choices=NAMES)
-    table_cmd.add_argument("--rows", type=int, required=True,
-                           help="last row index n to produce")
-    _add_output_flags(table_cmd, ("text", "csv", "json"))
-    table_cmd.set_defaults(handler=_cmd_table)
-
-    gf_cmd = commands.add_parser(
-        "gf", help="rational generating function of the closure brackets")
-    _add_input_flags(gf_cmd)
-    gf_cmd.add_argument("--terms", type=int, default=None,
-                        help="also print series coefficients 0..TERMS")
-    _add_output_flags(gf_cmd, ("text", "json"))
-    gf_cmd.set_defaults(handler=_cmd_gf)
-
-    charpoly_cmd = commands.add_parser(
-        "charpoly", help="characteristic polynomial of the states matrix")
-    _add_input_flags(charpoly_cmd)
-    _add_output_flags(charpoly_cmd, ("text", "json"))
-    charpoly_cmd.set_defaults(handler=_cmd_charpoly)
-
-    verify_cmd = commands.add_parser(
-        "verify", help="run the self-check suites")
-    for suite in _SUITES:
-        verify_cmd.add_argument(f"--{suite}", action="store_true")
-    verify_cmd.add_argument("--generator", choices=NAMES, default=None,
-                            help="restrict to one generator (default: all)")
-    verify_cmd.add_argument("--max-n", type=int, default=3,
-                            help="largest tangle power for the oracle suite")
-    verify_cmd.add_argument("--words", type=int, default=200,
-                            help="random words for the oracle suite")
-    verify_cmd.add_argument("--seed", type=int, default=7)
-    verify_cmd.set_defaults(handler=_cmd_verify, out=None)
-
-    export_cmd = commands.add_parser(
-        "export", help="triangle or column data as a b-file")
-    export_cmd.add_argument("--generator", required=True, choices=NAMES)
-    export_cmd.add_argument("--rows", type=int, required=True)
-    export_cmd.add_argument("--column", type=int, default=None,
-                            help="export one column k (default: whole triangle)")
-    export_cmd.add_argument("--out", default=None, help="write to a file instead of stdout")
-    export_cmd.add_argument("--compare", default=None, metavar="FILE",
-                            help="compare b-file output against a reference file")
-    export_cmd.set_defaults(handler=_cmd_export)
-
+    for name, (help_text, sources, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text)
+        if sources:
+            group = command.add_mutually_exclusive_group(required=True)
+            for flag, spec in sources:
+                group.add_argument(flag, **spec)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
+        command.set_defaults(handler=globals()[f"_cmd_{name}"], out=None)
     return parser
-
-
-def _add_input_flags(cmd: argparse.ArgumentParser) -> None:
-    source = cmd.add_mutually_exclusive_group(required=True)
-    source.add_argument("--generator", choices=NAMES,
-                        help="a built-in generator")
-    source.add_argument("--word", metavar="LETTERS",
-                        help=f"tangle word over {' '.join(WORD_LETTERS)}")
-    source.add_argument("--pd", metavar="FILE",
-                        help="shadow diagram JSON file")
-    source.add_argument("--tuple", metavar="FILE", dest="tuple_file",
-                        help="bracket tuple JSON file")
-
-
-def _add_output_flags(cmd: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    cmd.add_argument("--format", choices=formats, default=formats[0])
-    cmd.add_argument("--out", default=None, help="write to a file instead of stdout")
 
 
 def _resolve_input(args) -> BracketVector | Polynomial:

@@ -128,7 +128,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        # A constant hashes as the int it equals; any other by its coefficients.
+        return hash(self._coeffs if len(self._coeffs) > 1 else self.coefficient(0))
 
     def __bool__(self) -> bool:
         return not self.is_zero

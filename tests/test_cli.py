@@ -1,7 +1,9 @@
 import argparse
+import importlib
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -894,6 +896,96 @@ def test_count_flags_are_refused_or_run(capsys, flag):
         else:
             assert_value_or_refused(result, lambda: expected(count), value)
             assert code == 0, value
+
+
+# --- the exact parser against argparse ---------------------------------------
+
+# Values for any flag: right and wrong ones, negative numbers, values that
+# start with "-", and the ints int() reads besides plain digits.
+_ANY_VALUES = ("0", "3", "12", "-1", "-3", "+2", " 3", "٣", "1.5", "x", "", "-", "--",
+               "-X1", "T", "C", "E", "Q", "t", "text", "csv", "json", "X1 U2", "f.json",
+               "bracket", "a=b")
+
+
+def _value(rng: random.Random, spec: dict) -> str:
+    if "choices" in spec:
+        return rng.choice(spec["choices"])
+    if spec.get("type") is int:
+        return str(rng.randint(0, 20))
+    return rng.choice(("X1 U2", "f.json", ""))
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    """A well-formed command line, then most often broken in a few places."""
+    command = rng.choice(list(cli._COMMANDS))
+    _, sources, options = cli._COMMANDS[command]
+    chosen = [rng.choice(sources)] if sources else []
+    chosen += [option for option in options if option[1].get("required") or rng.random() < 0.4]
+    rng.shuffle(chosen)
+    if chosen and rng.random() < 0.2:  # perhaps the source or a required flag
+        del chosen[rng.randrange(len(chosen))]
+    argv = [command]
+    for flag, spec in chosen:
+        argv += [flag] if spec.get("action") else [flag, _value(rng, spec)]
+    every = sources + options
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        i = rng.randrange(len(argv) + 1)
+        flag, spec = rng.choice(every)
+        kind = rng.choice(("repeat", "equals", "abbreviate", "value", "help", "drop",
+                           "foreign", "command"))
+        if kind == "repeat":
+            argv[i:i] = [flag] if spec.get("action") else [flag, _value(rng, spec)]
+        elif kind == "equals":
+            argv[i:i] = [f"{flag}={_value(rng, spec)}"]
+        elif kind == "abbreviate":
+            argv[i:i] = [flag[:rng.randint(3, max(3, len(flag) - 1))], _value(rng, spec)]
+        elif kind == "value" and len(argv) > 1:
+            argv[rng.randrange(1, len(argv))] = rng.choice(_ANY_VALUES)
+        elif kind == "help":
+            argv[i:i] = [rng.choice(("-h", "--help"))]
+        elif kind == "drop" and argv:
+            del argv[rng.randrange(len(argv))]
+        elif kind == "foreign":
+            other = cli._COMMANDS[rng.choice(list(cli._COMMANDS))]
+            argv[i:i] = [rng.choice(other[1] + other[2])[0], rng.choice(_ANY_VALUES)]
+        elif kind == "command":
+            argv[i:i] = [rng.choice(("frobnicate", "brack", *cli._COMMANDS))]
+    return argv
+
+
+def _fast_path_corpus(monkeypatch) -> list[list[str]]:
+    """The benchmark's requests, this file's flag cases, and 2,000 seeded ones."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    corpus = [list(request.argv) for name in workloads.WORKLOADS for seed in (1, 2)
+              for inputs in [workloads.build(name, seed, "work")]
+              for request in [inputs.warmup, *inputs.templates]]
+    corpus += [[*command, value] for command, _ in _COUNT_FLAGS.values()
+               for value in _COUNT_VALUES]
+    corpus += [["verify", "--oracle", "--generator", "T", *flags] for flags in (
+        ("--words", "-3"), ("--max-n", "-1"), ("--words", "-1", "--seed", "3"))]
+    corpus += [["bracket", "--generator", "T", "--n"], ["frobnicate"], [],
+               ["bracket", "--generator", "T", "--word", "X1"], ["bracket", "-h"],
+               ["bracket", "--word", "X1", "--max-crossings", "4"]]
+    rng = random.Random(43)
+    return corpus + [_random_argv(rng) for _ in range(2000)]
+
+
+def test_the_exact_parser_agrees_with_argparse(monkeypatch, capsys):
+    parser = cli._build_parser()
+    accepted = declined = 0
+    for argv in _fast_path_corpus(monkeypatch):
+        fast = cli._parse_exact(argv)
+        if fast is None:
+            declined += 1
+            continue
+        accepted += 1
+        try:
+            expected = vars(parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}: {capsys.readouterr().err}")
+        assert vars(fast) == expected, argv
+    assert accepted > 300 and declined > 300, (accepted, declined)
 
 
 # --- strict diagram JSON and files read before any output --------------------

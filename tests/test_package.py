@@ -79,6 +79,8 @@ class TestImportFootprint:
     HEAVY = {"dataclasses", "inspect", "json", "shadowbracket.diagram",
              "shadowbracket.oracle", "shadowbracket.contraction", "shadowbracket.series",
              "shadowbracket.reference"}
+    # argparse, and what its first message lookup imports.
+    ARGPARSE = {"argparse", "gettext", "locale"}
 
     @pytest.fixture(scope="class")
     def baseline(self) -> set[str]:
@@ -139,6 +141,15 @@ class TestImportFootprint:
             loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
             assert "shadowbracket" in loaded, argv
             assert not loaded & {"dataclasses", "inspect"}, argv
+            # A well-formed request is read without argparse.
+            assert not loaded & self.ARGPARSE, argv
+
+    @pytest.mark.parametrize("argv, returncode", [(("bracket", "-h"), 0),
+                                                  (("bracket", "--generator", "Q"), 2)])
+    def test_help_and_usage_errors_load_argparse(self, baseline, argv, returncode):
+        loaded = loaded_modules("-m", "shadowbracket.cli", *argv,
+                                returncode=returncode) - baseline
+        assert "argparse" in loaded
 
     @pytest.mark.parametrize("argv", [("verify", "--tables", "--generator", "T"),
                                       ("verify", "--charpoly", "--generator", "T"),

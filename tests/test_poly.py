@@ -296,6 +296,12 @@ class TestMisc:
         assert P("5") != 0 and ZERO != 5
         assert P("x+5") != 5 and X != 0
 
+    def test_a_constant_hashes_as_the_int_it_equals(self):
+        assert len({Polynomial([1]), 1}) == 1
+        assert len({ZERO, 0}) == 1
+        assert hash(Polynomial([-1])) == hash(-1)
+        assert {P("x+1"): "a", 5: "b"}[Polynomial([5])] == "b"
+
 
 class TestKernels:
     def test_power_equals_repeated_multiplication(self):
