@@ -14,9 +14,11 @@ Exactly one input source per invocation: --generator, --word, --pd or
 Exit codes: 0 success, 1 verification or comparison failure, 2 usage or
 parse error, 141 a closed stdout (the status of a writer killed by SIGPIPE).
 
-Every option is stated once, in ``_COMMANDS``.  A well-formed command line
-is read straight from it without importing ``argparse``; any other (``-h``,
-every usage error) goes to the argparse parser built from the same table.
+Every option is stated once, in ``_COMMANDS``.  Only ``_parse_exact`` runs a
+command, reading each flag given once and in full, without ``argparse``.
+The argparse parser built from the same table prints ``-h`` and words the
+usage errors it finds; an abbreviated, ``=``-joined or repeated flag that it
+would accept is refused on one line too.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ _COUNT_FLAGS = ("--n", "--terms", "--words", "--max-n", "--rows", "--column")
 _SUITES = ("tables", "oracle", "charpoly", "recurrence")
 
 # Each option is a flag and its ``add_argument`` keywords, of which the exact
-# parser reads ``dest``, ``type`` (int or, left out, str), ``choices``,
-# ``action="store_true"``, ``default`` and ``required``.
+# parser reads ``type`` (int or, left out, str), ``choices``, ``action``
+# (always "store_true", with ``default=False``), ``default`` and ``required``.
 _INPUT = (  # the required one-of input group
     ("--generator", dict(choices=NAMES, help="a built-in generator")),
     ("--word", dict(metavar="LETTERS", help=f"tangle word over {' '.join(WORD_LETTERS)}")),
     ("--pd", dict(metavar="FILE", help="shadow diagram JSON file")),
-    ("--tuple", dict(metavar="FILE", dest="tuple_file", help="bracket tuple JSON file")),
+    ("--tuple", dict(metavar="FILE", help="bracket tuple JSON file")),
 )
 _OUT = ("--out", dict(default=None, help="write to a file instead of stdout"))
 
@@ -62,7 +64,7 @@ def _format(*formats: str) -> tuple[str, dict]:
 _COMMANDS = {
     "bracket": ("tuple or closure bracket of a tangle power", _INPUT, (
         ("--n", dict(type=int, default=1, help="tangle power (default 1)")),
-        ("--closure", dict(action="store_true",
+        ("--closure", dict(action="store_true", default=False,
                            help="print the closure bracket instead of the tuple")),
         _format("text", "json"), _OUT)),
     "table": ("coefficient triangle of a built-in generator", (), (
@@ -76,7 +78,7 @@ _COMMANDS = {
     "charpoly": ("characteristic polynomial of the states matrix", _INPUT, (
         _format("text", "json"), _OUT)),
     "verify": ("run the self-check suites", (), (
-        *((f"--{suite}", dict(action="store_true")) for suite in _SUITES),
+        *((f"--{suite}", dict(action="store_true", default=False)) for suite in _SUITES),
         ("--generator", dict(choices=NAMES, default=None,
                              help="restrict to one generator (default: all)")),
         ("--max-n", dict(type=int, default=3,
@@ -96,12 +98,13 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_exact(argv) or _build_parser().parse_args(argv)
     try:
-        for flag in _COUNT_FLAGS:
-            value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is not None and value < 0:
-                raise ValueError(f"{flag} must be nonnegative, got {value}")
+        args = _parse_exact(argv)
+        if args is None:
+            # argparse prints -h or a usage error; what else it accepts is refused.
+            parser = _build_parser()
+            parser.parse_args(argv)
+            parser.error("give each flag once and in full, with its value as the next argument")
         code = args.handler(args)
         sys.stdout.flush()
         return code
@@ -115,50 +118,49 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
-    """What ``_build_parser().parse_args(argv)`` returns, if ``argv`` is plain.
+    """The options and handler of a plain ``argv``; None for any other.
 
-    Plain is a command, then exact flags of it, each at most once, a value
-    flag followed by one value that does not start with ``-``, every int
-    read by ``int``, every choice among its choices, every required flag
-    and exactly one input source given.  Anything else is None.
+    Plain is a command, then exact flags of it, each once, a value flag
+    followed by one value (starting with ``-`` only as a negative int), ints
+    and choices read as argparse reads them, and every required flag and one
+    input source given.  A negative count raises ValueError.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, sources, options = _COMMANDS[argv[0]]
     specs = dict(chain(sources, options))
-    dests = {flag: spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in specs.items()}
-    # Every command writes through _emit, which reads --out; verify has none.
-    values = {"out": None}
-    for flag, spec in specs.items():
-        values[dests[flag]] = spec.get("default", False if spec.get("action") else None)
-    seen = set()
+    given = {}
     tokens = iter(argv[1:])
     for flag in tokens:
         spec = specs.get(flag)
-        if spec is None or flag in seen:
+        if spec is None or flag in given:
             return None
-        seen.add(flag)
-        value = True
-        if not spec.get("action"):
-            value = next(tokens, "-")
-            # Only str options have choices.
-            if value.startswith("-") or value not in spec.get("choices", (value,)):
-                return None
-            if spec.get("type") is int:
-                try:
-                    value = int(value)
-                except ValueError:
-                    return None
-        values[dests[flag]] = value
-    if (any(spec.get("required") and flag not in seen for flag, spec in options)
-            or sources and len(seen.intersection(dict(sources))) != 1):
+        if spec.get("action"):
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        # argparse reads "-" and digits as a number; only str options have choices.
+        if (value.startswith("-") and not (spec.get("type") is int and value[1:].isdecimal())
+                or value not in spec.get("choices", (value,))):
+            return None
+        try:
+            given[flag] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+    if (any(spec.get("required") and flag not in given for flag, spec in options)
+            or sources and len(given.keys() & dict(sources)) != 1):
         return None
-    values["handler"] = globals()[f"_cmd_{argv[0]}"]
-    return SimpleNamespace(**values)
+    for flag in _COUNT_FLAGS:
+        if given.get(flag, 0) < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {given[flag]}")
+    names = {flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+             for flag, spec in specs.items()}
+    # Every command writes through _emit, which reads --out; verify has none.
+    return SimpleNamespace(**{"out": None, **names}, handler=globals()[f"_cmd_{argv[0]}"])
 
 
 def _build_parser():
-    """The argparse parser of ``_COMMANDS``; it writes every help and usage error."""
+    """The argparse parser of ``_COMMANDS``: it prints -h and words usage errors."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -167,9 +169,8 @@ def _build_parser():
         def error(self, message: str):
             self.exit(2, f"{self.prog}: error: {message}\n")
 
-    parser = Parser(
-        prog="shadowbracket",
-        description="Exact bracket polynomials of 3-tangle shadow diagrams.")
+    parser = Parser(prog="shadowbracket",
+                    description="Exact bracket polynomials of 3-tangle shadow diagrams.")
     commands = parser.add_subparsers(required=True, metavar="command")
     for name, (help_text, sources, options) in _COMMANDS.items():
         command = commands.add_parser(name, help=help_text)
@@ -179,7 +180,6 @@ def _build_parser():
                 group.add_argument(flag, **spec)
         for flag, spec in options:
             command.add_argument(flag, **spec)
-        command.set_defaults(handler=globals()[f"_cmd_{name}"], out=None)
     return parser
 
 
@@ -190,8 +190,8 @@ def _resolve_input(args) -> BracketVector | Polynomial:
     if args.word is not None:
         from .bracket import parse_word, word_tuple
         return word_tuple(parse_word(args.word))
-    if args.tuple_file is not None:
-        return BracketVector.from_json(_load_json(args.tuple_file))
+    if args.tuple is not None:
+        return BracketVector.from_json(_load_json(args.tuple))
     from .contraction import contract
     from .diagram import ShadowDiagram
     return contract(ShadowDiagram.from_json(_load_json(args.pd)))

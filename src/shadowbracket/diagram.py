@@ -54,10 +54,10 @@ class ShadowDiagram(Record):
 
     def __init__(self, crossings: Sequence[Sequence[str]],
                  boundary: Boundary | None = None, free_loops: int = 0):
-        crossings = tuple(tuple(str(e) for e in quad) for quad in crossings)
+        crossings = tuple(map(tuple, crossings))
         if boundary is not None:
             left, right = boundary
-            boundary = Boundary(tuple(str(e) for e in left), tuple(str(e) for e in right))
+            boundary = Boundary(tuple(left), tuple(right))
         super().__init__(crossings, boundary, free_loops)
         self.validate()
 
@@ -76,7 +76,8 @@ class ShadowDiagram(Record):
         The constructor calls this, so every existing diagram has passed it:
         ``free_loops`` is an exact int in ``0..MAX_FREE_LOOPS``, every
         crossing has 4 edges, an open tangle has 3 endpoints per side, every
-        edge occurs exactly twice and the diagram is planar.
+        edge is named by a str and occurs exactly twice, and the diagram is
+        planar.
         """
         # bool is a subclass of int, so test the exact type.
         if type(self.free_loops) is not int:
@@ -93,12 +94,17 @@ class ShadowDiagram(Record):
         if self.boundary is not None:
             if len(self.boundary.left) != 3 or len(self.boundary.right) != 3:
                 raise MalformedDiagramError("boundary must list 3 endpoints per side")
+        # Edges are named by str, as in diagram JSON: an int is refused, not
+        # merged with its str() twin.
+        named = [(f"crossing {i}", quad) for i, quad in enumerate(self.crossings)]
+        named += zip(("boundary side 'L'", "boundary side 'R'"), self.boundary or ())
         counts: dict[str, int] = {}
-        for quad in self.crossings:
-            for edge in quad:
+        for name, edges in named:
+            for i, edge in enumerate(edges):
+                if type(edge) is not str:
+                    raise MalformedDiagramError(
+                        f"{name} has edge {i} of type {type(edge).__name__}, not str")
                 counts[edge] = counts.get(edge, 0) + 1
-        for edge in self.boundary_edges():
-            counts[edge] = counts.get(edge, 0) + 1
         bad = {edge: n for edge, n in counts.items() if n != 2}
         if bad:
             raise MalformedDiagramError(
@@ -152,7 +158,7 @@ class ShadowDiagram(Record):
 
 
 # The one union-find of the package, with path halving.  ``parent`` is a list
-# over integers (edge or vertex numbers), or a _Roots dict over edge names.
+# over integers: edge, dart or vertex numbers.
 def _find(parent, item):
     """The root of the class of ``item``."""
     while parent[item] != item:
@@ -168,13 +174,6 @@ def _union(parent, a, b) -> int:
         return 0
     parent[rb] = ra
     return 1
-
-
-class _Roots(dict):
-    """Union-find parents over edge names: an unseen name is its own root."""
-
-    def __missing__(self, key):
-        return key
 
 
 def _listed_order_is_planar(rotations: list[tuple[str, ...]]) -> bool:

@@ -16,8 +16,8 @@ One smoothing routine serves :func:`smooth` and :func:`enumerate_states`:
 the edges are numbered once, each crossing's two smoothings become a row of
 a join table, and a smoothed state is read off as its loop count plus the
 monoid element of its boundary pattern.  The diagram model's union-find
-merges the joined edges there, and also serves the diagram builder, over
-edge names.
+merges the joined edges there, and also serves the diagram builders, over
+edge numbers.
 
 State enumeration is a pure fold over the binary-counter order of the bit
 vectors.  Because the per-state contributions are combined by addition only,
@@ -35,7 +35,7 @@ from typing import Sequence
 
 # The diagram model lives in its own module and is re-exported here.
 from .diagram import (Boundary, MalformedDiagramError, ShadowDiagram, _SMOOTHINGS,
-                      _boundary_element, _find, _number_edges, _Roots, _union)
+                      _boundary_element, _find, _number_edges, _union)
 from .poly import Polynomial
 from .tl3 import ELEMENTS, BracketVector, TLElement
 
@@ -86,20 +86,18 @@ def compile_word(letters: Sequence[str]) -> ShadowDiagram:
 class _Builder:
     """Accumulates crossings and crossingless joins while assembling a diagram."""
 
-    __slots__ = ("crossings", "merges", "free_loops", "_counter")
+    __slots__ = ("crossings", "merges", "free_loops")
 
     def __init__(self):
-        self.crossings: list[tuple[str, str, str, str]] = []
-        self.merges = _Roots()
+        self.crossings: list[tuple[int, int, int, int]] = []
+        self.merges: list[int] = []  # the union-find of edges 0, 1, ...
         self.free_loops = 0
-        self._counter = 0
 
-    def fresh(self) -> str:
-        name = f"e{self._counter}"
-        self._counter += 1
-        return name
+    def fresh(self) -> int:
+        self.merges.append(len(self.merges))
+        return self.merges[-1]
 
-    def join(self, a: str, b: str) -> None:
+    def join(self, a: int, b: int) -> None:
         # Joining the two ends of one arc closes it into a crossingless circle.
         if not _union(self.merges, a, b):
             self.free_loops += 1
@@ -107,9 +105,9 @@ class _Builder:
     def finish(self, boundary: Boundary | None, extra_loops: int = 0) -> ShadowDiagram:
         # Name each merged edge e0, e1, ... in first-seen order, crossings
         # first, for stable output.
-        names: dict[str, str] = {}
+        names: dict[int, str] = {}
 
-        def name(edge: str) -> str:
+        def name(edge: int) -> str:
             root = _find(self.merges, edge)
             if root not in names:
                 names[root] = f"e{len(names)}"
@@ -126,10 +124,12 @@ def close_diagram(diagram: ShadowDiagram) -> ShadowDiagram:
     """Join each left endpoint to the matching right endpoint, closing the tangle."""
     if diagram.boundary is None:
         raise MalformedDiagramError("diagram is already closed")
+    index = _number_edges(diagram)
     builder = _Builder()
-    builder.crossings = list(diagram.crossings)
+    builder.crossings = [tuple(map(index.get, quad)) for quad in diagram.crossings]
+    builder.merges = list(range(len(index)))
     for a, b in zip(diagram.boundary.left, diagram.boundary.right):
-        builder.join(a, b)
+        builder.join(index[a], index[b])
     return builder.finish(None, extra_loops=diagram.free_loops)
 
 

@@ -973,9 +973,16 @@ def _fast_path_corpus(monkeypatch) -> list[list[str]]:
 
 def test_the_exact_parser_agrees_with_argparse(monkeypatch, capsys):
     parser = cli._build_parser()
-    accepted = declined = 0
+    accepted = declined = refused = 0
     for argv in _fast_path_corpus(monkeypatch):
-        fast = cli._parse_exact(argv)
+        try:
+            fast = cli._parse_exact(argv)
+        except ValueError as exc:
+            # A negative count: argparse reads the same count, which runs nothing.
+            refused += 1
+            flag, _, value = str(exc).partition(" must be nonnegative, got ")
+            assert value and vars(parser.parse_args(argv))[flag[2:].replace("-", "_")] < 0
+            continue
         if fast is None:
             declined += 1
             continue
@@ -984,8 +991,62 @@ def test_the_exact_parser_agrees_with_argparse(monkeypatch, capsys):
             expected = vars(parser.parse_args(argv))
         except SystemExit:
             pytest.fail(f"argparse refuses {argv!r}: {capsys.readouterr().err}")
-        assert vars(fast) == expected, argv
-    assert accepted > 300 and declined > 300, (accepted, declined)
+        # The handler, and verify's out=None, are the exact reader's alone.
+        handler = getattr(cli, f"_cmd_{argv[0]}")
+        assert vars(fast) == {"out": None, **expected, "handler": handler}, argv
+    assert accepted > 300 and declined > 300 and refused > 10, (accepted, declined, refused)
+
+
+def _spelt_exactly(argv: list[str]) -> bool:
+    """Whether every flag of ``argv`` is one of its command's, in full and once.
+
+    A flag is a token starting with "-" that is not a negative number, so a
+    value that is a lone "-" counts as one.
+    """
+    _, sources, options = cli._COMMANDS[argv[0]]
+    flags = [token for token in argv[1:] if token.startswith("-") and not token[1:].isdecimal()]
+    return len(set(flags)) == len(flags) and set(flags) <= dict(sources + options).keys()
+
+
+def test_only_the_exact_parser_runs_a_command(monkeypatch, capsys):
+    corpus = _fast_path_corpus(monkeypatch)
+
+    def refuse(args):
+        raise AssertionError("a handler ran")
+    for name in cli._COMMANDS:
+        monkeypatch.setattr(cli, f"_cmd_{name}", refuse)
+    helped = refused = 0
+    for argv in corpus:
+        try:
+            if cli._parse_exact(argv) is not None:
+                assert _spelt_exactly(argv), argv
+                continue
+        except ValueError:  # a negative count
+            continue
+        # Declined: help, or a usage error on one line, and no handler runs.
+        code, out, err = outcome(capsys, *argv)
+        if code == 0:
+            helped += 1
+            assert out.startswith("usage: shadowbracket") and err == "", argv
+        else:
+            refused += 1
+            assert _refused(code, out, err), (argv, code, out, err)
+            assert err.startswith("shadowbracket") and ": error: " in err, argv
+    assert helped > 20 and refused > 1000, (helped, refused)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bracket", "--generator", "T", "--generator", "C"),
+    ("bracket", "--generator", "T", "--n", "2", "--n", "1"),
+    ("bracket", "--gen", "T"),
+    ("bracket", "--generator", "T", "--n=2"),
+    ("bracket", "--word", "-"),
+    ("verify", "--tables", "--tables"),
+])
+def test_spellings_argparse_accepts_are_refused(capsys, argv):
+    code, out, err = outcome(capsys, *argv)
+    assert _refused(code, out, err)
+    assert err.startswith("shadowbracket: error: give each flag once and in full"), err
 
 
 # --- strict diagram JSON and files read before any output --------------------

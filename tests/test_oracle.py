@@ -206,6 +206,17 @@ class TestValidation:
         with pytest.raises(MalformedDiagramError):
             ShadowDiagram((), Boundary(("a", "b"), ("a", "b")))  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("crossings, boundary, message", [
+        ([[1, "1", 2, "2"]], None, "crossing 0 has edge 0 of type int, not str"),
+        ([["a", "a", "b", b"b"]], None, "crossing 0 has edge 3 of type bytes, not str"),
+        ([["a", "b", "c", "d"]], (("a", "b", "c"), ("d", "e", True)),
+         "boundary side 'R' has edge 2 of type bool, not str"),
+    ], ids=["int", "bytes", "bool-on-the-boundary"])
+    def test_edge_names_must_be_str(self, crossings, boundary, message):
+        # str() would make [1, "1", 2, "2"] a kink the caller never drew.
+        with pytest.raises(MalformedDiagramError, match=message):
+            ShadowDiagram(crossings, boundary)
+
     def test_negative_free_loops(self):
         with pytest.raises(MalformedDiagramError):
             ShadowDiagram((), None, free_loops=-1).validate()

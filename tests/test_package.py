@@ -151,6 +151,14 @@ class TestImportFootprint:
                                 returncode=returncode) - baseline
         assert "argparse" in loaded
 
+    @pytest.mark.parametrize("argv", [("export", "--generator", "T", "--rows", "3",
+                                       "--column", "-1"),
+                                      ("table", "--generator", "T", "--rows", "-1")])
+    def test_a_negative_count_is_refused_without_argparse(self, baseline, argv):
+        loaded = loaded_modules("-m", "shadowbracket.cli", *argv, returncode=2) - baseline
+        assert "shadowbracket" in loaded
+        assert not loaded & self.ARGPARSE, argv
+
     @pytest.mark.parametrize("argv", [("verify", "--tables", "--generator", "T"),
                                       ("verify", "--charpoly", "--generator", "T"),
                                       ("verify", "--recurrence", "--generator", "T")])
@@ -294,8 +302,10 @@ class TestRecords:
         assert v != PQInvariants(v.a, v.b)
         with pytest.raises(ValueError, match="constant term 1"):
             RationalTerm((v.a,), (v.b,))
-        diagram = ShadowDiagram([[0, 1, 1, 0]], free_loops=3)
-        assert diagram.crossings == (("0", "1", "1", "0"),)
+        # An int edge is refused, not read as its str().
+        with pytest.raises(diagram.MalformedDiagramError,
+                           match="crossing 0 has edge 0 of type int, not str"):
+            ShadowDiagram([[0, 1, 1, 0]], free_loops=3)
 
 
 def _readme_block(heading: str, language: str) -> tuple[str, ...]:
