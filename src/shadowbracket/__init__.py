@@ -32,8 +32,7 @@ _MODULE_OF = {
     "compile_word": "oracle", "compose": "bracket", "contract": "contraction",
     "enumerate_states": "oracle", "expand": "series", "generator_tuple": "generators",
     "gf_from_tuple": "bracket", "letter_tuple": "bracket", "mirror": "tl3",
-    "multiply": "tl3", "parse_word": "bracket",
-    "power": "bracket", "pq_invariants": "bracket", "render_gf": "series",
+    "multiply": "tl3", "power": "bracket", "pq_invariants": "bracket", "render_gf": "series",
     "smooth": "oracle", "states_matrix": "bracket", "word_tuple": "bracket",
 }
 

@@ -6,7 +6,9 @@ here with the tuple ``[a, b, c, d, e]``.  Gluing tangles corresponds to a
 bilinear product on tuples (:func:`compose`), extended from the monoid
 multiplication table by converting each detached loop into a factor of x.
 A tangle word over ``X1 X2 U1 U2 H M`` is the product of its letters' tuples
-(:func:`word_tuple`).
+(:func:`word_tuple`).  That is the one reader of words: the text form
+``"X1 X2 U1"`` is ``word_tuple(text.split())``, and :func:`letter_tuple`
+refuses an unknown letter.
 
 Repeated gluing is linear: ``states_matrix(v)`` is the 5x5 matrix of the
 right-gluing map ``w -> compose(w, v)``, so its n-th power applied to the
@@ -425,22 +427,13 @@ _LETTER_TUPLES = {
 }
 
 
-def parse_word(text: str) -> tuple[str, ...]:
-    """Parse the whitespace-separated tangle word form, e.g. ``"X1 X2 U1"``."""
-    letters = tuple(text.split())
-    for letter in letters:
-        if letter not in WORD_LETTERS:
-            valid = ", ".join(WORD_LETTERS)
-            raise ValueError(f"unknown tangle letter {letter!r} (expected one of: {valid})")
-    return letters
-
-
 def letter_tuple(letter: str) -> BracketVector:
     """The bracket tuple of a single tangle letter."""
     try:
         return _LETTER_TUPLES[letter]
     except KeyError:
-        raise ValueError(f"unknown tangle letter {letter!r}") from None
+        raise ValueError(f"unknown tangle letter {letter!r} "
+                         f"(expected one of: {', '.join(WORD_LETTERS)})") from None
 
 
 def word_tuple(letters: Sequence[str]) -> BracketVector:

@@ -188,8 +188,8 @@ def _resolve_input(args) -> BracketVector | Polynomial:
     if args.generator:
         return generator_tuple(args.generator)
     if args.word is not None:
-        from .bracket import parse_word, word_tuple
-        return word_tuple(parse_word(args.word))
+        from .bracket import word_tuple
+        return word_tuple(args.word.split())
     if args.tuple is not None:
         return BracketVector.from_json(_load_json(args.tuple))
     from .contraction import contract

@@ -6,8 +6,9 @@ additionally lists six boundary endpoints, three per side, top to bottom.
 Every edge identifier occurs exactly twice across the crossings and the
 boundary; crossingless circles are carried separately as ``free_loops``.
 A :class:`ShadowDiagram` checks all of this, planarity included, once, in
-its constructor; its JSON reader first applies the strict-JSON rule of
-:mod:`shadowbracket.tl3` that the tuple reader also uses.  Planarity is
+its constructor; its JSON reader checks only the JSON shape, by the
+strict-JSON rule of :mod:`shadowbracket.tl3` that the tuple reader also
+uses, and leaves edge names to the constructor.  Planarity is
 Euler's formula on the faces traced from each crossing's cyclic order: first
 as listed, then, if that fails, read in the directions that Dehn's reading
 of a single-loop smoothing proposes.
@@ -94,8 +95,8 @@ class ShadowDiagram(Record):
         if self.boundary is not None:
             if len(self.boundary.left) != 3 or len(self.boundary.right) != 3:
                 raise MalformedDiagramError("boundary must list 3 endpoints per side")
-        # Edges are named by str, as in diagram JSON: an int is refused, not
-        # merged with its str() twin.
+        # The one type check of edge names, built or read from JSON: an int
+        # is refused, not merged with its str() twin.
         named = [(f"crossing {i}", quad) for i, quad in enumerate(self.crossings)]
         named += zip(("boundary side 'L'", "boundary side 'R'"), self.boundary or ())
         counts: dict[str, int] = {}
@@ -139,16 +140,17 @@ class ShadowDiagram(Record):
     @classmethod
     def from_json(cls, data: object) -> "ShadowDiagram":
         """Read the :meth:`to_json` form; raise MalformedDiagramError for
-        anything else, unknown keys and non-string edge identifiers included.
+        anything else.  This checks the JSON shape only (objects, their keys
+        and lists); the constructor checks the rest, edge names included.
         ``boundary`` and ``free_loops`` may be left out."""
         try:
             data = _json_object(data, ("crossings", "boundary", "free_loops"), "the diagram")
-            crossings = [_json_list(quad, f"crossing {i}", str) for i, quad
+            crossings = [_json_list(quad, f"crossing {i}") for i, quad
                          in enumerate(_json_list(data["crossings"], "crossings"))]
             boundary = data.get("boundary")
             if boundary is not None:
                 sides = _json_object(boundary, ("L", "R"), "boundary")
-                boundary = Boundary(*(_json_list(sides[side], f"boundary side {side!r}", str)
+                boundary = Boundary(*(_json_list(sides[side], f"boundary side {side!r}")
                                       for side in ("L", "R")))
         except KeyError as missing:
             raise MalformedDiagramError(f"bad diagram JSON: missing key {missing}") from None

@@ -102,7 +102,7 @@ class _Builder:
         if not _union(self.merges, a, b):
             self.free_loops += 1
 
-    def finish(self, boundary: Boundary | None, extra_loops: int = 0) -> ShadowDiagram:
+    def finish(self, boundary: Boundary | None) -> ShadowDiagram:
         # Name each merged edge e0, e1, ... in first-seen order, crossings
         # first, for stable output.
         names: dict[int, str] = {}
@@ -117,7 +117,7 @@ class _Builder:
         if boundary is not None:
             boundary = Boundary(tuple(map(name, boundary.left)),
                                 tuple(map(name, boundary.right)))
-        return ShadowDiagram(crossings, boundary, self.free_loops + extra_loops)
+        return ShadowDiagram(crossings, boundary, self.free_loops)
 
 
 def close_diagram(diagram: ShadowDiagram) -> ShadowDiagram:
@@ -128,9 +128,10 @@ def close_diagram(diagram: ShadowDiagram) -> ShadowDiagram:
     builder = _Builder()
     builder.crossings = [tuple(map(index.get, quad)) for quad in diagram.crossings]
     builder.merges = list(range(len(index)))
+    builder.free_loops = diagram.free_loops
     for a, b in zip(diagram.boundary.left, diagram.boundary.right):
         builder.join(index[a], index[b])
-    return builder.finish(None, extra_loops=diagram.free_loops)
+    return builder.finish(None)
 
 
 # Per smoothing, a getter of the four joined slots of a crossing, pair by pair.

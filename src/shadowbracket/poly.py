@@ -11,6 +11,8 @@ is the power of x, and written both that way and as text like
 omitted except for constants).  Integers are exact at any size: one too long
 for ``str`` or ``int`` (``sys.int_max_str_digits``) converts in two halves,
 split at a power of ten (:func:`int_text`, :func:`parse_int`).
+:func:`parse_int` is the integer rule of every input file, the JSON files'
+numbers and the b-files' fields alike.
 
 Every product is formed term by term, one pass over the shorter operand.
 The sum and product run on coefficient sequences (``_sum``, ``_product``),
@@ -25,7 +27,8 @@ from operator import add
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 # The integer text read: ASCII digits and an optional sign (``int`` alone
-# would also take digit-group underscores and other scripts' digits).
+# would also take digit-group underscores, other scripts' digits and
+# surrounding whitespace).
 _INT_RE = r"[+-]?[0-9]+"
 
 PolynomialLike = Union["Polynomial", int, Iterable[int]]
@@ -204,16 +207,17 @@ def int_text(value: int) -> str:
 
 
 def parse_int(text: str) -> int:
-    """``int(text)``, exact also past ``sys.int_max_str_digits`` digits.
+    """The integer that ``text`` spells, exact also past ``sys.int_max_str_digits``.
 
-    Only text that ``int`` refuses for its length is split: its digits in
-    two halves, each parsed the same way.
+    Text outside ``_INT_RE`` is refused (``ValueError``), though ``int``
+    would read some of it.  Only text that ``int`` refuses for its length is
+    split: its digits in two halves, each parsed the same way.
     """
+    if not re.fullmatch(_INT_RE, text):
+        raise ValueError(f"invalid integer text {text!r}")
     try:
         return int(text)
     except ValueError:
-        if not re.fullmatch(_INT_RE, text):
-            raise
         digits = text.lstrip("+-")
         k = len(digits) // 2
         value = parse_int(digits[:-k]) * 10 ** k + parse_int(digits[-k:])

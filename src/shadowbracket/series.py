@@ -24,13 +24,12 @@ holds one row, not the whole output.
 
 from __future__ import annotations
 
-import re
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .bracket import RationalGF, gf_from_tuple
 from .generators import generator_tuple
-from .poly import _INT_RE, ONE, Polynomial, int_text, parse_int
+from .poly import ONE, Polynomial, int_text, parse_int
 
 
 def expand(gf: RationalGF, count: int) -> list[Polynomial]:
@@ -87,10 +86,11 @@ def _bfile_pairs(chunks: Iterable[str]) -> Iterator[tuple[int, int]]:
         body = line.strip()
         if not body or body.startswith("#"):
             continue
-        fields = body.split()
-        if len(fields) != 2 or not all(re.fullmatch(_INT_RE, f) for f in fields):
-            raise ValueError(f"bad b-file line {lineno}: {line!r}")
-        yield parse_int(fields[0]), parse_int(fields[1])
+        try:
+            index, value = map(parse_int, body.split())
+        except ValueError:
+            raise ValueError(f"bad b-file line {lineno}: {line!r}") from None
+        yield index, value
 
 
 def compare_bfiles(entries: Sequence[tuple[int, int]],

@@ -26,7 +26,7 @@ from .poly import Polynomial
 from .reference import TABLE_ROWS
 from .series import (coefficient_column, coefficient_table, column, compare_bfiles, expand,
                      row_lines)
-from .tl3 import BracketVector
+from .tl3 import WORD_LETTERS, BracketVector
 
 # The oracle suite imports the diagram code (contraction, oracle) as it runs,
 # so the other suites do not load it.
@@ -67,11 +67,11 @@ def _verify_words(count: int, seed: int) -> Iterator[tuple]:
     from .oracle import compile_word
     rng = random.Random(seed)
     bad = ""
-    # Not the hitch letters H and M, two crossings each: eight letters of all
-    # six reach 16 crossings and double the suite's time.  The tests mix them.
+    # Not the hitch letters H and M (the last two), two crossings each: eight
+    # letters of all six reach 16 crossings and double the suite's time.  The
+    # tests mix them.
     for _ in range(count):
-        letters = tuple(rng.choice(("X1", "X2", "U1", "U2"))
-                        for _ in range(rng.randint(0, 8)))
+        letters = tuple(rng.choice(WORD_LETTERS[:4]) for _ in range(rng.randint(0, 8)))
         bad = _disagreement(compile_word(letters), word_tuple(letters))
         if bad:
             bad = f"word {' '.join(letters) or '(empty)'}: {bad}"

@@ -9,7 +9,7 @@ from shadowbracket import bracket
 from shadowbracket.bracket import (BracketVector, LambdaPolynomial, PolyMatrix,
                                    charpoly, charpoly_factored, closed_form_bracket,
                                    closure, compose, gf_from_tuple, power, power_cubic,
-                                   letter_tuple, parse_word, pq_invariants, states_matrix,
+                                   letter_tuple, pq_invariants, states_matrix,
                                    word_tuple)
 from shadowbracket.generators import generator_tuple
 from shadowbracket.oracle import compile_word, enumerate_states
@@ -422,7 +422,8 @@ class TestHitchLetters:
         assert letter_tuple("M") == letter_tuple("H").mirrored()
 
     def test_words_accept_the_hitch_letters(self):
-        assert parse_word("X1 H M") == ("X1", "H", "M")
+        word = "X1 H M".split()
+        assert word_tuple(word) == enumerate_states(compile_word(word))
 
 
 class TestBracketVector:

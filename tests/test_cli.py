@@ -10,8 +10,7 @@ import pytest
 from conftest import P, rand_tuple, rand_word
 from shadowbracket import cli, contraction, oracle, series, verify
 from shadowbracket.bracket import (BracketVector, LambdaPolynomial, charpoly, closure,
-                                   gf_from_tuple, parse_word, power, states_matrix,
-                                   word_tuple)
+                                   gf_from_tuple, power, states_matrix, word_tuple)
 from shadowbracket.generators import WORDS, generator_tuple
 from shadowbracket.oracle import ShadowDiagram, close_diagram, compile_word, enumerate_states
 from shadowbracket.poly import Polynomial, int_text
@@ -848,8 +847,16 @@ def test_fuzzed_word_input_is_refused_or_composed(capsys):
         word = _mutated_word(rng)
         result = outcome(capsys, "bracket", "--word", word)
         codes.add(assert_value_or_refused(
-            result, lambda: word_tuple(parse_word(word)), repr(word)))
+            result, lambda: word_tuple(word.split()), repr(word)))
     assert codes == {0, 2}
+
+
+def test_a_word_and_the_library_refuse_a_letter_alike(capsys):
+    with pytest.raises(ValueError) as refused:
+        word_tuple(("X1", "Y2"))
+    assert str(refused.value) == \
+        "unknown tangle letter 'Y2' (expected one of: X1, X2, U1, U2, H, M)"
+    assert run(capsys, "bracket", "--word", "X1 Y2") == (2, "", f"error: {refused.value}\n")
 
 
 def _gf_text(k: int) -> str:
@@ -1134,11 +1141,11 @@ _GOOD_DIAGRAM = {"crossings": [["e0", "e1", "e2", "e3"]],
     ("--pd", {"boundary": None}, ("missing key 'crossings'",)),
     ("--pd", dict(_GOOD_DIAGRAM, crossings={"0": []}), ("crossings", "list", "dict")),
     ("--pd", dict(_GOOD_DIAGRAM, crossings=[["e0", "e1", 2.5, "e3"]]),
-     ("crossing 0", "item 2", "float", "str")),
+     ("crossing 0", "edge 2", "float", "str")),
     ("--pd", dict(_GOOD_DIAGRAM, crossings=[["e0", "e1", "e2", True]]),
-     ("crossing 0", "item 3", "bool", "str")),
+     ("crossing 0", "edge 3", "bool", "str")),
     ("--pd", dict(_GOOD_DIAGRAM, boundary={"L": ["e0", "e3", "e4"], "R": ["e1", "e2", 4]}),
-     ("boundary side 'R'", "item 2", "int", "str")),
+     ("boundary side 'R'", "edge 2", "int", "str")),
 ])
 def test_malformed_input_file_names_the_fault(capsys, tmp_path, flag, data, words):
     path = tmp_path / "input.json"
@@ -1146,6 +1153,19 @@ def test_malformed_input_file_names_the_fault(capsys, tmp_path, flag, data, word
     code, out, err = run(capsys, "bracket", flag, str(path))
     assert _refused(code, out, err), (code, out, err)
     assert all(word in err for word in words), err
+
+
+def test_a_pd_file_and_the_constructor_refuse_an_edge_alike(capsys, tmp_path):
+    # Edge names have one check, the diagram's own: a --pd file reaches it
+    # through the constructor, with no reader's wording in front.
+    data = dict(_GOOD_DIAGRAM, crossings=[["e0", "e1", 2.5, "e3"]])
+    with pytest.raises(oracle.MalformedDiagramError) as refused:
+        ShadowDiagram(data["crossings"], oracle.Boundary(data["boundary"]["L"],
+                                                         data["boundary"]["R"]))
+    assert str(refused.value) == "crossing 0 has edge 2 of type float, not str"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "bracket", "--pd", str(path)) == (2, "", f"error: {refused.value}\n")
 
 
 class TestFilesReadBeforeOutput:

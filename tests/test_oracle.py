@@ -6,8 +6,7 @@ import time
 import pytest
 
 from conftest import P, mirrored_word, rand_word, reflected
-from shadowbracket.bracket import (BracketVector, closure, letter_tuple, parse_word, power,
-                                   word_tuple)
+from shadowbracket.bracket import BracketVector, closure, letter_tuple, power, word_tuple
 from shadowbracket.contraction import contract
 from shadowbracket.generators import NAMES, WORDS
 from shadowbracket.oracle import (Boundary, CrossingLimitError, MalformedDiagramError,
@@ -271,13 +270,14 @@ class TestCombinators:
 
 
 class TestWords:
-    def test_parse_word(self):
-        assert parse_word("X1 X2 U1 U2") == ("X1", "X2", "U1", "U2")
-        assert parse_word("") == ()
+    def test_word_tuple_of_split_text(self):
+        word = "X1 X2 U1 U2".split()
+        assert word_tuple(word) == enumerate_states(compile_word(word))
+        assert word_tuple("".split()) == BracketVector.unit()
 
-    def test_parse_word_rejects_unknown_letters(self):
-        with pytest.raises(ValueError):
-            parse_word("X1 Y2")
+    def test_word_tuple_rejects_unknown_letters(self):
+        with pytest.raises(ValueError, match="unknown tangle letter 'Y2'"):
+            word_tuple("X1 Y2".split())
 
     def test_letter_tuples(self):
         assert letter_tuple("X1") == BracketVector.of(1, 1, 0, 0, 0)

@@ -30,7 +30,7 @@ PUBLIC_NAMES = [
     "close_diagram", "closed_form_bracket", "closure", "closure_loops",
     "coefficient_table", "column", "compare_bfiles",
     "compile_word", "compose", "contract", "enumerate_states", "expand",
-    "generator_tuple", "gf_from_tuple", "letter_tuple", "mirror", "multiply", "parse_word",
+    "generator_tuple", "gf_from_tuple", "letter_tuple", "mirror", "multiply",
     "power", "pq_invariants", "render_gf", "smooth", "states_matrix", "word_tuple",
 ]
 

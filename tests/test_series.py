@@ -10,7 +10,7 @@ from shadowbracket.bracket import (BracketVector, RationalGF, RationalTerm,
                                    pq_invariants)
 from shadowbracket.generators import WORDS, generator_tuple
 from shadowbracket.oracle import compile_word
-from shadowbracket.poly import ONE, Polynomial, X
+from shadowbracket.poly import ONE, Polynomial, X, parse_int
 from shadowbracket.reference import TABLE_ROWS
 from shadowbracket.series import (coefficient_column, coefficient_table, column,
                                   compare_bfiles, expand, render_gf, row_lines, table_rows)
@@ -191,6 +191,22 @@ class TestExportForms:
         with pytest.raises(ValueError) as refused:
             compare_bfiles([(0, 0), (3, 4)], f"# head\n0 0\n{line}\n3 4")
         assert str(refused.value) == f"bad b-file line 3: {line!r}"
+
+    def test_one_integer_rule_for_json_and_b_files(self):
+        # parse_int reads ASCII digits with an optional sign, and nothing
+        # else that int() would read.  A b-file splits its fields at
+        # whitespace, so each refused spelling without whitespace is tried
+        # there as a value and as an index.
+        refused = ["1_0", " 3", "3 ", "\u0663", "0x3"]
+        for text in refused:
+            with pytest.raises(ValueError):
+                parse_int(text)
+        assert [parse_int(text) for text in ("+3", "007", "-0")] == [3, 7, 0]
+        for text in (t for t in refused if t == t.strip()):
+            for line in (f"1 {text}", f"{text} 1"):
+                with pytest.raises(ValueError) as bad:
+                    compare_bfiles([(0, 0), (1, 1)], f"0 0\n{line}\n")
+                assert str(bad.value) == f"bad b-file line 2: {line!r}"
 
     def test_compare_bfiles(self):
         ours = list(enumerate([0, 1, 5]))
