@@ -11,8 +11,9 @@ Subcommands::
 
 Exactly one input source per invocation: --generator, --word, --pd or
 --tuple.
-Exit codes: 0 success, 1 verification or comparison failure, 2 usage or
-parse error, 141 a closed stdout (the status of a writer killed by SIGPIPE).
+Exit codes: 0 success, 1 verification or comparison failure, 2 usage or parse
+error, 141 a closed stdout (the status of a writer killed by SIGPIPE).  The
+process entry ``run`` freezes the heap after ``main``, which tests call in process.
 
 Every option is stated once, in ``_COMMANDS``.  Only ``_parse_exact`` runs a
 command, reading each flag given once and in full, without ``argparse``.
@@ -28,7 +29,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from itertools import chain, islice
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 # Only what every command needs is imported here; each handler imports the
 # rest, so a command loads no module it does not run.
@@ -389,5 +390,14 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def run() -> NoReturn:
+    code = main()
+    # A frozen heap leaves teardown's final collections nothing to scan: ~5 of the ~35 ms
+    # CPU of a bare Python 3.11 (2-vCPU VM).  Unlike os._exit, atexit and profilers still run.
+    import gc
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1349,6 +1349,69 @@ def test_closed_stdout_exits_141_quietly():
     assert (proc.returncode, err) == (141, b"")
 
 
+class TestProcessExit:
+    """``cli.run``, the process entry: ``main``, ``gc.freeze()``, then ``sys.exit``.
+
+    The freeze leaves teardown's final collections nothing to scan.  Every
+    other exit step must still run, so the entry must not be ``os._exit``.
+    """
+
+    SRC = Path(cli.__file__).resolve().parents[1]
+
+    def python(self, *args: str) -> tuple[int, bytes, bytes]:
+        import os
+        import subprocess
+        done = subprocess.run([sys.executable, "-W", "error", *args], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=str(self.SRC)), timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_atexit_hooks_run_after_the_freeze(self):
+        assert self.python("-c", (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv[1:] = ['bracket', '--word', 'X1 X2']\n"
+            "runpy.run_module('shadowbracket.cli', run_name='__main__', alter_sys=True)\n"
+        )) == (0, b"[1, 1, 1, 0, 1]\nfrozen True\n", b"")
+
+    def test_a_profiler_still_prints_its_report(self):
+        code, out, err = self.python("-m", "cProfile", "-m", "shadowbracket.cli",
+                                     "bracket", "--word", "X1 X2")
+        assert (code, err) == (0, b"")
+        assert out.startswith(b"[1, 1, 1, 0, 1]\n")
+        assert b"function calls" in out
+
+    def test_main_in_process_leaves_the_collector_alone(self, capsys):
+        import gc
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "bracket", "--word", "X1 X2")[0] == 0
+        assert run(capsys, "bracket", "--word", "X1 X3")[0] == 2
+        assert gc.get_freeze_count() == frozen
+
+    def test_the_script_runs_what_python_m_runs(self, tmp_path):
+        import re
+        # A regex, since Python 3.10 has no tomllib.
+        pyproject = (self.SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        target = re.search(r'^shadowbracket = "shadowbracket\.cli:(\w+)"$', pyproject,
+                           re.MULTILINE).group(1)
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        assert source.endswith(f'\nif __name__ == "__main__":\n    {target}()\n')
+        reference = tmp_path / "reference.txt"
+        reference.write_text("0 0\n1 1\n2 999\n3 16\n", encoding="utf-8")
+        # The script that installers write calls the target and exits with its value.
+        script = f"import sys; from shadowbracket.cli import {target}; sys.exit({target}())"
+        ran = {}
+        for name, route in (("module", ("-m", "shadowbracket.cli")),
+                            ("script", ("-c", script))):
+            out = tmp_path / f"{name}.txt"
+            ran[name] = [self.python(*route, *argv) for argv in (
+                ("table", "--generator", "T", "--rows", "200", "--out", str(out)),
+                ("export", "--generator", "T", "--rows", "3", "--column", "1",
+                 "--compare", str(reference)),
+                ("bracket", "--word", "X1 X3"))] + [out.read_bytes()]
+        assert ran["module"] == ran["script"]
+        assert [code for code, _, _ in ran["module"][:3]] == [0, 1, 2]
+
+
 def test_file_io_names_its_encoding(tmp_path):
     # Under -X warn_default_encoding, a file opened without an encoding warns,
     # and -W error makes the warning fail the command.  The suite itself opens
