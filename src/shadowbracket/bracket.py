@@ -18,8 +18,7 @@ annihilated by a cubic built from ``a``, ``p`` and ``m``
 1, ``v`` and ``v^2`` whose three coefficients come from one scalar series.
 The matrix's type and its characteristic polynomial's live in
 :mod:`shadowbracket.matrix`, which only :func:`states_matrix`,
-:func:`charpoly` and :func:`charpoly_factored` load; ``bracket.PolyMatrix``
-and ``bracket.LambdaPolynomial`` still resolve.
+:func:`charpoly` and :func:`charpoly_factored` load.
 The closure of a tangle weights each slot by one factor of x per loop its
 basis diagram closes to, and the closures of the powers have a rational
 generating function built from the invariants ``p`` and ``m``
@@ -441,12 +440,3 @@ def charpoly_factored(v: BracketVector) -> LambdaPolynomial:
     linear = LambdaPolynomial((-v.a, 1))
     quadratic = LambdaPolynomial((pq.m, -pq.p, 1))
     return -(linear * quadratic * quadratic)
-
-
-def __getattr__(name: str):
-    # The matrix types live in ``matrix``, which only the characteristic
-    # polynomial and the states matrix load; both still resolve here (PEP 562).
-    if name in ("PolyMatrix", "LambdaPolynomial"):
-        from .matrix import LambdaPolynomial, PolyMatrix
-        return PolyMatrix if name == "PolyMatrix" else LambdaPolynomial
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -178,9 +178,12 @@ def _resolve_input(args) -> BracketVector | Polynomial:
         return word_tuple(args.word.split())
     if args.tuple is not None:
         return BracketVector.from_json(_load_json(args.tuple))
-    from .contraction import contract
+    # Each step loads only once the one before it has accepted the input.
+    data = _load_json(args.pd)
     from .diagram import ShadowDiagram
-    return contract(ShadowDiagram.from_json(_load_json(args.pd)))
+    shadow = ShadowDiagram.from_json(data)
+    from .contraction import contract
+    return contract(shadow)
 
 
 @contextmanager

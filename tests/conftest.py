@@ -1,8 +1,17 @@
+import ast
+import json
+import os
 import random
 import re
+import subprocess
+import sys
+from collections import namedtuple
+from pathlib import Path
 
+import shadowbracket
 from shadowbracket.bracket import BracketVector
 from shadowbracket.diagram import Boundary, ShadowDiagram
+from shadowbracket.oracle import close_diagram, compile_word
 from shadowbracket.poly import Polynomial, parse_int
 
 
@@ -105,5 +114,68 @@ REFERENCE_MATRICES = {
 
 
 def reference_matrix(name: str):
-    from shadowbracket.bracket import PolyMatrix
+    from shadowbracket.matrix import PolyMatrix
     return PolyMatrix([[P(entry) for entry in row] for row in REFERENCE_MATRICES[name]])
+
+
+def pd_file(path: Path, *, listed_against_the_trace: bool = False) -> str:
+    """A PD file of a small tangle; or of a closed one with every other crossing
+    listed backwards, which only Dehn's reading finds planar."""
+    data = compile_word(("X1", "X2", "U1")).to_json()
+    if listed_against_the_trace:
+        data = close_diagram(compile_word(("X1", "X2") * 4)).to_json()
+        data["crossings"] = [quad[::-1] if i % 2 else quad
+                             for i, quad in enumerate(data["crossings"])]
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+SRC = Path(shadowbracket.__file__).resolve().parents[1]
+
+# Run by ``python -S -c`` with a script (or "") and the repr of a list of
+# argvs.  cProfile starts before the package is imported, so code that runs
+# only at import is seen too.  The script runs, then each argv through
+# cli.main, each exit (SystemExit too) recorded.  Stderr's last line gets the
+# repr of the modules loaded, the (co_filename, co_firstlineno) of every code
+# object entered, and the exit codes.  Nothing is imported to read the argvs
+# or write the result, so the modules are the requests' own.
+_PROBE = """\
+import cProfile, sys
+profile = cProfile.Profile()
+profile.enable()
+script, argvs = sys.argv[1], eval(sys.argv[2])
+codes = []
+try:
+    exec(script, {'__name__': '__main__'})
+except SystemExit as exit:
+    codes.append(exit.code)
+for argv in argvs:
+    from shadowbracket.cli import main
+    try:
+        codes.append(main(argv))
+    except SystemExit as exit:
+        codes.append(exit.code)
+profile.disable()
+modules = sorted(sys.modules)
+entered = sorted({(entry.code.co_filename, entry.code.co_firstlineno)
+                  for entry in profile.getstats() if not isinstance(entry.code, str)})
+sys.stderr.write('\\n' + repr((modules, entered, codes)) + '\\n')
+"""
+
+Probe = namedtuple("Probe", ("modules", "entered", "codes"))
+
+
+def probe(*argvs, script: str = "") -> Probe:
+    """What a ``python -S`` process loads and enters to run ``script``, then
+    each argv of ``argvs`` through ``cli.main``: the names of the modules
+    loaded, the package functions entered as (path, first line) pairs, and the
+    exit codes, of the script if it raised SystemExit and of each argv."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _PROBE, script, repr(list(map(list, argvs)))],
+        capture_output=True, text=True, cwd=SRC.parent,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert done.returncode == 0, done.stderr[-500:]
+    modules, entered, codes = ast.literal_eval(done.stderr.splitlines()[-1])
+    package = str(SRC / "shadowbracket")
+    return Probe(set(modules), {(path, line) for path, line in entered
+                                if path.startswith(package)}, codes)

@@ -6,12 +6,12 @@ import pytest
 
 from conftest import P, reference_matrix, rand_tuple
 from shadowbracket import bracket
-from shadowbracket.bracket import (BracketVector, LambdaPolynomial, PolyMatrix,
-                                   charpoly, charpoly_factored, closed_form_bracket,
-                                   closure, compose, gf_from_tuple, power, power_cubic,
-                                   letter_tuple, pq_invariants, states_matrix,
-                                   word_tuple)
+from shadowbracket.bracket import (BracketVector, charpoly, charpoly_factored,
+                                   closed_form_bracket, closure, compose, gf_from_tuple,
+                                   power, power_cubic, letter_tuple, pq_invariants,
+                                   states_matrix, word_tuple)
 from shadowbracket.generators import generator_tuple
+from shadowbracket.matrix import LambdaPolynomial, PolyMatrix
 from shadowbracket.oracle import compile_word, enumerate_states
 from shadowbracket.poly import ONE, Polynomial, X, ZERO, power_by_squaring
 from shadowbracket.tl3 import ELEMENTS, TLElement, closure_loops

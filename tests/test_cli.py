@@ -9,10 +9,11 @@ import pytest
 
 from conftest import P, rand_tuple, rand_word
 from shadowbracket import cli, contraction, oracle, series, verify
-from shadowbracket.bracket import (BracketVector, LambdaPolynomial, charpoly, closure,
-                                   gf_from_tuple, power, states_matrix, word_tuple)
+from shadowbracket.bracket import (BracketVector, charpoly, closure, gf_from_tuple, power,
+                                   states_matrix, word_tuple)
 from shadowbracket.commands import _json_pieces
 from shadowbracket.generators import WORDS, generator_tuple
+from shadowbracket.matrix import LambdaPolynomial
 from shadowbracket.oracle import ShadowDiagram, close_diagram, compile_word, enumerate_states
 from shadowbracket.poly import Polynomial, int_text
 from shadowbracket.reference import TABLE_ROWS

@@ -9,17 +9,15 @@ import pickle
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import shadowbracket
+from conftest import SRC, pd_file, probe
 from shadowbracket import (BracketVector, PQInvariants, RationalTerm, ShadowDiagram,
                            charpoly_factored, close_diagram, compile_word, generator_tuple,
                            gf_from_tuple, pq_invariants, states_matrix)
 from shadowbracket import bracket, cli, diagram, oracle, series, tl3
-
-SRC = Path(shadowbracket.__file__).resolve().parents[1]
 
 PUBLIC_NAMES = [
     "BracketVector", "Boundary", "CrossingLimitError", "DEFAULT_MAX_CROSSINGS",
@@ -67,43 +65,12 @@ class TestLazyPackage:
             shadowbracket.no_such_name  # noqa: B018
 
 
-def loaded_modules(*args: str, returncode: int = 0) -> set[str]:
-    """The modules that ``python -X importtime ARGS`` imports, exiting ``returncode``."""
-    done = python("-X", "importtime", *args)
-    assert done.returncode == returncode, (args, done.stderr[-500:])
-    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
-            if line.startswith("import time:") and "|" in line}
-
-
-# Run by ``python -S -c`` with a command line: runs it as ``python -m
-# shadowbracket.cli`` does, then writes the name of every module loaded on
-# stderr's last line.  sys.modules also holds what importlib.import_module
-# loads, which -X importtime does not list, and -S keeps out what site and
-# its .pth files import.
-_RUN_CLI = ("import runpy, sys\n"
-            "try:\n"
-            "    runpy.run_module('shadowbracket.cli', run_name='__main__', alter_sys=True)\n"
-            "finally:\n"
-            "    sys.stderr.write('\\n' + ' '.join(sorted(sys.modules)) + '\\n')\n")
-
-
-def modules_after(*argv: str) -> set[str]:
-    """The modules loaded by the end of ``python -S -m shadowbracket.cli ARGV``."""
-    done = python("-S", "-c", _RUN_CLI, *argv)
-    assert done.returncode == 0, (argv, done.stderr[-500:])
-    return set(done.stderr.splitlines()[-1].split())
-
-
-def pd_file(path: Path, *, listed_against_the_trace: bool = False) -> str:
-    """A PD file of a small tangle; or of a closed one with every other crossing
-    listed backwards, which only Dehn's reading finds planar."""
-    data = compile_word(("X1", "X2", "U1")).to_json()
-    if listed_against_the_trace:
-        data = close_diagram(compile_word(("X1", "X2") * 4)).to_json()
-        data["crossings"] = [quad[::-1] if i % 2 else quad
-                             for i, quad in enumerate(data["crossings"])]
-    path.write_text(json.dumps(data))
-    return str(path)
+def loaded_modules(*argv: str, returncode: int = 0, script: str = "") -> set[str]:
+    """The modules that ``python -S`` loads to run ``SCRIPT``, or ``cli.main(ARGV)``
+    exiting ``returncode``, as the request probe reads them."""
+    found = probe(*([argv] if argv else []), script=script)
+    assert found.codes == ([returncode] if argv else []), (argv, found.codes)
+    return found.modules
 
 
 class TestImportFootprint:
@@ -115,14 +82,14 @@ class TestImportFootprint:
 
     @pytest.fixture(scope="class")
     def baseline(self) -> set[str]:
-        return loaded_modules("-c", "pass")
+        return loaded_modules()
 
     @pytest.mark.parametrize("argv", [("bracket", "--generator", "T", "--n", "3"),
                                       ("bracket", "--word", "X1 X2"),
                                       ("bracket", "--generator", "E", "--n", "5",
                                        "--closure")])
     def test_tuple_commands_load_no_diagram_or_series_code(self, baseline, argv):
-        loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
+        loaded = loaded_modules(*argv) - baseline
         assert "shadowbracket.bracket" in loaded
         assert not loaded & self.HEAVY
 
@@ -131,8 +98,7 @@ class TestImportFootprint:
         shadow = compile_word(("X1", "X2", "U1"))
         path = tmp_path / "d.json"
         path.write_text(json.dumps((close_diagram(shadow) if closed else shadow).to_json()))
-        loaded = loaded_modules("-m", "shadowbracket.cli", "bracket", "--pd",
-                                str(path)) - baseline
+        loaded = loaded_modules("bracket", "--pd", str(path)) - baseline
         assert {"shadowbracket.diagram", "shadowbracket.contraction"} <= loaded
         assert not loaded & {"shadowbracket.bracket", "shadowbracket.oracle",
                              "shadowbracket.series"}
@@ -144,17 +110,44 @@ class TestImportFootprint:
         # (exit 2) once contracted, before any bracket or series code loads.
         path = tmp_path / "d.json"
         path.write_text(json.dumps(close_diagram(compile_word(("X1", "X2"))).to_json()))
-        loaded = loaded_modules("-m", "shadowbracket.cli", command, "--pd", str(path),
-                                returncode=2) - baseline
+        loaded = loaded_modules(command, "--pd", str(path), returncode=2) - baseline
         assert "shadowbracket.contraction" in loaded
         assert not loaded & {"shadowbracket.bracket", "shadowbracket.series"}
+
+    @pytest.mark.parametrize("case", ["absent", "not JSON", "a bad edge", "no crossings",
+                                      "non-planar", "free_loops true"])
+    def test_a_refused_pd_file_loads_only_the_code_that_refuses_it(self, baseline, tmp_path,
+                                                                    case):
+        # A file that is not JSON is refused before any diagram code loads, and
+        # a diagram that is no planar shadow before the contraction loads.
+        tangle = compile_word(("X1", "X2", "U1")).to_json()
+        bad_edge = dict(tangle, crossings=[list(quad) for quad in tangle["crossings"]])
+        bad_edge["crossings"][0][0] = bad_edge["crossings"][0][1]
+        text = {"not JSON": '{"crossings": [',
+                "a bad edge": json.dumps(bad_edge),
+                "no crossings": json.dumps({"boundary": None, "free_loops": 0}),
+                "non-planar": json.dumps({"crossings": [["1", "2", "1", "2"]],
+                                          "boundary": None, "free_loops": 0}),
+                "free_loops true": json.dumps(dict(tangle, free_loops=True))}.get(case)
+        path = tmp_path / "d.json"
+        if text is not None:
+            path.write_text(text)
+        loaded = loaded_modules("bracket", "--pd", str(path), returncode=2) - baseline
+        assert "shadowbracket.contraction" not in loaded
+        assert ("shadowbracket.diagram" in loaded) == (text is not None and case != "not JSON")
+
+    def test_the_probe_sees_modules_that_import_module_loads(self, baseline):
+        # -X importtime lists no module loaded by importlib.import_module, as
+        # the package's lazy names load theirs; sys.modules holds it.
+        loaded = loaded_modules(script="import shadowbracket; shadowbracket.contract")
+        assert "shadowbracket.contraction" in loaded - baseline
 
     def test_first_powers_load_no_tuple_algebra(self, baseline, tmp_path):
         tangle = tmp_path / "t.json"
         tangle.write_text(json.dumps(BracketVector.of(1, 1, 0, 0, 0).to_json()))
         for argv in [("bracket", "--tuple", str(tangle)), ("bracket", "--generator", "T"),
                      ("bracket", "--generator", "T", "--n", "1", "--format", "json")]:
-            loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
+            loaded = loaded_modules(*argv) - baseline
             assert "shadowbracket.tl3" in loaded, argv
             assert "shadowbracket.bracket" not in loaded, argv
 
@@ -169,7 +162,7 @@ class TestImportFootprint:
                      ("charpoly", "--word", "X1 U2"),
                      ("export", "--generator", "T", "--rows", "3"),
                      ("verify", "--tables", "--generator", "T")]:
-            loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
+            loaded = loaded_modules(*argv) - baseline
             assert "shadowbracket" in loaded, argv
             assert not loaded & {"dataclasses", "inspect"}, argv
             # A well-formed request is read without argparse.
@@ -178,15 +171,14 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, returncode", [(("bracket", "-h"), 0),
                                                   (("bracket", "--generator", "Q"), 2)])
     def test_help_and_usage_errors_load_argparse(self, baseline, argv, returncode):
-        loaded = loaded_modules("-m", "shadowbracket.cli", *argv,
-                                returncode=returncode) - baseline
+        loaded = loaded_modules(*argv, returncode=returncode) - baseline
         assert {"argparse", "shadowbracket.usage"} <= loaded
 
     @pytest.mark.parametrize("argv", [("export", "--generator", "T", "--rows", "3",
                                        "--column", "-1"),
                                       ("table", "--generator", "T", "--rows", "-1")])
     def test_a_negative_count_is_refused_without_argparse(self, baseline, argv):
-        loaded = loaded_modules("-m", "shadowbracket.cli", *argv, returncode=2) - baseline
+        loaded = loaded_modules(*argv, returncode=2) - baseline
         assert "shadowbracket" in loaded
         assert not loaded & self.ARGPARSE, argv
 
@@ -194,7 +186,7 @@ class TestImportFootprint:
                                       ("verify", "--charpoly", "--generator", "T"),
                                       ("verify", "--recurrence", "--generator", "T")])
     def test_verify_loads_diagram_code_for_the_oracle_only(self, baseline, argv):
-        loaded = loaded_modules("-m", "shadowbracket.cli", *argv) - baseline
+        loaded = loaded_modules(*argv) - baseline
         assert "shadowbracket.verify" in loaded
         assert not loaded & {"shadowbracket.diagram", "shadowbracket.contraction",
                              "shadowbracket.oracle"}
@@ -206,16 +198,16 @@ class TestImportFootprint:
         # The ground truth shares no code with the algebra it checks, and
         # building and summing a generator's diagram does not reach for it
         # either.
-        loaded = loaded_modules("-c", "from shadowbracket.generators import WORDS; "
-                                      "from shadowbracket.oracle import compile_word, "
-                                      "enumerate_states; [enumerate_states(compile_word(w)) "
-                                      "for w in WORDS.values()]")
+        loaded = loaded_modules(script="from shadowbracket.generators import WORDS; "
+                                       "from shadowbracket.oracle import compile_word, "
+                                       "enumerate_states; [enumerate_states(compile_word(w)) "
+                                       "for w in WORDS.values()]")
         loaded -= baseline
         assert "shadowbracket.oracle" in loaded
         assert "shadowbracket.bracket" not in loaded
 
     def test_the_oracle_imports_only_what_it_uses(self, baseline):
-        loaded = loaded_modules("-c", "import shadowbracket.oracle") - baseline
+        loaded = loaded_modules(script="import shadowbracket.oracle") - baseline
         assert {m for m in loaded if m.startswith("shadowbracket.")} == {
             "shadowbracket.diagram", "shadowbracket.oracle", "shadowbracket.poly",
             "shadowbracket.record", "shadowbracket.tl3"}
@@ -229,13 +221,13 @@ class TestImportFootprint:
                   "            and f.__module__ == g.__name__):\n"
                   "        for name in g.NAMES:\n"
                   "            f(name)\n")
-        loaded = loaded_modules("-c", script) - baseline
+        loaded = loaded_modules(script=script) - baseline
         assert {m for m in loaded if m.startswith("shadowbracket.")} == {
             "shadowbracket.generators", "shadowbracket.record", "shadowbracket.poly",
             "shadowbracket.tl3"}
 
     # Each request kind: its argv, the package modules it loads besides the
-    # package itself and cli (run as __main__), and a ceiling on the bytes of
+    # package itself and cli, and a ceiling on the bytes of
     # package source it compiles, __init__.py and cli.py included.  The
     # determinant module (matrix) loads only for charpoly (and verify
     # --charpoly, below), Dehn's reading (dehn) only for a file listed
@@ -266,7 +258,7 @@ class TestImportFootprint:
         tmp = tmp_path_factory.mktemp("diet")
         files = {"LISTED": pd_file(tmp / "listed.json"),
                  "MIXED": pd_file(tmp / "mixed.json", listed_against_the_trace=True)}
-        return {kind: modules_after(*(files.get(arg, arg) for arg in argv))
+        return {kind: loaded_modules(*(files.get(arg, arg) for arg in argv))
                 for kind, (argv, _, _) in self.DIET.items()}
 
     @pytest.mark.parametrize("kind", DIET)
@@ -274,7 +266,7 @@ class TestImportFootprint:
         _, expected, ceiling = self.DIET[kind]
         loaded = {name.partition(".")[2] for name in loaded_by_kind[kind]
                   if name.startswith("shadowbracket.")}
-        assert loaded == self.COMMON | expected
+        assert loaded == {"cli"} | self.COMMON | expected
         compiled = sum((SRC / "shadowbracket" / f"{name}.py").stat().st_size
                        for name in loaded | {"__init__", "cli"})
         assert compiled <= ceiling

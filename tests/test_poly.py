@@ -9,8 +9,9 @@ import pytest
 
 import shadowbracket
 from conftest import P, rand_poly
-from shadowbracket.bracket import (SERIES_BLOCK_STEPS, BracketVector, LambdaPolynomial,
-                                   RationalTerm, _digit_width, _pack, _unpack)
+from shadowbracket.bracket import (SERIES_BLOCK_STEPS, BracketVector, RationalTerm,
+                                   _digit_width, _pack, _unpack)
+from shadowbracket.matrix import LambdaPolynomial
 from shadowbracket.poly import (ONE, Polynomial, X, ZERO, int_text, parse_int,
                                 power_by_squaring)
 
