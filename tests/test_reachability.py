@@ -9,6 +9,11 @@ included) must be entered by some request, or be named in ``ALLOWED`` with
 the reader that keeps it.  An ``ALLOWED`` entry that a request enters, or
 that names no function, fails too.
 
+The probe cannot tell whether a module-level ``__getattr__`` (PEP 562) of a
+module that is not a package runs for a reason: every ``from .module import
+name`` asks the module for ``__path__``, and so enters it.  Such a function
+counts as unreached until ``ALLOWED`` names its reader.
+
 To keep a function no command runs, add ``"module.qualname": "reason"`` to
 ``ALLOWED``, the reason naming its reader (``bench/check.py``, a test that
 holds two routes to one answer, a protocol of Python's); otherwise delete it.
@@ -187,14 +192,23 @@ def run(tmp_path_factory):
     return done
 
 
+def unseen(name: str) -> bool:
+    """Whether being entered shows nothing of ``name``: a module-level
+    ``__getattr__`` outside ``__init__``, which each import from its module
+    enters."""
+    module, _, qualname = name.partition(".")
+    return qualname == "__getattr__" and module != "__init__"
+
+
 def test_every_function_runs_or_names_its_reader(found, run):
-    never = {name for name, key in found.items() if key not in run.entered}
+    never = {name for name, key in found.items() if key not in run.entered or unseen(name)}
     assert sorted(never - ALLOWED.keys()) == []
 
 
 def test_each_allowed_function_exists_and_no_request_enters_it(found, run):
     assert sorted(ALLOWED.keys() - found.keys()) == []
-    assert sorted(name for name in ALLOWED if found[name] in run.entered) == []
+    assert sorted(name for name in ALLOWED
+                  if found[name] in run.entered and not unseen(name)) == []
 
 
 def test_the_probe_sees_what_runs_at_import(found, run):
